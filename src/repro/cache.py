@@ -6,8 +6,8 @@ inputs.  This module gives them a zero-dependency on-disk memo: values
 are stored as JSON files named by the SHA-256 of a canonical
 serialization of *everything* the computation depends on (model spec,
 GPU specs, workload, seed, and a code-version salt derived from the
-relevant source files, so stale entries self-invalidate when the
-modelled math changes).
+package's source files, so stale entries self-invalidate when the code
+changes).
 
 Layout::
 
@@ -38,7 +38,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from .obs import metrics, trace
 
@@ -76,16 +76,15 @@ def cache_key(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def code_version_salt(extra_modules: Iterable[Any] = ()) -> str:
-    """A digest of the source files whose math cached values depend on.
+def code_version_salt() -> str:
+    """A digest of the source files cached values depend on.
 
-    Hashes the bytes of the simulation/cost-model source tree (plus any
-    ``extra_modules``) together with :data:`CACHE_SCHEMA_VERSION`.  Any
-    edit to those files changes the salt, so every cache key embedding it
-    silently misses and the value is recomputed — no manual cache busting
-    after changing the modelled physics.  ``SPLITQUANT_CACHE_SALT``
-    overrides the computed value (used by tests to force collisions or
-    invalidations deterministically).
+    Hashes the bytes of every ``repro`` source file together with
+    :data:`CACHE_SCHEMA_VERSION`.  Any edit to the package changes the
+    salt, so every cache key embedding it silently misses and the value
+    is recomputed — no manual cache busting after changing the code.
+    ``SPLITQUANT_CACHE_SALT`` overrides the computed value (used by tests
+    to force collisions or invalidations deterministically).
     """
     env = os.environ.get("SPLITQUANT_CACHE_SALT")
     if env is not None:
@@ -94,9 +93,10 @@ def code_version_salt(extra_modules: Iterable[Any] = ()) -> str:
     if _SALT is None:
         h = hashlib.sha256()
         h.update(f"schema={CACHE_SCHEMA_VERSION}".encode())
+        pkg = Path(__file__).parent
         for path in _salt_sources():
             try:
-                h.update(path.name.encode())
+                h.update(path.relative_to(pkg).as_posix().encode())
                 h.update(path.read_bytes())
             except OSError:  # pragma: no cover - unreadable source file
                 h.update(b"<unreadable>")
@@ -108,21 +108,13 @@ _SALT: Optional[str] = None
 
 
 def _salt_sources() -> list:
-    """Source files covered by the version salt, in stable order."""
-    pkg = Path(__file__).parent
-    roots = [
-        pkg / "simgpu",
-        pkg / "costmodel",
-        pkg / "pipeline",
-        pkg / "models",
-        pkg / "hardware",
-        pkg / "core",
-    ]
-    files = []
-    for root in roots:
-        if root.is_dir():
-            files.extend(sorted(root.glob("*.py")))
-    return files
+    """Every source file of the ``repro`` package, in stable order.
+
+    Cached values depend on much of the package (plans on the quantizer,
+    workloads, fleet and serialization code too), so the salt covers all
+    of it: an unrelated edit costs a cold cache, never a stale hit.
+    """
+    return sorted(Path(__file__).parent.rglob("*.py"))
 
 
 @dataclass

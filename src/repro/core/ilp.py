@@ -14,6 +14,7 @@ the same memory/contiguity constraints.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import threading
 import time
@@ -22,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
+from scipy.sparse import csc_array
 
 from ..obs import metrics, trace
 from .costs import PlanningProblem
@@ -84,13 +85,82 @@ class ILPSolution:
     status: str
 
 
-def _var_layout(problem: PlanningProblem) -> Tuple[int, int, int, int]:
-    nz = problem.n_groups * problem.n_stages * problem.n_bits
-    return nz, nz, nz + 1, nz + 2  # n_z, idx T_pre_max, T_dec_max, D
+@functools.lru_cache(maxsize=64)
+def _pattern(
+    G: int, N: int, K: int, latency_objective: bool, budgeted: bool
+) -> Tuple[np.ndarray, ...]:
+    """Sparsity pattern of constraints (5)-(16) for one problem shape.
 
+    ``z[g, j, k]`` is column ``(g * N + j) * K + k`` -- the C order of a
+    ``(G, N, K)`` array -- followed by ``T_pre_max``, ``T_dec_max`` and
+    ``D``.  Returns read-only ``(lb, ub_src, src, indices, indptr)``: the
+    row lower bounds, each row's index into the upper-bound sources and,
+    per nonzero in CSC order, its index into the value sources and its
+    row.  :func:`_build_milp` lays out both source vectors.
+    """
+    nz = G * N * K
+    i_pre, i_dec, i_d = nz, nz + 1, nz + 2
+    one, minus, mu = 0, 1, 2  # value sources, then five (G, N, K) arrays
+    l_pre, l_dec, span, mem, omega = 3 + nz * np.arange(5)
+    ub_one, ub_inf, ub_zero, ub_span, ub_budget = range(5)  # bound sources,
+    ub_pre, ub_dec, ub_cap = 5 + N * np.arange(3)  # then three (N,) arrays
+    z = np.arange(nz)
+    gz, jz, _ = np.unravel_index(z, (G, N, K))
+    stages = np.arange(N)
+    # Blocks in row order: (rows, lb, ub source, [(row, col, source)]),
+    # rows counted from the block's first row.
+    blocks = [(G, 1.0, ub_one, [(gz, z, one)])]  # (9)-(11): one slot/group
+    if latency_objective:
+        # (5)-(6): T_pre_max / T_dec_max >= per-stage time.
+        blocks += [
+            (N, -np.inf, ub + stages, [(jz, z, t + z), (stages, col, minus)])
+            for ub, t, col in ((ub_pre, l_pre, i_pre), (ub_dec, l_dec, i_dec))
+        ]
+        # Decode span D >= bottleneck bound and >= round-trip bound.
+        blocks.append((2, -np.inf, [ub_zero, ub_span], [
+            (0, i_dec, mu), (0, i_d, minus), (1, z, span + z), (1, i_d, minus),
+        ]))
+    # (12)-(13): per-stage memory.
+    blocks.append((N, -np.inf, ub_cap + stages, [(jz, z, mem + z)]))
+    if N > 1 and G > 1:
+        # (15)-(16): contiguity -- row (g, j) is the stage-<=j mass of
+        # group g minus that of group g + 1, which must stay >= 0.
+        g, j, jj, k = np.nonzero(np.broadcast_to(
+            (stages <= stages[: N - 1, None])[None, :, :, None],
+            (G - 1, N - 1, N, K),
+        ))
+        row, col = g * (N - 1) + j, (g * N + jj) * K + k
+        blocks.append(((G - 1) * (N - 1), 0.0, ub_inf, [
+            (row, col, one), (row, col + N * K, minus),
+        ]))
+    if N > 1:  # every stage holds at least one group
+        blocks.append((N, 1.0, ub_inf, [(jz, z, one)]))
+    if budgeted:  # optional hard quality budget (Sec. VI-C mode)
+        blocks.append((1, -np.inf, ub_budget, [(0, z, omega + z)]))
 
-def _zidx(problem: PlanningProblem, g: int, j: int, k: int) -> int:
-    return (g * problem.n_stages + j) * problem.n_bits + k
+    rows, cols, srcs, lbs, ub_srcs = [], [], [], [], []
+    n_rows = 0
+    for n, lb, ub_src, entries in blocks:
+        for row, col, src in entries:
+            row, col, src = map(np.ravel, np.broadcast_arrays(row, col, src))
+            rows.append(n_rows + row)
+            cols.append(col)
+            srcs.append(src)
+        lbs.append(np.full(n, lb))
+        ub_srcs.append(np.broadcast_to(ub_src, n))
+        n_rows += n
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    perm = np.lexsort((rows, cols))
+    pattern = (
+        np.concatenate(lbs),
+        np.concatenate(ub_srcs),
+        np.concatenate(srcs)[perm],
+        rows[perm].astype(np.int32),
+        np.searchsorted(cols[perm], np.arange(nz + 4)).astype(np.int32),
+    )
+    for arr in pattern:
+        arr.flags.writeable = False  # shared by every build of this shape
+    return pattern
 
 
 def _build_milp(
@@ -103,132 +173,64 @@ def _build_milp(
 
     Shared between the exact branch-and-bound solve and the LP relaxation
     the search engine uses as an admissible pruning bound — both must see
-    bit-identical matrices for the bound to be sound.
+    bit-identical matrices for the bound to be sound.  The sparsity
+    pattern is cached per shape; only the values are computed here.
     """
     G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
     n = problem.workload.output_len
-    nz, i_pre, i_dec, i_d = _var_layout(problem)
-    nvars = nz + 3
+    nz = G * N * K
+    nvars, i_pre, i_dec, i_d = nz + 3, nz, nz + 1, nz + 2
+    lb, ub_src, src, indices, indptr = _pattern(
+        G, N, K, latency_objective, quality_budget is not None
+    )
+    omega = np.broadcast_to(problem.omega[:, None, :], (G, N, K))
 
     c = np.zeros(nvars)
-    for g in range(G):
-        for j in range(N):
-            for k in range(K):
-                idx = _zidx(problem, g, j, k)
-                if latency_objective:
-                    c[idx] = problem.l_pre[g, j, k] + theta * problem.omega[g, k]
-                else:
-                    # Tiny latency tie-breaker: the quality-only problem has
-                    # a large plateau of symmetric optima that stalls
-                    # branch-and-bound; epsilon-perturbing with layer costs
-                    # breaks the symmetry without changing the quality
-                    # optimum materially.
-                    c[idx] = problem.omega[g, k] + 1e-4 * (
-                        problem.l_pre[g, j, k] + problem.l_dec[g, j, k]
-                    )
     if latency_objective:
+        c[:nz] = (problem.l_pre + theta * omega).ravel()
         c[i_pre] = max(problem.prefill_jobs - 1, 0)
         c[i_d] = 1.0
+    else:
+        # Tiny latency tie-breaker: the quality-only problem has a large
+        # plateau of symmetric optima that stalls branch-and-bound;
+        # epsilon-perturbing with layer costs breaks the symmetry without
+        # changing the quality optimum materially.
+        c[:nz] = (omega + 1e-4 * (problem.l_pre + problem.l_dec)).ravel()
 
-    constraints: List[LinearConstraint] = []
-
-    # (9)-(11): each group gets exactly one (stage, bitwidth).
-    a_assign = lil_matrix((G, nvars))
-    for g in range(G):
-        for j in range(N):
-            for k in range(K):
-                a_assign[g, _zidx(problem, g, j, k)] = 1.0
-    constraints.append(LinearConstraint(a_assign.tocsr(), 1.0, 1.0))
-
-    if latency_objective:
-        # (5): T_pre_max >= per-stage prefill time (incl. constants).
-        a = lil_matrix((N, nvars))
-        ub = np.zeros(N)
-        for j in range(N):
-            for g in range(G):
-                for k in range(K):
-                    a[j, _zidx(problem, g, j, k)] = problem.l_pre[g, j, k]
-            a[j, i_pre] = -1.0
-            ub[j] = -problem.const_pre[j]
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, ub))
-
-        # (6): T_dec_max >= per-stage decode time.
-        a = lil_matrix((N, nvars))
-        ub = np.zeros(N)
-        for j in range(N):
-            for g in range(G):
-                for k in range(K):
-                    a[j, _zidx(problem, g, j, k)] = problem.l_dec[g, j, k]
-            a[j, i_dec] = -1.0
-            ub[j] = -problem.const_dec[j]
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, ub))
-
-        # Decode span D >= bottleneck bound and >= round-trip bound.
-        a = lil_matrix((2, nvars))
-        ub = np.zeros(2)
-        a[0, i_dec] = (n - 1) * problem.mu_dec
-        a[0, i_d] = -1.0
-        ub[0] = 0.0
-        for g in range(G):
-            for j in range(N):
-                for k in range(K):
-                    a[1, _zidx(problem, g, j, k)] = (n - 1) * problem.l_dec[
-                        g, j, k
-                    ]
-        a[1, i_d] = -1.0
-        ub[1] = -(n - 1) * (
-            float(problem.const_dec.sum()) + float(problem.comm_dec.sum())
-        )
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, ub))
-
-    # (12)-(13): per-stage memory.
-    a = lil_matrix((N, nvars))
-    for j in range(N):
-        for g in range(G):
-            for k in range(K):
-                a[j, _zidx(problem, g, j, k)] = problem.mem[g, k]
-    constraints.append(LinearConstraint(a.tocsr(), -np.inf, problem.capacity))
-
-    # (15)-(16): contiguity — cumulative stage mass is non-increasing in g.
-    if N > 1 and G > 1:
-        a = lil_matrix(((G - 1) * (N - 1), nvars))
-        row = 0
-        for g in range(G - 1):
-            for j in range(N - 1):
-                for jj in range(j + 1):
-                    for k in range(K):
-                        a[row, _zidx(problem, g, jj, k)] = 1.0
-                        a[row, _zidx(problem, g + 1, jj, k)] = -1.0
-                row += 1
-        constraints.append(LinearConstraint(a.tocsr(), 0.0, np.inf))
-
-    # Every stage holds at least one group (no empty pipeline stages).
-    if N > 1:
-        a = lil_matrix((N, nvars))
-        for j in range(N):
-            for g in range(G):
-                for k in range(K):
-                    a[j, _zidx(problem, g, j, k)] = 1.0
-        constraints.append(LinearConstraint(a.tocsr(), 1.0, np.inf))
-
-    # Optional hard quality budget (Sec. VI-C mode).
-    if quality_budget is not None:
-        a = lil_matrix((1, nvars))
-        for g in range(G):
-            for j in range(N):
-                for k in range(K):
-                    a[0, _zidx(problem, g, j, k)] = problem.omega[g, k]
-        constraints.append(LinearConstraint(a.tocsr(), -np.inf, quality_budget))
+    # The value and upper-bound sources _pattern indexes.
+    values = np.concatenate((
+        [1.0, -1.0, (n - 1) * problem.mu_dec],
+        problem.l_pre.ravel(),
+        problem.l_dec.ravel(),
+        ((n - 1) * problem.l_dec).ravel(),
+        np.broadcast_to(problem.mem[:, None, :], (G, N, K)).ravel(),
+        omega.ravel(),
+    ))
+    span_ub = -(n - 1) * (
+        float(problem.const_dec.sum()) + float(problem.comm_dec.sum())
+    )
+    budget = np.inf if quality_budget is None else quality_budget
+    bounds = np.concatenate((
+        [1.0, np.inf, 0.0, span_ub, budget],
+        -problem.const_pre, -problem.const_dec, problem.capacity,
+    ))
+    data = values[src]
+    keep = data != 0
+    if not keep.all():  # store no explicit zeros (16-bit omega, n == 1)
+        data, indices = data[keep], indices[keep]
+        indptr = np.cumsum(np.append(False, keep), dtype=np.int32)[indptr]
+    a = csc_array((data, indices, indptr), shape=(lb.size, nvars))
+    constraints = [LinearConstraint(a, lb, bounds[ub_src])]
 
     integrality = np.zeros(nvars)
     integrality[:nz] = 1
-    lb = np.zeros(nvars)
+    lb_v = np.zeros(nvars)
     ub_v = np.full(nvars, np.inf)
     ub_v[:nz] = 1.0
     if problem.comm_pre.size:
-        lb[i_pre] = float(problem.comm_pre.max())
-        lb[i_dec] = float(problem.comm_dec.max())
-    return c, constraints, integrality, Bounds(lb, ub_v)
+        lb_v[i_pre] = float(problem.comm_pre.max())
+        lb_v[i_dec] = float(problem.comm_dec.max())
+    return c, constraints, integrality, Bounds(lb_v, ub_v)
 
 
 def solve_partition_ilp(
@@ -245,7 +247,7 @@ def solve_partition_ilp(
     """
     t0 = time.perf_counter()
     G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
-    nz, _, _, _ = _var_layout(problem)
+    nz = G * N * K
     c, constraints, integrality, bounds = _build_milp(
         problem, theta, quality_budget, latency_objective
     )
@@ -352,7 +354,7 @@ def solve_partition_lp_relaxation(
         metrics.counter("ilp.lp_relaxations").inc()
     if res.status == 2:  # LP infeasible => the ILP is infeasible as well
         return float("inf")
-    if res.x is None:
+    if res.status != 0:  # a time/iteration-limited point over-estimates
         return None
     return float(res.fun) + float(
         problem.const_pre.sum() + problem.comm_pre.sum()

@@ -200,3 +200,34 @@ def test_planner_pool_persistent_across_pools(tmp_path, monkeypatch):
     assert warm.result.predicted_latency_s == cold.result.predicted_latency_s
     assert warm.result.throughput_tokens_s == cold.result.throughput_tokens_s
     assert warm.result.predicted_quality == cold.result.predicted_quality
+
+
+def test_salt_covers_every_module_a_cached_value_can_reach(
+    tmp_path, monkeypatch
+):
+    """Plans and fleet schedules are cached under the code salt, so every
+    ``repro`` module they load must be one the salt hashes."""
+    import sys
+    from pathlib import Path
+
+    from repro import Session
+    from repro.cache import _salt_sources
+    from repro.fleet import make_job_queue
+    from repro.workloads import BatchWorkload
+
+    monkeypatch.setenv("SPLITQUANT_CACHE_DIR", str(tmp_path))
+    sess = Session("opt-1.3b", cluster=1)
+    assert sess.plan(BatchWorkload(batch=8, prompt_len=128, output_len=8))
+    jobs = make_job_queue(n_jobs=2, seed=0, models=("opt-1.3b",))
+    sess.schedule_fleet(
+        jobs=jobs, inventory={"V100-32G": 2, "T4-16G": 2}, allocator="greedy"
+    )
+
+    hashed = {p.resolve() for p in _salt_sources()}
+    loaded = {
+        Path(mod.__file__).resolve()
+        for name, mod in list(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and getattr(mod, "__file__", None)
+    }
+    assert loaded and loaded <= hashed, sorted(map(str, loaded - hashed))

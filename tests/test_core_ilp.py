@@ -114,6 +114,32 @@ def test_solution_records_solve_time(tiny_problem):
     assert sol.status in ("optimal",) or sol.status.startswith("status-")
 
 
+@pytest.mark.parametrize(
+    "status, bound",
+    [(0, "finite"), (1, None), (2, float("inf")), (4, None)],
+)
+def test_lp_relaxation_bounds_only_when_optimal(
+    tiny_problem, monkeypatch, status, bound
+):
+    """A time-limited LP point is feasible, not optimal: its value
+    over-estimates the relaxation, so it must not be used to prune."""
+    import numpy as np
+    from scipy.optimize import OptimizeResult
+
+    import repro.core.ilp as ilp
+
+    def fake_milp(c, **_):
+        x = None if status == 2 else np.zeros_like(c)
+        return OptimizeResult(status=status, x=x, fun=1.0, success=status == 0)
+
+    monkeypatch.setattr(ilp, "milp", fake_milp)
+    got = ilp.solve_partition_lp_relaxation(tiny_problem)
+    if bound == "finite":
+        assert got is not None and np.isfinite(got)
+    else:
+        assert got == bound
+
+
 def test_brute_force_guard():
     class Fake:
         n_groups = 30
