@@ -83,11 +83,11 @@ class PlannerConfig:
             raise ValueError("need at least one bitwidth choice")
         if sorted(self.bit_choices) != list(self.bit_choices):
             raise ValueError("bit_choices must be sorted ascending")
-        if self.theta < 0:
+        if not self.theta >= 0:
             raise ValueError("theta must be non-negative")
         if self.group_size <= 0:
             raise ValueError("group_size must be positive")
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:
             raise ValueError("time_limit_s must be positive")
         if self.parallelism <= 0:
             raise ValueError("parallelism must be positive")
@@ -101,7 +101,7 @@ class PlannerConfig:
             raise ValueError(
                 "objective must be one of 'throughput', 'energy', 'cost'"
             )
-        if self.budget is not None and self.budget <= 0:
+        if self.budget is not None and not self.budget > 0:
             raise ValueError("budget must be positive when set")
         if self.auto_exact_max_devices <= 0:
             raise ValueError("auto_exact_max_devices must be positive")

@@ -130,3 +130,25 @@ def test_heterogeneous_partition_not_even(result, opt13b):
     v100_idx = gpu_names.index("V100-32G")
     t4_idx = gpu_names.index("T4-16G")
     assert layers[v100_idx] > layers[t4_idx]
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("theta", float("nan")),
+        ("theta", -1.0),
+        ("time_limit_s", float("nan")),
+        ("time_limit_s", 0.0),
+        ("budget", float("nan")),
+        ("budget", 0.0),
+    ],
+)
+def test_config_rejects_nan_and_out_of_range(field, bad):
+    # NaN fails every ordered comparison, so a ``x < 0`` guard lets it
+    # through; the checks must be phrased so NaN is rejected too.
+    with pytest.raises(ValueError, match=field):
+        PlannerConfig(**{field: bad})
+
+
+def test_config_accepts_zero_theta():
+    assert PlannerConfig(theta=0.0).theta == 0.0

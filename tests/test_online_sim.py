@@ -308,6 +308,22 @@ def test_admission_policy_validation():
         OnlineConfig(horizon_s=-1.0)
 
 
+@pytest.mark.parametrize("field", ["ttft_slo_s", "horizon_s"])
+def test_online_config_rejects_nan(field):
+    # A NaN SLO used to shed nothing yet report zero attainment, and a
+    # NaN horizon admitted everything.
+    with pytest.raises(ValueError, match=field):
+        OnlineConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_request_rejects_non_finite_arrival(bad):
+    # A NaN arrival used to pass the sort check and be dropped silently
+    # by the simulator (fewer requests arrived than went in).
+    with pytest.raises(ValueError, match="arrival_s"):
+        Request(req_id=0, arrival_s=bad, prompt_len=8, output_len=4)
+
+
 def test_online_result_serialization_round_trip(cluster5, opt13b):
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(cluster5), 8, 4, 4
