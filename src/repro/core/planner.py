@@ -552,7 +552,11 @@ class SplitQuantPlanner:
                 self.cost_model_for_kv,
                 self._solve_one,
             )
-            outcome = engine.search(workload)
+            # An energy/cost re-rank reads the whole leading frontier.
+            top_k = self.config.verify_top_k
+            if (objective or self.config.objective) in ("energy", "cost"):
+                top_k = max(top_k, OBJECTIVE_FRONTIER_K)
+            outcome = engine.search(workload, top_k=top_k)
             result = self._finish(
                 outcome.ranked,
                 outcome.stats,

@@ -23,8 +23,10 @@ Four layers:
    when the exact ILP backend is in use, the LP relaxation of the full
    MILP.  Both bounds never exceed the score of any feasible solution,
    so skipping candidates whose bound exceeds the incumbent provably
-   cannot change the chosen plan.  Candidates are solved best-bound-first
-   so the incumbent tightens early.
+   cannot change the chosen plan.  Candidates are solved best-first from
+   a heap keyed by their best known bound; one that reaches the head
+   without its LP bound gets it lazily and is pushed back at the tighter
+   key, so the most promising candidate sets the incumbent first.
 
 3. **Parallel candidate solving** — solves fan out over a
    ``concurrent.futures`` thread pool (``PlannerConfig.parallelism``,
@@ -41,8 +43,10 @@ Four layers:
 
 from __future__ import annotations
 
+import heapq
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -337,7 +341,7 @@ class CandidateSearchEngine:
     ranked output equals the exhaustive serial search's stable
     score-sorted candidate list restricted to its top, so the chosen plan
     is bit-identical — pruning only ever removes candidates whose
-    admissible bound proves they cannot enter the verified top-k.
+    admissible bound proves they cannot enter the ranked top-k.
     """
 
     def __init__(
@@ -358,6 +362,7 @@ class CandidateSearchEngine:
         self.cost_model_for_kv = cost_model_for_kv
         self.solve_one = solve_one
         self._timings: List[MemoizedTiming] = []
+        self._warm_starts_done = 0
 
     # -- enumeration ---------------------------------------------------
 
@@ -450,7 +455,6 @@ class CandidateSearchEngine:
         with every attempt memoized so each is made exactly once.
         """
         cfg = self.config
-        self._warm_starts_done = getattr(self, "_warm_starts_done", 0)
         for member in group:
             if member.index > cand.index:
                 break
@@ -467,17 +471,21 @@ class CandidateSearchEngine:
 
     # -- the search ----------------------------------------------------
 
-    def search(self, workload: BatchWorkload) -> SearchOutcome:
+    def search(self, workload: BatchWorkload, top_k: int) -> SearchOutcome:
+        """Run the search; the leading ``top_k`` ranked candidates are
+        exactly those of the exhaustive search, so any re-rank over them
+        is independent of pruning and solve order."""
         with trace.span(
             "search.run",
             batch=workload.batch,
             parallelism=self.config.parallelism,
         ):
-            return self._search(workload)
+            return self._search(workload, top_k)
 
-    def _search(self, workload: BatchWorkload) -> SearchOutcome:
+    def _search(self, workload: BatchWorkload, top_k: int) -> SearchOutcome:
         cfg = self.config
         t0 = time.perf_counter()
+        self._warm_starts_done = 0
         theta_eff = 0.0 if cfg.quality_budget is not None else cfg.theta
         bound_mode = cfg.bound
         if bound_mode == "auto":
@@ -498,14 +506,6 @@ class CandidateSearchEngine:
                     )
             bound_time += time.perf_counter() - tb
 
-        # Best-bound-first tightens the incumbent early; enumeration order
-        # breaks ties so serial replay is reproducible.
-        order = (
-            sorted(candidates, key=lambda c: (c.bound, c.index))
-            if prune
-            else list(candidates)
-        )
-
         # The incumbent threshold is the k-th best *known* score per
         # candidate: solves record their exact final score, and the bulk
         # seeding stage below registers warm-start scores that each
@@ -513,8 +513,8 @@ class CandidateSearchEngine:
         # entry upper-bounds its candidate's achievable score, so the
         # k-th smallest entry upper-bounds the true k-th best score and
         # anything whose admissible bound exceeds it cannot enter the
-        # verified top-k — skipping it cannot change the final plan.
-        k_keep = cfg.verify_top_k if cfg.verify_top_k > 1 else 1
+        # ranked top-k — skipping it cannot change the final plan.
+        k_keep = max(top_k, 1)
         known: Dict[int, float] = {}
 
         def threshold() -> float:
@@ -522,40 +522,8 @@ class CandidateSearchEngine:
                 return float("inf")
             return sorted(known.values())[k_keep - 1]
 
-        def try_prune(cand: _Candidate) -> bool:
-            nonlocal bound_time, lp_bounds
-            if not prune:
-                return False
-            if cand.bound == float("inf"):
-                return True  # provably infeasible
-            thr = threshold()
-            if thr == float("inf"):
-                return False
-            slack = _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * abs(thr)
-            if cand.bound > thr + slack:
-                return True
-            if bound_mode == "lp":
-                if cand.lp_bound is None:
-                    tb = time.perf_counter()
-                    lp = solve_partition_lp_relaxation(
-                        cand.problem,
-                        theta=theta_eff,
-                        quality_budget=cfg.quality_budget,
-                        time_limit_s=cfg.time_limit_s,
-                    )
-                    bound_time += time.perf_counter() - tb
-                    lp_bounds += 1
-                    # None (no bound available) must never prune.
-                    cand.lp_bound = float("-inf") if lp is None else lp
-                if cand.lp_bound == float("inf"):
-                    return True  # LP infeasible => ILP infeasible
-                if cand.lp_bound > thr + slack:
-                    return True
-            return False
-
         warm_attempts: Dict[Tuple[int, int], Dict[int, Optional[ILPSolution]]]
         warm_attempts = {}
-        self._warm_starts_done = 0
 
         # Bulk frontier scoring (heuristic mode): before any solve, score
         # every live candidate's warm-start assignment exactly — the same
@@ -573,9 +541,9 @@ class CandidateSearchEngine:
         if prune and cfg.use_heuristic and candidates:
             tb = time.perf_counter()
             batches_run = 1
-            frontier_scored = len(order)
-            with trace.span("search.batch_score", plans=len(order)) as sp:
-                for cand in order:
+            frontier_scored = len(candidates)
+            with trace.span("search.batch_score", plans=len(candidates)) as sp:
+                for cand in candidates:
                     key = (cand.kv_index, cand.ord_index)
                     warm = self._warm_start_for(
                         cand, groups[key], warm_attempts.setdefault(key, {})
@@ -650,29 +618,56 @@ class CandidateSearchEngine:
             if trace.enabled:
                 metrics.counter("planner.candidates_pruned").inc()
 
-        if cfg.parallelism <= 1:
-            for cand in order:
-                if try_prune(cand):
-                    mark_pruned(cand)
-                    continue
-                record(cand, solve(cand, prep(cand)))
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-                i = 0
-                while i < len(order):
-                    batch = []
-                    while i < len(order) and len(batch) < cfg.parallelism:
-                        cand = order[i]
-                        i += 1
-                        if try_prune(cand):
-                            mark_pruned(cand)
-                            continue
-                        warm = prep(cand)
-                        batch.append(
-                            (cand, pool.submit(solve, cand, warm))
+        # Best-first over (best known bound, enumeration index): a pop
+        # that still lacks its LP bound is tightened and pushed back, so
+        # a pop that is solved holds the smallest admissible bound left.
+        # Analytic keys never change and unpruned keys are all -inf, so
+        # those modes pop in (bound, index) resp. enumeration order.
+        heap = [(c.bound, c.index) for c in candidates]
+        heapq.heapify(heap)
+        pool_cm = (
+            ThreadPoolExecutor(max_workers=cfg.parallelism)
+            if cfg.parallelism > 1
+            else nullcontext()
+        )
+        batch: List[Tuple[_Candidate, Future]] = []
+        with pool_cm as pool:
+            while heap:
+                key, idx = heapq.heappop(heap)
+                cand = candidates[idx]
+                if prune:
+                    thr = threshold()
+                    slack = _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * abs(thr)
+                    if key == float("inf") or key > thr + slack:
+                        mark_pruned(cand)
+                        continue
+                    if bound_mode == "lp" and cand.lp_bound is None:
+                        tb = time.perf_counter()
+                        lp = solve_partition_lp_relaxation(
+                            cand.problem,
+                            theta=theta_eff,
+                            quality_budget=cfg.quality_budget,
+                            time_limit_s=cfg.time_limit_s,
                         )
-                    for cand, fut in batch:
-                        record(cand, fut.result())
+                        bound_time += time.perf_counter() - tb
+                        lp_bounds += 1
+                        # None (no bound available) must never prune.
+                        cand.lp_bound = float("-inf") if lp is None else lp
+                        if cand.lp_bound == float("inf"):
+                            mark_pruned(cand)  # LP infeasible => ILP too
+                        else:
+                            heapq.heappush(heap, (cand.best_bound, idx))
+                        continue
+                if pool is None:
+                    record(cand, solve(cand, prep(cand)))
+                    continue
+                batch.append((cand, pool.submit(solve, cand, prep(cand))))
+                if len(batch) == cfg.parallelism:
+                    for c, fut in batch:
+                        record(c, fut.result())
+                    batch = []
+            for c, fut in batch:
+                record(c, fut.result())
 
         # Deterministic reduction: a stable sort on (score, enumeration
         # index) reproduces the serial search's stable score sort exactly.

@@ -130,3 +130,27 @@ def regenerate_all() -> Dict[str, Path]:
         path.write_text(build())
         written[name] = path
     return written
+
+
+def assert_same_lines(actual: str, expected: str, hint: str) -> None:
+    """Exact text equality, checked line by line.
+
+    A mismatch fails with the first differing line, both line counts
+    and ``hint`` instead of letting pytest render a diff of two whole
+    traces, which on a several-hundred-line fixture takes many minutes.
+    """
+    got = actual.splitlines(keepends=True)
+    want = expected.splitlines(keepends=True)
+    if got == want:
+        return
+    n = next(
+        (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+        min(len(got), len(want)),
+    )
+    end = "<end of text>"
+    raise AssertionError(
+        f"first difference at line {n + 1}:\n"
+        f"  actual:   {got[n] if n < len(got) else end!r}\n"
+        f"  expected: {want[n] if n < len(want) else end!r}\n"
+        f"actual has {len(got)} lines, expected {len(want)}\n{hint}"
+    )

@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.costs import build_problem
 from repro.core.enumeration import candidate_orderings
+from repro.core.search import _PRUNE_ABS_SLACK, _PRUNE_REL_SLACK
 from repro.workloads import BatchWorkload
 
 FAST = PlannerConfig(
@@ -65,12 +66,54 @@ def test_engine_matches_naive_cluster5(opt30b, cluster5):
 
 def test_engine_parallel_matches_serial(opt13b, small_cluster,
                                         cost_model_13b, small_workload):
-    serial = SplitQuantPlanner(opt13b, small_cluster, FAST,
-                               cost_model=cost_model_13b)
-    par_cfg = dataclasses.replace(FAST, parallelism=4)
-    par = SplitQuantPlanner(opt13b, small_cluster, par_cfg,
-                            cost_model=cost_model_13b)
-    _assert_same_plan(par.plan(small_workload), serial.plan(small_workload))
+    base = SplitQuantPlanner(opt13b, small_cluster, FAST,
+                             cost_model=cost_model_13b)
+    # The theta objective, and an LP-bound config with a hard budget.
+    hard = dataclasses.replace(
+        FAST, bound="lp", quality_budget=base.uniform_quality(4),
+        microbatch_candidates=(2, 4, 8),
+    )
+    for cfg in (FAST, hard):
+        serial = SplitQuantPlanner(opt13b, small_cluster, cfg,
+                                   cost_model=cost_model_13b)
+        r_serial = serial.plan(small_workload)
+        for parallelism in (2, 4):
+            par_cfg = dataclasses.replace(cfg, parallelism=parallelism)
+            par = SplitQuantPlanner(opt13b, small_cluster, par_cfg,
+                                    cost_model=cost_model_13b)
+            r_par = par.plan(small_workload)
+            _assert_same_plan(r_par, r_serial)
+            assert r_par.search.parallelism == parallelism
+    assert r_serial.search.pruned > 0
+
+
+def test_best_first_solves_only_competitive_candidates(opt30b, cluster5):
+    """Table-VI config (as in ``benchmarks/test_planner_scaling.py``):
+    best-first on lazily tightened LP bounds solves a candidate only
+    when its bound is within the prune slack of the k-th best score, so
+    no solve is spent on a candidate the winner's bound already rules
+    out."""
+    base = PlannerConfig(group_size=3, max_orderings=6,
+                         microbatch_candidates=(8, 16, 32), verify_top_k=1,
+                         time_limit_s=30.0)
+    seed_planner = SplitQuantPlanner(opt30b, cluster5, base)
+    cfg = dataclasses.replace(
+        base, quality_budget=seed_planner.uniform_quality(4)
+    )
+    planner = SplitQuantPlanner(
+        opt30b, cluster5, cfg, cost_model=seed_planner.cost_model,
+        omega_layers=seed_planner.omega_layers,
+    )
+    wl = BatchWorkload(batch=64, prompt_len=512, output_len=128)
+    res = planner.plan(wl)
+    assert res is not None
+    solved = [st for st in res.stats
+              if st.status not in ("pruned", "infeasible")]
+    # Hard-budget mode: a candidate's score is its latency.
+    kth = sorted(st.latency_s for st in solved)[cfg.verify_top_k - 1]
+    limit = kth + _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * kth
+    assert [st.bound_s for st in solved if st.bound_s > limit] == []
+    _assert_same_plan(res, planner.plan_reference(wl))
 
 
 def test_engine_prune_off_matches(opt13b, small_cluster, cost_model_13b,

@@ -293,6 +293,54 @@ def test_dp_tier_threads_objective(opt13b, small_cluster, cost_model_13b,
     assert res.predicted_energy_j is not None
 
 
+@pytest.fixture(scope="module")
+def frontier_planner(opt30b, cluster5):
+    """OPT-30B on cluster 5 with ``verify_top_k=1``: pruning for the
+    verified top-1 alone would leave a different energy/cost frontier
+    (and a different energy plan) than the exhaustive search."""
+    from repro.core import PlannerConfig, SplitQuantPlanner
+
+    cfg = PlannerConfig(group_size=3, max_orderings=2,
+                        microbatch_candidates=(8, 16), verify_top_k=1,
+                        time_limit_s=30.0)
+    return SplitQuantPlanner(opt30b, cluster5, cfg)
+
+
+@pytest.mark.parametrize("objective", ["energy", "cost"])
+def test_objective_frontier_is_prune_invariant(frontier_planner, objective,
+                                               monkeypatch):
+    import dataclasses
+
+    from repro.core.planner import OBJECTIVE_FRONTIER_K, SplitQuantPlanner
+
+    wl = BatchWorkload(batch=64, prompt_len=512, output_len=128)
+    frontiers = []
+    real = SplitQuantPlanner._select_by_objective
+
+    def spy(self, ranked, workload, objective, budget):
+        frontiers.append([
+            (score, ordering, sizes, eta, xi, bit_kv,
+             sol.assign_stage, sol.assign_bits)
+            for score, sol, ordering, sizes, eta, xi, bit_kv in ranked
+        ])
+        return real(self, ranked, workload, objective, budget)
+
+    monkeypatch.setattr(SplitQuantPlanner, "_select_by_objective", spy)
+    results = []
+    for prune in (True, False):
+        planner = SplitQuantPlanner(
+            frontier_planner.spec, frontier_planner.cluster,
+            dataclasses.replace(frontier_planner.config, prune=prune),
+            cost_model=frontier_planner.cost_model,
+            omega_layers=frontier_planner.omega_layers,
+        )
+        results.append(planner.plan(wl, objective=objective))
+    pruned, exhaustive = results
+    assert pruned.plan == exhaustive.plan
+    k = OBJECTIVE_FRONTIER_K
+    assert frontiers[0][:k] == frontiers[1][:k]
+
+
 # ---------------------------------------------------------------------------
 # Fleet energy/cost + spot preemption
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import normalize_trace
+from tests.golden_utils import assert_same_lines
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = REPO / "examples" / "fault_tolerance_demo.py"
@@ -62,7 +63,7 @@ def demo_trace(tmp_path_factory) -> str:
 
 def test_fault_demo_trace_matches_golden(demo_trace):
     assert FIXTURE.exists(), f"missing fixture {FIXTURE}; run the regen script"
-    assert demo_trace == FIXTURE.read_text(), REGEN_HINT
+    assert_same_lines(demo_trace, FIXTURE.read_text(), REGEN_HINT)
 
 
 def test_fixture_is_normalized_canonical():
