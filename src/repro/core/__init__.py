@@ -13,6 +13,7 @@ from .exhaustive import brute_force_solve
 from .heuristic import bitwidth_transfer
 from .ilp import (
     ILPSolution,
+    lagrangian_bound,
     solve_adabits,
     solve_partition_ilp,
     solve_partition_lp_relaxation,
@@ -51,6 +52,7 @@ __all__ = [
     "brute_force_solve",
     "bitwidth_transfer",
     "ILPSolution",
+    "lagrangian_bound",
     "solve_adabits",
     "solve_partition_ilp",
     "solve_partition_lp_relaxation",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -85,6 +86,10 @@ class PlannerConfig:
             raise ValueError("bit_choices must be sorted ascending")
         if not self.theta >= 0:
             raise ValueError("theta must be non-negative")
+        # inf (no cap) and negative budgets (infeasible) keep their
+        # meaning; NaN would fail every budget comparison silently.
+        if self.quality_budget is not None and math.isnan(self.quality_budget):
+            raise ValueError("quality_budget must not be NaN")
         if self.group_size <= 0:
             raise ValueError("group_size must be positive")
         if not self.time_limit_s > 0:

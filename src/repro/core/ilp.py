@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csc_array
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csc_array, vstack
 
 from ..obs import metrics, trace
 from .costs import PlanningProblem
@@ -313,12 +313,25 @@ def solve_adabits(
     )
 
 
+def _row_senses(
+    lb: np.ndarray, ub: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the ``<=``, ``>=`` and ``==`` rows of :func:`_build_milp`.
+
+    Rows with both bounds infinite (an ``inf`` quality budget) are in
+    none of them: they constrain nothing and carry no multiplier.
+    """
+    le = np.isinf(lb) & np.isfinite(ub)
+    ge = np.isfinite(lb) & np.isinf(ub)
+    return le, ge, np.isfinite(lb) & np.isfinite(ub)
+
+
 def solve_partition_lp_relaxation(
     problem: PlanningProblem,
     theta: float = 10.0,
     quality_budget: Optional[float] = None,
     time_limit_s: float = 60.0,
-) -> Optional[float]:
+) -> Tuple[Optional[float], Optional[np.ndarray]]:
     """LP relaxation of the partition MILP: an admissible score bound.
 
     Every feasible integer assignment scores
@@ -327,14 +340,20 @@ def solve_partition_lp_relaxation(
     the prefill constants/communication enter the score but not the
     objective vector), so the relaxation's optimum plus those constants
     lower-bounds the score of *any* solution a per-candidate solve can
-    return.  Returns ``inf`` when the relaxation is provably infeasible
-    (the integer problem then is too) and ``None`` when no bound could
-    be computed (e.g. the LP hit the time limit) — callers must not
-    prune on ``None``.
+    return.  Returns ``(bound, multipliers)``: the bound is ``inf`` when
+    the relaxation is provably infeasible (the integer problem then is
+    too) and ``None`` when no bound could be computed (e.g. the LP hit
+    the time limit) — callers must not prune on ``None``.  On an optimal
+    solve the multipliers are the row duals in :func:`_build_milp`'s row
+    space (``>= 0`` on ``<=`` rows, ``<= 0`` on ``>=`` rows, 0 on the
+    one-slot rows), ready for :func:`lagrangian_bound`; otherwise
+    ``None``.
     """
-    c, constraints, integrality, bounds = _build_milp(
+    c, (con,), _, bounds = _build_milp(
         problem, theta, quality_budget, latency_objective=True
     )
+    le, ge, eq = _row_senses(con.lb, con.ub)
+    a = con.A.tocsr()
     with trace.span(
         "ilp.lp_relaxation",
         groups=problem.n_groups,
@@ -342,20 +361,82 @@ def solve_partition_lp_relaxation(
         budgeted=quality_budget is not None,
     ) as sp:
         with _silenced_stdout():
-            res = milp(
+            # ``linprog`` (unlike ``milp``) reports row marginals; HiGHS
+            # presolve is off so they come back for every row.
+            res = linprog(
                 c,
-                constraints=constraints,
-                integrality=np.zeros_like(integrality),
-                bounds=bounds,
-                options={"time_limit": time_limit_s},
+                A_ub=vstack((a[le], -a[ge])),
+                b_ub=np.concatenate((con.ub[le], -con.lb[ge])),
+                A_eq=a[eq],
+                b_eq=con.lb[eq],
+                bounds=np.column_stack((bounds.lb, bounds.ub)),
+                method="highs",
+                options={"presolve": False, "time_limit": time_limit_s},
             )
         sp.set(status=int(res.status))
     if trace.enabled:
         metrics.counter("ilp.lp_relaxations").inc()
     if res.status == 2:  # LP infeasible => the ILP is infeasible as well
-        return float("inf")
+        return float("inf"), None
     if res.status != 0:  # a time/iteration-limited point over-estimates
-        return None
-    return float(res.fun) + float(
+        return None, None
+    marginals = res.ineqlin.marginals  # d(objective) / d(b_ub) <= 0
+    n_le = int(le.sum())
+    multipliers = np.zeros(con.lb.size)
+    multipliers[le] = -marginals[:n_le]
+    multipliers[ge] = marginals[n_le:]
+    bound = float(res.fun) + float(
         problem.const_pre.sum() + problem.comm_pre.sum()
     )
+    return bound, multipliers
+
+
+def lagrangian_bound(
+    problem: PlanningProblem,
+    theta: float,
+    quality_budget: Optional[float],
+    multipliers: np.ndarray,
+) -> float:
+    """Closed-form admissible score bound from any row multipliers.
+
+    ``multipliers`` is one vector in :func:`_build_milp`'s row space, or
+    a 2-D stack of such vectors; the result is the best bound over the
+    stack.  Each vector is first clipped to its rows' signs (``>= 0`` on
+    ``<=`` rows, ``<= 0`` on ``>=`` rows, 0 elsewhere), so every
+    multiplied row term is ``<= 0`` at any feasible point.  Dualizing all
+    rows but the one-slot rows leaves ``min  (c + y A) x - y b`` over one
+    (stage, bit) slot per group and the epigraph columns' bounds.  For the
+    epigraph columns (D, then T_dec, then T_pre) the multipliers of rows
+    with a negative coefficient are shrunk until the reduced cost is
+    ``>= 0``, so the minimum sits at the column's lower bound.  By weak
+    duality the result lower-bounds the LP relaxation, and with it the
+    score of every feasible assignment, for *any* multipliers; a
+    candidate's own LP multipliers reproduce its LP bound.
+    """
+    c, (con,), _, bounds = _build_milp(
+        problem, theta, quality_budget, latency_objective=True
+    )
+    a = con.A
+    le, ge, _ = _row_senses(con.lb, con.ub)
+    y = np.atleast_2d(multipliers)
+    y = np.where(le, np.maximum(y, 0.0), np.where(ge, np.minimum(y, 0.0), 0.0))
+    rhs = np.where(le, con.ub, np.where(ge, con.lb, 0.0))
+    G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
+    nz = G * N * K
+    for col in (nz + 2, nz + 1, nz):  # D, T_dec, T_pre
+        rows = a.indices[a.indptr[col]:a.indptr[col + 1]]
+        terms = y[:, rows] * a.data[a.indptr[col]:a.indptr[col + 1]]
+        gain = c[col] + np.maximum(terms, 0.0).sum(axis=1)
+        loss = -np.minimum(terms, 0.0).sum(axis=1)
+        shrink = loss > gain  # gain >= c[col] >= 0, so loss > 0 here
+        scale = np.ones(len(y))
+        scale[shrink] = gain[shrink] / loss[shrink]
+        y[:, rows] *= np.where(terms < 0, scale[:, None], 1.0)
+    reduced = c + (a.T @ y.T).T
+    bound = (
+        reduced[:, :nz].reshape(-1, G, N * K).min(axis=2).sum(axis=1)
+        + reduced[:, nz:] @ bounds.lb[nz:]
+        - y @ rhs
+        + float(problem.const_pre.sum() + problem.comm_pre.sum())
+    )
+    return float(bound.max())

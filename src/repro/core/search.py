@@ -18,15 +18,21 @@ Four layers:
    (ordering, bit_kv) via :func:`~repro.core.costs.problem_invariants`.
 
 2. **Admissible lower-bound pruning** — before paying a solve, each
-   candidate gets a cheap analytic bound (multiple-choice-knapsack LP
-   relaxation of the bit assignment + pipeline structural terms) and,
-   when the exact ILP backend is in use, the LP relaxation of the full
-   MILP.  Both bounds never exceed the score of any feasible solution,
-   so skipping candidates whose bound exceeds the incumbent provably
-   cannot change the chosen plan.  Candidates are solved best-first from
-   a heap keyed by their best known bound; one that reaches the head
-   without its LP bound gets it lazily and is pushed back at the tighter
-   key, so the most promising candidate sets the incumbent first.
+   candidate climbs a ladder of ever tighter, ever dearer bounds:
+   analytic (multiple-choice-knapsack LP relaxations of the bit
+   assignment + pipeline structural terms, and ``inf`` when the budget
+   and the total memory cannot hold together) → Lagrangian (the closed
+   form of :func:`~repro.core.ilp.lagrangian_bound` on the LP
+   multipliers of already-LP'd siblings with the same ordering and
+   bit_kv) → the LP relaxation of the full MILP; the last two only with
+   the exact ILP backend.  No bound exceeds the score of any feasible
+   solution, so skipping candidates whose bound exceeds the incumbent
+   provably cannot change the chosen plan.  Candidates are solved
+   best-first from a heap keyed by their best known bound; one that
+   reaches the head before its LP takes the next rung and is pushed
+   back at the tighter key, so the LP runs only for candidates that
+   head the heap on their Lagrangian bound, and the most promising
+   candidate sets the incumbent first.
 
 3. **Parallel candidate solving** — solves fan out over a
    ``concurrent.futures`` thread pool (``PlannerConfig.parallelism``,
@@ -67,7 +73,12 @@ from .costs import (
     problem_invariants,
 )
 from .enumeration import candidate_orderings, microbatch_candidates
-from .ilp import ILPSolution, solve_adabits, solve_partition_lp_relaxation
+from .ilp import (
+    ILPSolution,
+    lagrangian_bound,
+    solve_adabits,
+    solve_partition_lp_relaxation,
+)
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,7 @@ class SearchStats:
     #: Wall-clock of the whole search vs. cumulative backend solve time.
     wall_time_s: float
     cum_solve_time_s: float
-    #: Time spent computing bounds (analytic + LP).
+    #: Time spent computing bounds (analytic, Lagrangian and LP).
     bound_time_s: float
     parallelism: int
     #: Incumbent scores seeded by the bulk frontier-scoring stage before
@@ -219,6 +230,8 @@ def analytic_lower_bound(
     contiguity, and lets every group take its best device — then rebuilds
     the analytic latency formula from per-term minima:
 
+    * infeasibility when even the least memory a within-budget
+      assignment needs (an MCKP LP) exceeds the total capacity;
     * sum terms via the MCKP LP bound (quality budget and total memory
       each constrain how many groups can take their fastest bitwidth);
     * bottleneck terms via the max of the mean bound (max >= sum / stages),
@@ -233,6 +246,12 @@ def analytic_lower_bound(
     n = problem.workload.output_len
     n_stages = problem.n_stages
     cap_total = float(problem.capacity.sum())
+    if quality_budget is not None:
+        # Joint screen: rows (12)-(13) summed over stages plus the budget
+        # row -- the least memory any within-budget assignment needs.
+        need = mckp_lp_min_cost(problem.mem, problem.omega, quality_budget)
+        if need > cap_total + _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * cap_total:
+            return float("inf")
     cmin_pre = problem.l_pre.min(axis=1)  # (G, K): best device per bit
     cmin_dec = problem.l_dec.min(axis=1)
 
@@ -293,17 +312,12 @@ class _Candidate:
     eta: int
     xi: int
     problem: PlanningProblem
-    bound: float = float("-inf")  # analytic admissible bound
-    lp_bound: Optional[float] = None  # exact-MILP LP relaxation (lazy)
+    bound: float = float("-inf")  # best admissible bound known so far
+    lagrangian_done: bool = False  # sibling-multiplier bound tried
+    lp_done: bool = False  # exact-MILP LP relaxation tried
     sol: Optional[ILPSolution] = None
     status: str = "pending"
     score: float = float("inf")
-
-    @property
-    def best_bound(self) -> float:
-        if self.lp_bound is not None:
-            return max(self.bound, self.lp_bound)
-        return self.bound
 
 
 #: Ranked candidate tuple, shaped like the planner's verify list:
@@ -609,7 +623,7 @@ class CandidateSearchEngine:
                 sol = self.solve_one(cand.problem, warm)
                 sp.set(
                     status="infeasible" if sol is None else sol.status,
-                    bound_s=max(cand.best_bound, 0.0),
+                    bound_s=max(cand.bound, 0.0),
                 )
                 return sol
 
@@ -621,8 +635,12 @@ class CandidateSearchEngine:
         # Best-first over (best known bound, enumeration index): a pop
         # that still lacks its LP bound is tightened and pushed back, so
         # a pop that is solved holds the smallest admissible bound left.
+        # Tightening climbs a ladder: the Lagrangian bound from the LP
+        # multipliers of already-LP'd siblings (same ordering and
+        # bit_kv, so the same row space) first, once, then the LP itself.
         # Analytic keys never change and unpruned keys are all -inf, so
         # those modes pop in (bound, index) resp. enumeration order.
+        duals: Dict[Tuple[int, int], List[np.ndarray]] = {}
         heap = [(c.bound, c.index) for c in candidates]
         heapq.heapify(heap)
         pool_cm = (
@@ -641,22 +659,34 @@ class CandidateSearchEngine:
                     if key == float("inf") or key > thr + slack:
                         mark_pruned(cand)
                         continue
-                    if bound_mode == "lp" and cand.lp_bound is None:
+                    if bound_mode == "lp" and not cand.lp_done:
                         tb = time.perf_counter()
-                        lp = solve_partition_lp_relaxation(
-                            cand.problem,
-                            theta=theta_eff,
-                            quality_budget=cfg.quality_budget,
-                            time_limit_s=cfg.time_limit_s,
-                        )
-                        bound_time += time.perf_counter() - tb
-                        lp_bounds += 1
-                        # None (no bound available) must never prune.
-                        cand.lp_bound = float("-inf") if lp is None else lp
-                        if cand.lp_bound == float("inf"):
-                            mark_pruned(cand)  # LP infeasible => ILP too
+                        group = (cand.kv_index, cand.ord_index)
+                        if group in duals and not cand.lagrangian_done:
+                            cand.lagrangian_done = True
+                            tight = lagrangian_bound(
+                                cand.problem,
+                                theta_eff,
+                                cfg.quality_budget,
+                                np.array(duals[group]),
+                            )
                         else:
-                            heapq.heappush(heap, (cand.best_bound, idx))
+                            cand.lp_done = True
+                            tight, y = solve_partition_lp_relaxation(
+                                cand.problem,
+                                theta=theta_eff,
+                                quality_budget=cfg.quality_budget,
+                                time_limit_s=cfg.time_limit_s,
+                            )
+                            lp_bounds += 1
+                            if y is not None:
+                                duals.setdefault(group, []).append(y)
+                        bound_time += time.perf_counter() - tb
+                        # None (no bound available) must never prune; an
+                        # infeasible LP (inf) prunes on the next pop.
+                        if tight is not None:
+                            cand.bound = max(cand.bound, tight)
+                        heapq.heappush(heap, (cand.bound, idx))
                         continue
                 if pool is None:
                     record(cand, solve(cand, prep(cand)))
@@ -689,7 +719,7 @@ class CandidateSearchEngine:
         stats: List[CandidateStat] = []
         for c in candidates:
             key = tuple(sg.key() for sg in c.ordering)
-            bound_s = max(c.best_bound, 0.0)
+            bound_s = max(c.bound, 0.0)
             if c.status == "solved":
                 stats.append(
                     CandidateStat(
@@ -712,9 +742,9 @@ class CandidateSearchEngine:
                 )
 
         tightness = [
-            c.best_bound / c.score
+            c.bound / c.score
             for c in solved
-            if np.isfinite(c.best_bound) and c.score > 0
+            if np.isfinite(c.bound) and c.score > 0
         ]
         search_stats = SearchStats(
             enumerated=len(candidates),

@@ -128,16 +128,21 @@ def test_lp_relaxation_bounds_only_when_optimal(
 
     import repro.core.ilp as ilp
 
-    def fake_milp(c, **_):
+    def fake_linprog(c, b_ub, **_):
         x = None if status == 2 else np.zeros_like(c)
-        return OptimizeResult(status=status, x=x, fun=1.0, success=status == 0)
+        return OptimizeResult(
+            status=status, x=x, fun=1.0, success=status == 0,
+            ineqlin=OptimizeResult(marginals=np.zeros_like(b_ub)),
+        )
 
-    monkeypatch.setattr(ilp, "milp", fake_milp)
-    got = ilp.solve_partition_lp_relaxation(tiny_problem)
+    monkeypatch.setattr(ilp, "linprog", fake_linprog)
+    got, multipliers = ilp.solve_partition_lp_relaxation(tiny_problem)
     if bound == "finite":
         assert got is not None and np.isfinite(got)
+        assert multipliers is not None
     else:
         assert got == bound
+        assert multipliers is None
 
 
 def test_brute_force_guard():

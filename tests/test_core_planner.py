@@ -141,6 +141,7 @@ def test_heterogeneous_partition_not_even(result, opt13b):
         ("time_limit_s", 0.0),
         ("budget", float("nan")),
         ("budget", 0.0),
+        ("quality_budget", float("nan")),
     ],
 )
 def test_config_rejects_nan_and_out_of_range(field, bad):

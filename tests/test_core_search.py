@@ -9,6 +9,7 @@ from repro.core import (
     PlannerConfig,
     SplitQuantPlanner,
     analytic_lower_bound,
+    lagrangian_bound,
     mckp_lp_min_cost,
     solve_partition_ilp,
     solve_partition_lp_relaxation,
@@ -165,8 +166,8 @@ def test_bounds_admissible_on_fuzzed_problems(opt13b, cost_model_13b,
         score = sol.latency_s + theta * sol.quality
         analytic = analytic_lower_bound(problem, theta, budget)
         assert analytic <= score * (1 + 1e-6) + 1e-9, (analytic, score)
-        lp = solve_partition_lp_relaxation(problem, theta=theta,
-                                           quality_budget=budget)
+        lp, _ = solve_partition_lp_relaxation(problem, theta=theta,
+                                              quality_budget=budget)
         assert lp is not None
         assert lp <= score * (1 + 1e-6) + 1e-9, (lp, score)
 
@@ -177,7 +178,151 @@ def test_lp_relaxation_flags_infeasible(opt13b, cost_model_13b,
     # Impossible quality budget: even all-16-bit quality exceeds it.
     assert solve_partition_lp_relaxation(
         problem, theta=0.0, quality_budget=-1.0
-    ) == float("inf")
+    ) == (float("inf"), None)
+
+
+# -- the Lagrangian bound and the joint memory/quality screen ------------
+
+BOUND_MODES = [(10.0, None), (0.0, 30.0)]
+
+
+@pytest.mark.parametrize("theta,budget", BOUND_MODES)
+def test_own_lp_multipliers_reproduce_lp_bound(opt13b, cost_model_13b,
+                                               small_cluster, theta, budget):
+    """Sign and scaling check: a candidate's own LP duals give back its
+    LP bound through the closed form."""
+    for problem in _fuzz_problems(opt13b, cost_model_13b, small_cluster):
+        lp, y = solve_partition_lp_relaxation(problem, theta=theta,
+                                              quality_budget=budget)
+        assert lp is not None and np.isfinite(lp) and y is not None
+        got = lagrangian_bound(problem, theta, budget, y)
+        assert got == pytest.approx(lp, rel=1e-9)
+
+
+@pytest.mark.parametrize("theta,budget", BOUND_MODES)
+def test_lagrangian_bound_admissible_for_any_multipliers(
+    opt13b, cost_model_13b, small_cluster, theta, budget
+):
+    problems = _fuzz_problems(opt13b, cost_model_13b, small_cluster)
+    lps = [solve_partition_lp_relaxation(p, theta=theta,
+                                         quality_budget=budget)
+           for p in problems]
+    rng = np.random.default_rng(11)
+    checked = 0
+    for problem, (lp, own) in zip(problems, lps):
+        sol = solve_partition_ilp(problem, theta=theta,
+                                  quality_budget=budget, time_limit_s=10.0)
+        score = sol.latency_s + theta * sol.quality
+        for _, y in lps:
+            if y.shape != own.shape:
+                continue  # a sibling shares the row space
+            tries = [
+                y,  # a sibling's multipliers as they are
+                y * rng.lognormal(0.0, 1.0, size=y.shape),
+                y * rng.choice([-1.0, 1.0], size=y.shape),
+                -y,
+                rng.normal(0.0, np.abs(y).max(), size=y.shape),
+            ]
+            for got in (lagrangian_bound(problem, theta, budget, t)
+                        for t in tries):
+                assert got <= lp + 1e-9 * abs(lp), (got, lp)
+                assert got <= score * (1 + 1e-6) + 1e-9, (got, score)
+                checked += 1
+            # A stack of multipliers gives the best of its rows.
+            assert lagrangian_bound(
+                problem, theta, budget, np.array(tries)
+            ) == max(lagrangian_bound(problem, theta, budget, t)
+                     for t in tries)
+    assert checked >= len(problems) * 5
+
+
+def _with_capacity(problem, total):
+    """The same problem with its stage capacities scaled to ``total``."""
+    scale = total / float(problem.capacity.sum())
+    return dataclasses.replace(problem, capacity=problem.capacity * scale)
+
+
+def test_joint_screen_flags_budget_plus_memory_infeasible(
+    opt13b, cost_model_13b, small_cluster
+):
+    """Memory alone and the budget alone are satisfiable, together they
+    are not: the analytic bound and the LP both say ``inf``."""
+    problem = _fuzz_problems(opt13b, cost_model_13b, small_cluster, n=1)[0]
+    budget = float(problem.omega[:, -2].sum())  # all groups at 8 bits
+    need = mckp_lp_min_cost(problem.mem, problem.omega, budget)
+    floor = float(problem.mem.min(axis=1).sum())
+    assert floor < need
+    tight = _with_capacity(problem, (floor + need) / 2)
+    assert np.isfinite(analytic_lower_bound(tight, 0.0, None))
+    assert np.isfinite(analytic_lower_bound(problem, 0.0, budget))
+    assert analytic_lower_bound(tight, 0.0, budget) == float("inf")
+    assert solve_partition_lp_relaxation(
+        tight, theta=0.0, quality_budget=budget
+    ) == (float("inf"), None)
+    assert solve_partition_ilp(tight, theta=0.0, quality_budget=budget,
+                               time_limit_s=10.0) is None
+
+
+def test_analytic_inf_implies_lp_inf(opt13b, cost_model_13b, small_cluster):
+    flagged = 0
+    for problem in _fuzz_problems(opt13b, cost_model_13b, small_cluster):
+        lo = float(problem.omega.min(axis=1).sum())
+        hi = float(problem.omega.max(axis=1).sum())
+        floor = float(problem.mem.min(axis=1).sum())
+        for frac in (0.0, 0.3, 0.7, 1.0):
+            budget = lo + frac * (hi - lo)
+            for cap_scale in (1.0, 1.05, 1.3):
+                tight = _with_capacity(problem, floor * cap_scale)
+                if analytic_lower_bound(tight, 0.0, budget) < float("inf"):
+                    continue
+                flagged += 1
+                lp, _ = solve_partition_lp_relaxation(
+                    tight, theta=0.0, quality_budget=budget
+                )
+                assert lp == float("inf"), (frac, cap_scale, lp)
+    assert flagged > 0
+
+
+def test_table6_eta32_candidates_pruned_without_lp(opt30b, cluster5,
+                                                   monkeypatch):
+    """On the Table-VI config every eta = 32 candidate needs more memory
+    under the budget than the cluster has; the joint screen prunes all
+    of them before any LP."""
+    import repro.core.search as search
+
+    base = PlannerConfig(group_size=3, max_orderings=6,
+                         microbatch_candidates=(8, 16, 32), verify_top_k=1,
+                         time_limit_s=30.0)
+    seed_planner = SplitQuantPlanner(opt30b, cluster5, base)
+    cfg = dataclasses.replace(
+        base, quality_budget=seed_planner.uniform_quality(4)
+    )
+    planner = SplitQuantPlanner(
+        opt30b, cluster5, cfg, cost_model=seed_planner.cost_model,
+        omega_layers=seed_planner.omega_layers,
+    )
+    lp_etas = []
+    real_lp = search.solve_partition_lp_relaxation
+
+    def recording_lp(problem, **kw):
+        lp_etas.append(problem.eta)
+        return real_lp(problem, **kw)
+
+    monkeypatch.setattr(search, "solve_partition_lp_relaxation",
+                        recording_lp)
+    res = planner.plan(BatchWorkload(batch=64, prompt_len=512,
+                                     output_len=128))
+    assert res is not None
+    eta32 = [st for st in res.stats if st.eta == 32]
+    assert len(eta32) == 18
+    assert {st.status for st in eta32} == {"pruned"}
+    # Pruned on the analytic screen, not on a (finite) Lagrangian bound.
+    assert {st.bound_s for st in eta32} == {float("inf")}
+    assert 32 not in lp_etas
+    assert len(lp_etas) == res.search.lp_bounds < 30
+    # Cheap bounds only ever defer the LP: a candidate is solved on its
+    # LP bound, so the search still solves just 2 MILPs here.
+    assert res.search.solved == 2
 
 
 # -- the MCKP LP bound ---------------------------------------------------
