@@ -22,8 +22,6 @@ from .planner import (
     CandidateStat,
     PlannerResult,
     SplitQuantPlanner,
-    degrade_execution_plan,
-    reduced_cluster,
     solution_to_plan,
 )
 from .replan import ClusterDelta, JobDelta, replan_incremental

@@ -11,9 +11,8 @@ bitwidth-transfer heuristic), and emit the best
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,25 +46,8 @@ __all__ = [
     "OBJECTIVE_FRONTIER_K",
     "PlannerResult",
     "SplitQuantPlanner",
-    "degrade_execution_plan",
-    "reduced_cluster",
     "solution_to_plan",
 ]
-
-
-def reduced_cluster(
-    cluster: ClusterSpec, surviving_device_ids: Sequence[int]
-) -> ClusterSpec:
-    """Deprecated shim: use :meth:`SplitQuantPlanner.replan` with a
-    :class:`~repro.core.replan.ClusterDelta` (or :func:`_reduced_cluster`
-    internally)."""
-    warnings.warn(
-        "repro.core.planner.reduced_cluster is deprecated; use "
-        "SplitQuantPlanner.replan(prev, ClusterDelta(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _reduced_cluster(cluster, surviving_device_ids)
 
 
 def _reduced_cluster(
@@ -86,27 +68,6 @@ def _reduced_cluster(
         name=f"{cluster.name}-degraded",
         devices=devices,
         cross_node_link=cluster.cross_node_link,
-    )
-
-
-def degrade_execution_plan(
-    plan: ExecutionPlan,
-    surviving_device_ids: Sequence[int],
-    cluster: ClusterSpec,
-    spec: ModelSpec,
-    workload: BatchWorkload,
-) -> ExecutionPlan:
-    """Deprecated shim: use :meth:`SplitQuantPlanner.replan` with a
-    :class:`~repro.core.replan.ClusterDelta` (the incremental repair path
-    runs this plan-level degrade as its first candidate)."""
-    warnings.warn(
-        "repro.core.planner.degrade_execution_plan is deprecated; use "
-        "SplitQuantPlanner.replan(prev, ClusterDelta(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return degrade_execution_plan_internal(
-        plan, surviving_device_ids, cluster, spec, workload
     )
 
 
@@ -242,26 +203,15 @@ class PlannerResult:
     predicted_cost_usd: Optional[float] = field(default=None, compare=False)
 
     @property
-    def predicted_throughput(self) -> float:
-        """Deprecated alias of :attr:`throughput_tokens_s`."""
-        warnings.warn(
-            "PlannerResult.predicted_throughput is deprecated; use "
-            "PlannerResult.throughput_tokens_s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.throughput_tokens_s
-
-    @property
     def duration_s(self) -> float:
         """Planning wall-clock (the Summary-protocol duration)."""
         return self.solve_time_s
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict via :mod:`repro.serialization` (round-trip)."""
-        from ..serialization import planner_result_to_dict
+        """JSON-safe dict via :func:`repro.serialization.to_dict`."""
+        from ..serialization import to_dict
 
-        return planner_result_to_dict(self)
+        return to_dict(self)
 
 
 def solution_to_plan(
@@ -630,8 +580,8 @@ class SplitQuantPlanner:
 
     def replan(
         self,
-        prev: Union[PlannerResult, BatchWorkload],
-        delta: Any = None,
+        prev: PlannerResult,
+        delta: Any,
         *,
         workload: Optional[BatchWorkload] = None,
     ) -> PlannerResult:
@@ -649,24 +599,7 @@ class SplitQuantPlanner:
         overrides ``prev.workload`` when the previous result predates
         workload provenance.  Raises :class:`InfeasibleError` when
         nothing fits.
-
-        The legacy form ``replan(workload, surviving_device_ids)`` is
-        deprecated and runs the old cold re-plan on the reduced cluster.
         """
-        if isinstance(prev, BatchWorkload):
-            warnings.warn(
-                "SplitQuantPlanner.replan(workload, surviving_device_ids) "
-                "is deprecated; use replan(prev_result, "
-                "ClusterDelta(removed_device_ids=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if delta is None:
-                raise TypeError(
-                    "legacy replan(workload, surviving_device_ids) needs "
-                    "the surviving device ids"
-                )
-            return self.replan_cold(prev, delta)
         from .replan import replan_incremental
 
         return replan_incremental(self, prev, delta, workload=workload)
@@ -706,21 +639,6 @@ class SplitQuantPlanner:
             if trace.enabled:
                 metrics.counter("planner.replans").inc()
             return result
-
-    def plan_naive(self, workload: BatchWorkload) -> Optional[PlannerResult]:
-        """Deprecated shim over the exhaustive serial reference search.
-
-        Use :meth:`plan` (bit-identical via the engine) or, for the
-        ground-truth oracle in benches and determinism tests,
-        :meth:`plan_reference`.
-        """
-        warnings.warn(
-            "SplitQuantPlanner.plan_naive is deprecated; use plan() "
-            "(bit-identical) or plan_reference() for the oracle path",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.plan_reference(workload)
 
     def plan_reference(
         self, workload: BatchWorkload

@@ -195,10 +195,10 @@ def replan_incremental(
     :class:`InfeasibleError` when neither a repair nor a cold re-plan
     fits, so feasibility is equivalent to planning from scratch.
     """
-    wl = workload if workload is not None else prev.workload
     if isinstance(delta, JobDelta):
         return _replan_job(planner, prev, delta.workload)
     if isinstance(delta, ClusterDelta):
+        wl = workload if workload is not None else prev.workload
         if wl is None:
             raise ValueError(
                 "previous result carries no workload; pass workload="

@@ -132,12 +132,6 @@ class SearchStats:
     #: Plans scored by batched sweeps (frontier members + verified top-k).
     batched_plans_scored: int = 0
 
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-safe dict (the ``repro.serialization`` round-trip form)."""
-        from dataclasses import asdict
-
-        return asdict(self)
-
     def publish_metrics(self) -> None:
         """Feed the process-wide metrics registry from this search."""
         metrics.counter("planner.candidates_enumerated").inc(self.enumerated)

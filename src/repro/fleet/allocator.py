@@ -377,7 +377,7 @@ class PlannerPool:
         """Stored :class:`PlannerResult` (or None for infeasible), else
         the miss sentinel ``_PMISS``."""
         from ..cache import MISS, default_cache
-        from ..serialization import planner_result_from_dict
+        from ..serialization import from_dict
 
         cache = default_cache()
         if cache is None:
@@ -389,51 +389,21 @@ class PlannerPool:
         if hit is None or hit.get("result") is None:
             return None
         try:
-            result = planner_result_from_dict(hit["result"])
-        except (KeyError, ValueError, TypeError):
+            return from_dict(PlannerResult, hit["result"])
+        except ValueError:
             cache.evict("fleet_plan", pkey)
             return _PMISS
-        # Trace serialization rounds floats to 12 significant digits;
-        # allocator decisions must be bit-identical warm or cold, so the
-        # exact top-level scores are stored alongside and restored here.
-        from dataclasses import replace
-
-        exact = hit.get("exact", {})
-        if exact:
-            result = replace(
-                result,
-                predicted_latency_s=float(exact["predicted_latency_s"]),
-                predicted_quality=float(exact["predicted_quality"]),
-                throughput_tokens_s=float(exact["throughput_tokens_s"]),
-                solve_time_s=float(exact["solve_time_s"]),
-            )
-        return result
 
     def _persistent_put(self, key: tuple, assignment: Optional[Assignment]) -> None:
         from ..cache import default_cache
-        from ..serialization import planner_result_to_dict
+        from ..serialization import to_dict
 
         cache = default_cache()
         if cache is None:
             return
         pkey = self._persistent_key(key)
-        if assignment is None:
-            cache.put("fleet_plan", pkey, {"result": None})
-            return
-        r = assignment.result
-        cache.put(
-            "fleet_plan",
-            pkey,
-            {
-                "result": planner_result_to_dict(r),
-                "exact": {
-                    "predicted_latency_s": r.predicted_latency_s,
-                    "predicted_quality": r.predicted_quality,
-                    "throughput_tokens_s": r.throughput_tokens_s,
-                    "solve_time_s": r.solve_time_s,
-                },
-            },
-        )
+        result = None if assignment is None else to_dict(assignment.result)
+        cache.put("fleet_plan", pkey, {"result": result})
 
     # -- evaluation ----------------------------------------------------
 

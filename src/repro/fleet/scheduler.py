@@ -11,11 +11,11 @@ backfilling list scheduler lays the jobs out in time, minimizing fleet
 makespan / maximizing aggregate tokens per second.
 
 Degrade-aware rescheduling (:meth:`FleetScheduler.reschedule_after_failure`)
-hooks into the PR-2 fault model: when a GPU is reclaimed by its owner
+hooks into the runtime fault model: when a GPU is reclaimed by its owner
 mid-job (the fleet is *borrowed* idle capacity), the job replans on its
-reduced group via :func:`~repro.core.planner.reduced_cluster`; if nothing
-fits there, the job's surviving GPUs return to the pool and the job is
-re-allocated from scratch.
+reduced group via :meth:`~repro.core.planner.SplitQuantPlanner.replan`;
+if nothing fits there, the job's surviving GPUs return to the pool and
+the job is re-allocated from scratch.
 """
 
 from __future__ import annotations
@@ -267,11 +267,10 @@ class FleetScheduler:
         """One GPU of a running job is reclaimed; repair the schedule.
 
         The reclaimed GPU leaves the schedulable inventory (its owner
-        took it back — PR-2's permanent ``kill``).  The victim job first
-        replans on its reduced group via
-        :meth:`SplitQuantPlanner.replan` /
-        :func:`~repro.core.planner.reduced_cluster`; when nothing fits
-        there, the job's surviving GPUs return to the pool and the job is
+        took it back — the fault model's permanent ``kill``).  The victim
+        job first replans on its reduced group via
+        :meth:`SplitQuantPlanner.replan`; when nothing fits there, the
+        job's surviving GPUs return to the pool and the job is
         re-allocated from the remaining inventory.  All other jobs keep
         their groups and plans; only the timeline is recomputed.
         """

@@ -174,10 +174,10 @@ class FleetSimResult:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict via :mod:`repro.serialization` (round-trip)."""
-        from ..serialization import fleet_result_to_dict
+        """JSON-safe dict via :func:`repro.serialization.to_dict`."""
+        from ..serialization import to_dict
 
-        return fleet_result_to_dict(self)
+        return to_dict(self)
 
     def describe(self) -> str:
         lines = [

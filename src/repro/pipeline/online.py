@@ -237,10 +237,10 @@ class OnlineSimResult:
         return met / len(self.ttft_s)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict via :mod:`repro.serialization` (round-trip)."""
-        from ..serialization import online_result_to_dict
+        """JSON-safe dict via :func:`repro.serialization.to_dict`."""
+        from ..serialization import to_dict
 
-        return online_result_to_dict(self)
+        return to_dict(self)
 
 
 class _Group:

@@ -118,10 +118,10 @@ class PipelineSimResult:
         return self.cost_usd / (self.total_tokens / 1e6)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict via :mod:`repro.serialization` (round-trip)."""
-        from ..serialization import sim_result_to_dict
+        """JSON-safe dict via :func:`repro.serialization.to_dict`."""
+        from ..serialization import to_dict
 
-        return sim_result_to_dict(self)
+        return to_dict(self)
 
 
 def attach_energy(
@@ -423,10 +423,10 @@ class DegradedSimResult:
         return self.makespan_s
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict via :mod:`repro.serialization` (round-trip)."""
-        from ..serialization import degraded_result_to_dict
+        """JSON-safe dict via :func:`repro.serialization.to_dict`."""
+        from ..serialization import to_dict
 
-        return degraded_result_to_dict(self)
+        return to_dict(self)
 
 
 def _surviving_devices(

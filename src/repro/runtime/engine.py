@@ -26,7 +26,6 @@ fault-free single-process reference.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -86,17 +85,6 @@ class GenerationResult:
         return self.prefill_time_s + self.decode_time_s
 
     @property
-    def total_time_s(self) -> float:
-        """Deprecated alias of :attr:`duration_s`."""
-        warnings.warn(
-            "GenerationResult.total_time_s is deprecated; use "
-            "GenerationResult.duration_s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.duration_s
-
-    @property
     def generated_tokens(self) -> int:
         """Output tokens per request (sequence length minus the prompt)."""
         return int(self.tokens.shape[1]) - self.prompt_tokens
@@ -109,10 +97,10 @@ class GenerationResult:
         return self.tokens.shape[0] * self.generated_tokens / self.duration_s
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict via :mod:`repro.serialization` (round-trip)."""
-        from ..serialization import generation_result_to_dict
+        """JSON-safe dict via :func:`repro.serialization.to_dict`."""
+        from ..serialization import to_dict
 
-        return generation_result_to_dict(self)
+        return to_dict(self)
 
 
 def reference_generate(

@@ -23,6 +23,7 @@ mirrored 1:1 into the discrete-event simulator
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -76,6 +77,10 @@ class FaultSpec:
             raise ValueError("step must be non-negative")
         if self.phase == "decode" and self.step < 1:
             raise ValueError("decode steps are 1-based")
+        # NaN-safe: a NaN or infinite delay would poison simulated
+        # makespans and hang the runtime injector.
+        if not abs(self.delay_s) < math.inf:
+            raise ValueError("delay_s must be finite")
         if self.kind == "slow" and self.delay_s < 0:
             raise ValueError("delay_s must be non-negative")
 

@@ -1,97 +1,260 @@
-"""Plan, fault-plan and trace (de)serialization.
+"""JSON (de)serialization of plans, fault plans and results.
 
 The assigner runs offline, once per (model, cluster); production runtimes
-load the resulting plan at startup.  Plans therefore need a stable
-on-disk format: plain JSON, schema-versioned, round-trip exact.
+load the resulting plan at startup, and the fleet planner cache reads
+planner results back on every replay.  Everything persisted is a frozen
+dataclass, so one generic codec covers all of it:
 
-Fault plans and simulator traces get the same treatment so fault
-campaigns are replayable from disk and golden-trace regression fixtures
-(`tests/data/`) can be compared exactly.  Trace floats are rounded to 12
-significant digits at serialization time: enough to be bit-stable across
-platforms for the pure-arithmetic roofline timing, while still exact on
-re-parse (``float(repr12(x)) == round12(x)``).
+* :func:`to_dict` walks ``dataclasses.fields`` and writes a JSON-safe dict.
+  Floats are written at full precision, so
+  ``from_dict(cls, to_dict(x)) == x`` field for field.  An ``Optional``
+  field holding ``None`` (its default) is omitted; a loader seeing the key
+  missing restores the default.
+* :func:`from_dict` rebuilds the dataclass from the type hints.  A missing
+  key falls back to the field default; anything malformed (a missing
+  required key, a wrong JSON type, a ``null`` where no ``None`` is allowed,
+  a bool or non-integral number in an int field) raises ``ValueError``
+  naming the class and field.
+* :data:`_HEADERS` is the only per-type knowledge: which classes carry a
+  ``kind`` tag and a ``schema_version``.
+
+Golden regression fixtures (``tests/data/``) are the one exception to
+full precision: :func:`dumps_degraded_result` rounds every float to 12
+significant digits, enough to be bit-stable across platforms for the
+pure-arithmetic roofline timing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
+import types
+import typing
+from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
-from .plan import ExecutionPlan, StagePlan
+import numpy as np
+
+from .plan import ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .core.planner import PlannerResult
-    from .core.search import CandidateStat, SearchStats
-    from .fleet.simulator import FleetSimResult
-    from .pipeline.online import OnlineSimResult
-    from .pipeline.simulator import DegradedSimResult, PipelineSimResult
-    from .runtime.engine import GenerationResult
-    from .runtime.faults import FaultPlan, FaultRecord, FaultSpec
-    from .workloads.spec import BatchWorkload
+    from .pipeline.simulator import DegradedSimResult
+
+T = TypeVar("T")
 
 SCHEMA_VERSION = 1
-FAULT_SCHEMA_VERSION = 1
-TRACE_SCHEMA_VERSION = 1
-RESULT_SCHEMA_VERSION = 1
-FLEET_SCHEMA_VERSION = 1
-ONLINE_SCHEMA_VERSION = 1
+
+#: Class name -> (``kind`` tag or ``None``, carries ``schema_version``).
+_HEADERS: Dict[str, Tuple[Any, bool]] = {
+    "ExecutionPlan": (None, True),
+    "FaultPlan": (None, True),
+    "PipelineSimResult": ("pipeline_sim", False),
+    "DegradedSimResult": ("degraded_sim", True),
+    "PlannerResult": ("planner", True),
+    "GenerationResult": ("generation", True),
+    "FleetSimResult": ("fleet_sim", True),
+    "OnlineSimResult": ("online_sim", True),
+}
+
+_Enc = Callable[[Any], Any]
+_Dec = Callable[[Any, str], Any]
 
 
-def plan_to_dict(plan: ExecutionPlan) -> Dict[str, Any]:
-    """A JSON-safe dict representation of a plan."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "model_name": plan.model_name,
-        "prefill_microbatch": plan.prefill_microbatch,
-        "decode_microbatch": plan.decode_microbatch,
-        "bit_kv": plan.bit_kv,
-        "stages": [
-            {
-                "device_ids": list(st.device_ids),
-                "gpu_name": st.gpu_name,
-                "layer_start": st.layer_start,
-                "layer_bits": list(st.layer_bits),
-            }
-            for st in plan.stages
-        ],
-    }
+def _fail(where: str, expected: str, value: Any) -> ValueError:
+    return ValueError(f"{where}: expected {expected}, got {value!r}")
 
 
-def plan_from_dict(data: Dict[str, Any]) -> ExecutionPlan:
-    """Reconstruct a plan; validates the schema version."""
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+def _dec_int(v: Any, where: str) -> int:
+    if type(v) is int:
+        return v
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise _fail(where, "an integer", v)
+
+
+def _dec_float(v: Any, where: str) -> float:
+    if type(v) is float:
+        return v
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        return float(v)
+    raise _fail(where, "a number", v)
+
+
+def _dec_str(v: Any, where: str) -> str:
+    if isinstance(v, str):
+        return v
+    raise _fail(where, "a string", v)
+
+
+def _dec_array(v: Any, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(v) if isinstance(v, list) else None
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or (arr.size and arr.dtype.kind not in "iu"):
+        raise _fail(where, "a nested list of integers", v)
+    return arr.astype(np.int64)
+
+
+def _seq(v: Any, where: str) -> Any:
+    if isinstance(v, (list, tuple)):
+        return v
+    raise _fail(where, "a list", v)
+
+
+@lru_cache(maxsize=None)
+def _codec(tp: Any) -> Tuple[_Enc, _Dec]:
+    """(encoder, decoder) for one type hint."""
+    if dataclasses.is_dataclass(tp):
+        return to_dict, lambda v, where: _from_dict(tp, v, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (Union, types.UnionType):  # Optional[X]: one non-None arm
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec = _codec(inner)
+        return (
+            lambda v: None if v is None else enc(v),
+            lambda v, where: None if v is None else dec(v, where),
+        )
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        enc, dec = _codec(args[0])
+        return (
+            lambda v: [enc(x) for x in v],
+            lambda v, where: tuple(dec(x, where) for x in _seq(v, where)),
+        )
+    if origin is tuple:
+        codecs = [_codec(a) for a in args]
+
+        def dec_fixed(v: Any, where: str) -> tuple:
+            if len(_seq(v, where)) != len(codecs):
+                raise _fail(where, f"a list of {len(codecs)} items", v)
+            return tuple(d(x, where) for (_, d), x in zip(codecs, v))
+
+        return (
+            lambda v: [e(x) for (e, _), x in zip(codecs, v)],
+            dec_fixed,
+        )
+    if origin is dict:
+        (enc_k, dec_k), (enc_v, dec_v) = _codec(args[0]), _codec(args[1])
+
+        def dec_dict(v: Any, where: str) -> dict:
+            if not isinstance(v, dict):
+                raise _fail(where, "an object", v)
+            return {dec_k(k, where): dec_v(x, where) for k, x in v.items()}
+
+        return (
+            lambda v: {enc_k(k): enc_v(x) for k, x in v.items()},
+            dec_dict,
+        )
+    if tp is np.ndarray:
+        return (lambda v: v.tolist()), _dec_array
+    if tp is int:
+        return int, _dec_int
+    if tp is float:
+        return float, _dec_float
+    if tp is str:
+        return str, _dec_str
+    raise TypeError(f"no JSON codec for type {tp!r}")
+
+
+@lru_cache(maxsize=None)
+def _fields(cls: type) -> Tuple[Tuple[str, str, _Enc, _Dec, bool, bool], ...]:
+    """(name, error label, encoder, decoder, required, omit-when-None)
+    per init field."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            f"{cls.__name__}.{f.name}",
+            *_codec(hints[f.name]),
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING,
+            f.default is None,
+        )
+        for f in dataclasses.fields(cls)
+        if f.init
+    )
+
+
+def to_dict(obj: Any) -> Dict[str, Any]:
+    """A JSON-safe dict of the dataclass ``obj`` (full-precision floats)."""
+    cls = type(obj)
+    out: Dict[str, Any] = {}
+    kind, versioned = _HEADERS.get(cls.__name__, (None, False))
+    if kind is not None:
+        out["kind"] = kind
+    if versioned:
+        out["schema_version"] = SCHEMA_VERSION
+    for name, _, enc, _, _, omit_none in _fields(cls):
+        value = getattr(obj, name)
+        if value is None and omit_none:
+            continue
+        out[name] = enc(value)
+    return out
+
+
+def from_dict(cls: Type[T], data: Any) -> T:
+    """Rebuild a ``cls`` written by :func:`to_dict`.
+
+    Raises ``ValueError`` naming the class and field on malformed input
+    or an unsupported schema version.
+    """
+    return _from_dict(cls, data, cls.__name__)
+
+
+def _from_dict(cls: Any, data: Any, where: str) -> Any:
+    name = cls.__name__
+    if not isinstance(data, dict):
+        raise _fail(where, f"an object ({name})", data)
+    kind, versioned = _HEADERS.get(name, (None, False))
+    if versioned and data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported plan schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
+            f"unsupported {name} schema version "
+            f"{data.get('schema_version')!r} (expected {SCHEMA_VERSION})"
         )
-    stages = tuple(
-        StagePlan(
-            device_ids=tuple(int(d) for d in st["device_ids"]),
-            gpu_name=str(st["gpu_name"]),
-            layer_start=int(st["layer_start"]),
-            layer_bits=tuple(int(b) for b in st["layer_bits"]),
-        )
-        for st in data["stages"]
-    )
-    return ExecutionPlan(
-        model_name=str(data["model_name"]),
-        stages=stages,
-        prefill_microbatch=int(data["prefill_microbatch"]),
-        decode_microbatch=int(data["decode_microbatch"]),
-        bit_kv=int(data.get("bit_kv", 16)),
-    )
+    if kind is not None and data.get("kind", kind) != kind:
+        raise _fail(f"{name}.kind", repr(kind), data["kind"])
+    kwargs = {}
+    # Absent optional keys are left out so the constructor applies the
+    # field defaults.
+    for field_name, label, _, dec, required, _ in _fields(cls):
+        if field_name in data:
+            kwargs[field_name] = dec(data[field_name], label)
+        elif required:
+            raise ValueError(f"{label}: missing")
+    return cls(**kwargs)
+
+
+def dumps(obj: Any, indent: int = 2) -> str:
+    """Serialize a dataclass to canonical JSON (sorted keys)."""
+    return json.dumps(to_dict(obj), indent=indent, sort_keys=True)
+
+
+def loads(cls: Type[T], text: str) -> T:
+    """Parse a ``cls`` written by :func:`dumps`."""
+    return from_dict(cls, json.loads(text))
 
 
 def dumps_plan(plan: ExecutionPlan, indent: int = 2) -> str:
     """Serialize a plan to a JSON string."""
-    return json.dumps(plan_to_dict(plan), indent=indent, sort_keys=True)
+    return dumps(plan, indent=indent)
 
 
 def loads_plan(text: str) -> ExecutionPlan:
     """Parse a plan from a JSON string."""
-    return plan_from_dict(json.loads(text))
+    return loads(ExecutionPlan, text)
 
 
 def save_plan(plan: ExecutionPlan, path: Union[str, Path]) -> None:
@@ -104,576 +267,21 @@ def load_plan(path: Union[str, Path]) -> ExecutionPlan:
     return loads_plan(Path(path).read_text())
 
 
-# ---------------------------------------------------------------------------
-# Fault plans and records
-# ---------------------------------------------------------------------------
-
-
-def fault_spec_to_dict(spec: "FaultSpec") -> Dict[str, Any]:
-    """A JSON-safe dict of one scheduled fault."""
-    return {
-        "kind": spec.kind,
-        "stage": spec.stage,
-        "phase": spec.phase,
-        "step": spec.step,
-        "mb_id": spec.mb_id,
-        "delay_s": spec.delay_s,
-    }
-
-
-def fault_spec_from_dict(data: Dict[str, Any]) -> "FaultSpec":
-    from .runtime.faults import FaultSpec
-
-    mb_id = data.get("mb_id")
-    return FaultSpec(
-        kind=str(data["kind"]),
-        stage=int(data["stage"]),
-        phase=str(data.get("phase", "decode")),
-        step=int(data.get("step", 1)),
-        mb_id=None if mb_id is None else int(mb_id),
-        delay_s=float(data.get("delay_s", 0.0)),
-    )
-
-
-def fault_plan_to_dict(plan: "FaultPlan") -> Dict[str, Any]:
-    """A JSON-safe dict of a fault campaign (round-trip exact)."""
-    return {
-        "schema_version": FAULT_SCHEMA_VERSION,
-        "seed": plan.seed,
-        "specs": [fault_spec_to_dict(s) for s in plan.specs],
-    }
-
-
-def fault_plan_from_dict(data: Dict[str, Any]) -> "FaultPlan":
-    from .runtime.faults import FaultPlan
-
-    version = data.get("schema_version")
-    if version != FAULT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported fault-plan schema version {version!r} "
-            f"(expected {FAULT_SCHEMA_VERSION})"
-        )
-    return FaultPlan(
-        specs=tuple(fault_spec_from_dict(s) for s in data["specs"]),
-        seed=int(data.get("seed", 0)),
-    )
-
-
-def dumps_fault_plan(plan: "FaultPlan", indent: int = 2) -> str:
-    return json.dumps(fault_plan_to_dict(plan), indent=indent, sort_keys=True)
-
-
-def loads_fault_plan(text: str) -> "FaultPlan":
-    return fault_plan_from_dict(json.loads(text))
-
-
-def fault_record_to_dict(rec: "FaultRecord") -> Dict[str, Any]:
-    """Runtime recovery telemetry as a JSON-safe dict (round-trip)."""
-    return {
-        "kind": rec.kind,
-        "dead_stages": list(rec.dead_stages),
-        "dead_devices": list(rec.dead_devices),
-        "committed_tokens": rec.committed_tokens,
-        "action": rec.action,
-        "detail": rec.detail,
-    }
-
-
-def fault_record_from_dict(data: Dict[str, Any]) -> "FaultRecord":
-    """Reconstruct a :class:`FaultRecord` written by
-    :func:`fault_record_to_dict`."""
-    from .runtime.faults import FaultRecord
-
-    return FaultRecord(
-        kind=str(data["kind"]),
-        dead_stages=tuple(int(s) for s in data["dead_stages"]),
-        dead_devices=tuple(int(d) for d in data["dead_devices"]),
-        committed_tokens=int(data["committed_tokens"]),
-        action=str(data["action"]),
-        detail=str(data.get("detail", "")),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Simulator traces (golden-fixture format)
-# ---------------------------------------------------------------------------
-
-
-def round_trace_float(x: float) -> float:
-    """Round to 12 significant digits — the golden-fixture float grain."""
-    return float(f"{float(x):.12g}")
-
-
-def sim_result_to_dict(res: "PipelineSimResult") -> Dict[str, Any]:
-    """A JSON-safe dict of one simulated batch (floats rounded)."""
-    out = {
-        "kind": "pipeline_sim",
-        "makespan_s": round_trace_float(res.makespan_s),
-        "prefill_span_s": round_trace_float(res.prefill_span_s),
-        "decode_span_s": round_trace_float(res.decode_span_s),
-        "total_tokens": res.total_tokens,
-        "stage_busy_s": [round_trace_float(b) for b in res.stage_busy_s],
-        "stage_memory_bytes": list(res.stage_memory_bytes),
-        "events_processed": res.events_processed,
-        "sim_backend": res.sim_backend,
-    }
-    # Only serialized when set: keeps pre-existing golden fixtures
-    # byte-stable while round-tripping fallback provenance.
-    if res.backend_reason is not None:
-        out["backend_reason"] = res.backend_reason
-    if res.energy_j is not None:
-        out["energy_j"] = round_trace_float(res.energy_j)
-    if res.cost_usd is not None:
-        out["cost_usd"] = round_trace_float(res.cost_usd)
-    return out
-
-
-def degraded_result_to_dict(res: "DegradedSimResult") -> Dict[str, Any]:
-    """A JSON-safe dict of one degraded (faulty) simulation.
-
-    This is the golden-trace payload: makespan, per-segment results,
-    recovery events and the per-attempt plans, floats rounded so the
-    fixture compares exactly across runs and platforms.
-    """
-    return {
-        "kind": "degraded_sim",
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "makespan_s": round_trace_float(res.makespan_s),
-        "total_tokens": res.total_tokens,
-        "replans": res.replans,
-        "plans": [plan_to_dict(p) for p in res.plans],
-        "segments": [sim_result_to_dict(s) for s in res.segments],
-        "fault_events": [
-            {
-                "time_s": round_trace_float(ev.time_s),
-                "kind": ev.kind,
-                "stage": ev.stage,
-                "phase": ev.phase,
-                "step": ev.step,
-                "action": ev.action,
-                "detail": ev.detail,
-            }
-            for ev in res.fault_events
-        ],
-    }
+def _round_floats(value: Any) -> Any:
+    """Every float in a JSON tree rounded to 12 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _round_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_round_floats(v) for v in value]
+    return value
 
 
 def dumps_degraded_result(res: "DegradedSimResult", indent: int = 2) -> str:
-    """Canonical golden-fixture text: sorted keys, trailing newline."""
+    """Canonical golden-fixture text of a degraded simulation: floats
+    rounded to 12 significant digits, sorted keys, trailing newline."""
     return (
-        json.dumps(degraded_result_to_dict(res), indent=indent, sort_keys=True)
+        json.dumps(_round_floats(to_dict(res)), indent=indent, sort_keys=True)
         + "\n"
     )
-
-
-def sim_result_from_dict(data: Dict[str, Any]) -> "PipelineSimResult":
-    """Reconstruct a :class:`PipelineSimResult` from its dict form."""
-    from .pipeline.simulator import PipelineSimResult
-
-    return PipelineSimResult(
-        makespan_s=float(data["makespan_s"]),
-        prefill_span_s=float(data["prefill_span_s"]),
-        decode_span_s=float(data["decode_span_s"]),
-        total_tokens=int(data["total_tokens"]),
-        stage_busy_s=tuple(float(b) for b in data["stage_busy_s"]),
-        stage_memory_bytes=tuple(
-            int(m) for m in data["stage_memory_bytes"]
-        ),
-        events_processed=int(data["events_processed"]),
-        sim_backend=str(data.get("sim_backend", "event")),
-        backend_reason=data.get("backend_reason"),
-        energy_j=_opt_float(data.get("energy_j")),
-        cost_usd=_opt_float(data.get("cost_usd")),
-    )
-
-
-def _opt_float(value: Any) -> Any:
-    """``None`` passes through; everything else becomes ``float``."""
-    return None if value is None else float(value)
-
-
-def degraded_result_from_dict(data: Dict[str, Any]) -> "DegradedSimResult":
-    """Reconstruct a :class:`DegradedSimResult` (golden-trace payload)."""
-    from .pipeline.events import FaultEvent
-    from .pipeline.simulator import DegradedSimResult
-
-    version = data.get("schema_version")
-    if version != TRACE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema version {version!r} "
-            f"(expected {TRACE_SCHEMA_VERSION})"
-        )
-    return DegradedSimResult(
-        makespan_s=float(data["makespan_s"]),
-        total_tokens=int(data["total_tokens"]),
-        replans=int(data["replans"]),
-        plans=tuple(plan_from_dict(p) for p in data["plans"]),
-        segments=tuple(sim_result_from_dict(s) for s in data["segments"]),
-        fault_events=tuple(
-            FaultEvent(
-                time_s=float(ev["time_s"]),
-                kind=str(ev["kind"]),
-                stage=int(ev["stage"]),
-                phase=str(ev["phase"]),
-                step=int(ev["step"]),
-                action=str(ev.get("action", "")),
-                detail=str(ev.get("detail", "")),
-            )
-            for ev in data["fault_events"]
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Result summaries (the ``repro.api.Summary`` dict forms)
-# ---------------------------------------------------------------------------
-
-
-def candidate_stat_to_dict(stat: "CandidateStat") -> Dict[str, Any]:
-    """One planner candidate's solve record as a JSON-safe dict."""
-    return {
-        "ordering_key": [[name, int(n)] for name, n in stat.ordering_key],
-        "eta": stat.eta,
-        "xi": stat.xi,
-        "status": stat.status,
-        "latency_s": round_trace_float(stat.latency_s),
-        "quality": round_trace_float(stat.quality),
-        "solve_time_s": round_trace_float(stat.solve_time_s),
-        "bound_s": round_trace_float(stat.bound_s),
-    }
-
-
-def candidate_stat_from_dict(data: Dict[str, Any]) -> "CandidateStat":
-    from .core.search import CandidateStat
-
-    return CandidateStat(
-        ordering_key=tuple(
-            (str(name), int(n)) for name, n in data["ordering_key"]
-        ),
-        eta=int(data["eta"]),
-        xi=int(data["xi"]),
-        status=str(data["status"]),
-        latency_s=float(data["latency_s"]),
-        quality=float(data["quality"]),
-        solve_time_s=float(data["solve_time_s"]),
-        bound_s=float(data.get("bound_s", 0.0)),
-    )
-
-
-def search_stats_from_dict(data: Dict[str, Any]) -> "SearchStats":
-    """Reconstruct :class:`SearchStats` from ``SearchStats.to_dict()``."""
-    from .core.search import SearchStats
-
-    return SearchStats(**data)
-
-
-def workload_to_dict(wl: "BatchWorkload") -> Dict[str, Any]:
-    """A JSON-safe dict of a :class:`BatchWorkload` (round-trip)."""
-    return {
-        "batch": wl.batch,
-        "prompt_len": wl.prompt_len,
-        "output_len": wl.output_len,
-        "chunk_tokens": wl.chunk_tokens,
-        "reserve_output_len": wl.reserve_output_len,
-    }
-
-
-def workload_from_dict(data: Dict[str, Any]) -> "BatchWorkload":
-    from .workloads.spec import BatchWorkload
-
-    reserve = data.get("reserve_output_len")
-    return BatchWorkload(
-        batch=int(data["batch"]),
-        prompt_len=int(data["prompt_len"]),
-        output_len=int(data["output_len"]),
-        chunk_tokens=int(data.get("chunk_tokens", 2048)),
-        reserve_output_len=None if reserve is None else int(reserve),
-    )
-
-
-def planner_result_to_dict(res: "PlannerResult") -> Dict[str, Any]:
-    """A JSON-safe dict of a :class:`PlannerResult` (round-trip)."""
-    return {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "kind": "planner",
-        "plan": plan_to_dict(res.plan),
-        "predicted_latency_s": round_trace_float(res.predicted_latency_s),
-        "predicted_quality": round_trace_float(res.predicted_quality),
-        "throughput_tokens_s": round_trace_float(res.throughput_tokens_s),
-        "solve_time_s": round_trace_float(res.solve_time_s),
-        "candidates_tried": res.candidates_tried,
-        "stats": [candidate_stat_to_dict(s) for s in res.stats],
-        "search": None if res.search is None else res.search.to_dict(),
-        "tier": res.tier,
-        "tier_reason": res.tier_reason,
-        "gap_bound": (
-            None if res.gap_bound is None
-            else round_trace_float(res.gap_bound)
-        ),
-        "workload": (
-            None if res.workload is None else workload_to_dict(res.workload)
-        ),
-        "objective": res.objective,
-        "budget": (
-            None if res.budget is None else round_trace_float(res.budget)
-        ),
-        "predicted_energy_j": (
-            None if res.predicted_energy_j is None
-            else round_trace_float(res.predicted_energy_j)
-        ),
-        "predicted_cost_usd": (
-            None if res.predicted_cost_usd is None
-            else round_trace_float(res.predicted_cost_usd)
-        ),
-    }
-
-
-def planner_result_from_dict(data: Dict[str, Any]) -> "PlannerResult":
-    """Reconstruct a :class:`PlannerResult` written by
-    :func:`planner_result_to_dict`."""
-    from .core.planner import PlannerResult
-
-    version = data.get("schema_version")
-    if version != RESULT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported result schema version {version!r} "
-            f"(expected {RESULT_SCHEMA_VERSION})"
-        )
-    search = data.get("search")
-    gap = data.get("gap_bound")
-    wl = data.get("workload")
-    return PlannerResult(
-        plan=plan_from_dict(data["plan"]),
-        predicted_latency_s=float(data["predicted_latency_s"]),
-        predicted_quality=float(data["predicted_quality"]),
-        throughput_tokens_s=float(data["throughput_tokens_s"]),
-        solve_time_s=float(data["solve_time_s"]),
-        candidates_tried=int(data["candidates_tried"]),
-        stats=tuple(candidate_stat_from_dict(s) for s in data["stats"]),
-        search=None if search is None else search_stats_from_dict(search),
-        tier=str(data.get("tier", "exact")),
-        tier_reason=str(data.get("tier_reason", "")),
-        gap_bound=None if gap is None else float(gap),
-        workload=None if wl is None else workload_from_dict(wl),
-        objective=str(data.get("objective", "throughput")),
-        budget=_opt_float(data.get("budget")),
-        predicted_energy_j=_opt_float(data.get("predicted_energy_j")),
-        predicted_cost_usd=_opt_float(data.get("predicted_cost_usd")),
-    )
-
-
-def generation_result_to_dict(res: "GenerationResult") -> Dict[str, Any]:
-    """A JSON-safe dict of a runtime :class:`GenerationResult`."""
-    return {
-        "schema_version": RESULT_SCHEMA_VERSION,
-        "kind": "generation",
-        "tokens": [[int(t) for t in row] for row in res.tokens],
-        "prompt_tokens": res.prompt_tokens,
-        "prefill_time_s": round_trace_float(res.prefill_time_s),
-        "decode_time_s": round_trace_float(res.decode_time_s),
-        "stage_busy_s": [round_trace_float(b) for b in res.stage_busy_s],
-        "microbatch": res.microbatch,
-        "replans": res.replans,
-        "fault_events": [
-            fault_record_to_dict(r) for r in res.fault_events
-        ],
-        "plan": None if res.plan is None else plan_to_dict(res.plan),
-    }
-
-
-def generation_result_from_dict(data: Dict[str, Any]) -> "GenerationResult":
-    """Reconstruct a :class:`GenerationResult` written by
-    :func:`generation_result_to_dict`."""
-    import numpy as np
-
-    from .runtime.engine import GenerationResult
-
-    version = data.get("schema_version")
-    if version != RESULT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported result schema version {version!r} "
-            f"(expected {RESULT_SCHEMA_VERSION})"
-        )
-    plan = data.get("plan")
-    return GenerationResult(
-        tokens=np.asarray(data["tokens"], dtype=np.int64),
-        prefill_time_s=float(data["prefill_time_s"]),
-        decode_time_s=float(data["decode_time_s"]),
-        stage_busy_s=tuple(float(b) for b in data["stage_busy_s"]),
-        microbatch=int(data["microbatch"]),
-        replans=int(data.get("replans", 0)),
-        fault_events=tuple(
-            fault_record_from_dict(r)
-            for r in data.get("fault_events", ())
-        ),
-        plan=None if plan is None else plan_from_dict(plan),
-        prompt_tokens=int(data.get("prompt_tokens", 0)),
-    )
-
-
-def fleet_result_to_dict(res: "FleetSimResult") -> Dict[str, Any]:
-    """A JSON-safe dict of a fleet simulation (round-trip exact)."""
-    out = {
-        "schema_version": FLEET_SCHEMA_VERSION,
-        "kind": "fleet_sim",
-        "inventory": {g: int(n) for g, n in sorted(res.inventory.items())},
-        "allocator": res.allocator,
-        "makespan_s": round_trace_float(res.makespan_s),
-        "total_tokens": res.total_tokens,
-        "jobs": [
-            {
-                "job_id": rec.job_id,
-                "model": rec.model,
-                "group_counts": [
-                    [g, int(n)] for g, n in rec.group_counts
-                ],
-                "num_batches": rec.num_batches,
-                "start_s": round_trace_float(rec.start_s),
-                "end_s": round_trace_float(rec.end_s),
-                "total_tokens": rec.total_tokens,
-                "batch_sim": sim_result_to_dict(rec.batch_sim),
-            }
-            for rec in res.jobs
-        ],
-    }
-    if res.energy_j is not None:
-        out["energy_j"] = round_trace_float(res.energy_j)
-    if res.cost_usd is not None:
-        out["cost_usd"] = round_trace_float(res.cost_usd)
-    return out
-
-
-def fleet_result_from_dict(data: Dict[str, Any]) -> "FleetSimResult":
-    """Reconstruct a :class:`FleetSimResult` written by
-    :func:`fleet_result_to_dict`."""
-    from .fleet.simulator import FleetSimResult, JobSimRecord
-
-    version = data.get("schema_version")
-    if version != FLEET_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported fleet schema version {version!r} "
-            f"(expected {FLEET_SCHEMA_VERSION})"
-        )
-    jobs = tuple(
-        JobSimRecord(
-            job_id=str(rec["job_id"]),
-            model=str(rec["model"]),
-            group_counts=tuple(
-                (str(g), int(n)) for g, n in rec["group_counts"]
-            ),
-            num_batches=int(rec["num_batches"]),
-            start_s=float(rec["start_s"]),
-            end_s=float(rec["end_s"]),
-            total_tokens=int(rec["total_tokens"]),
-            batch_sim=sim_result_from_dict(rec["batch_sim"]),
-        )
-        for rec in data["jobs"]
-    )
-    return FleetSimResult(
-        inventory={
-            str(g): int(n) for g, n in data["inventory"].items()
-        },
-        jobs=jobs,
-        makespan_s=float(data["makespan_s"]),
-        total_tokens=int(data["total_tokens"]),
-        allocator=str(data["allocator"]),
-        energy_j=_opt_float(data.get("energy_j")),
-        cost_usd=_opt_float(data.get("cost_usd")),
-    )
-
-
-def online_result_to_dict(res: "OnlineSimResult") -> Dict[str, Any]:
-    """A JSON-safe dict of one online-serving simulation (round-trip)."""
-    out = {
-        "schema_version": ONLINE_SCHEMA_VERSION,
-        "kind": "online_sim",
-        "makespan_s": round_trace_float(res.makespan_s),
-        "prefill_span_s": round_trace_float(res.prefill_span_s),
-        "decode_span_s": round_trace_float(res.decode_span_s),
-        "total_tokens": res.total_tokens,
-        "stage_busy_s": [round_trace_float(b) for b in res.stage_busy_s],
-        "stage_memory_bytes": list(res.stage_memory_bytes),
-        "events_processed": res.events_processed,
-        "arrived": res.arrived,
-        "admitted": res.admitted,
-        "completed": res.completed,
-        "rejected_queue": res.rejected_queue,
-        "rejected_slo": res.rejected_slo,
-        "rejected_oom": res.rejected_oom,
-        "unserved": res.unserved,
-        "groups_formed": res.groups_formed,
-        "ttft_s": [round_trace_float(t) for t in res.ttft_s],
-        "tpot_s": [round_trace_float(t) for t in res.tpot_s],
-        "latency_s": [round_trace_float(t) for t in res.latency_s],
-        "area_request_s": round_trace_float(res.area_request_s),
-        "ttft_slo_s": (
-            None if res.ttft_slo_s is None
-            else round_trace_float(res.ttft_slo_s)
-        ),
-        "sim_backend": res.sim_backend,
-    }
-    # Same convention as sim_result_to_dict: only serialized when set.
-    if res.backend_reason is not None:
-        out["backend_reason"] = res.backend_reason
-    if res.energy_j is not None:
-        out["energy_j"] = round_trace_float(res.energy_j)
-    if res.cost_usd is not None:
-        out["cost_usd"] = round_trace_float(res.cost_usd)
-    return out
-
-
-def online_result_from_dict(data: Dict[str, Any]) -> "OnlineSimResult":
-    """Reconstruct an :class:`OnlineSimResult` written by
-    :func:`online_result_to_dict`."""
-    from .pipeline.online import OnlineSimResult
-
-    version = data.get("schema_version")
-    if version != ONLINE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported online schema version {version!r} "
-            f"(expected {ONLINE_SCHEMA_VERSION})"
-        )
-    ttft_slo = data.get("ttft_slo_s")
-    return OnlineSimResult(
-        makespan_s=float(data["makespan_s"]),
-        prefill_span_s=float(data["prefill_span_s"]),
-        decode_span_s=float(data["decode_span_s"]),
-        total_tokens=int(data["total_tokens"]),
-        stage_busy_s=tuple(float(b) for b in data["stage_busy_s"]),
-        stage_memory_bytes=tuple(
-            int(m) for m in data["stage_memory_bytes"]
-        ),
-        events_processed=int(data["events_processed"]),
-        arrived=int(data["arrived"]),
-        admitted=int(data["admitted"]),
-        completed=int(data["completed"]),
-        rejected_queue=int(data["rejected_queue"]),
-        rejected_slo=int(data["rejected_slo"]),
-        rejected_oom=int(data["rejected_oom"]),
-        unserved=int(data["unserved"]),
-        groups_formed=int(data["groups_formed"]),
-        ttft_s=tuple(float(t) for t in data["ttft_s"]),
-        tpot_s=tuple(float(t) for t in data["tpot_s"]),
-        latency_s=tuple(float(t) for t in data["latency_s"]),
-        area_request_s=float(data["area_request_s"]),
-        ttft_slo_s=None if ttft_slo is None else float(ttft_slo),
-        sim_backend=str(data.get("sim_backend", "event")),
-        backend_reason=data.get("backend_reason"),
-        energy_j=_opt_float(data.get("energy_j")),
-        cost_usd=_opt_float(data.get("cost_usd")),
-    )
-
-
-def summary_to_dict(summary: Any) -> Dict[str, Any]:
-    """Serialize any :class:`repro.api.Summary` implementor.
-
-    Dispatches on :meth:`to_dict` — the uniform protocol entry point —
-    so callers can persist heterogeneous result objects with one call.
-    """
-    to_dict = getattr(summary, "to_dict", None)
-    if to_dict is None:
-        raise TypeError(
-            f"{type(summary).__name__} does not implement the Summary "
-            "protocol (missing to_dict())"
-        )
-    return to_dict()

@@ -224,24 +224,6 @@ class TestTracing:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecations:
-    def test_planner_result_predicted_throughput_warns(self, planned_session):
-        _, result = planned_session
-        with pytest.warns(DeprecationWarning, match="predicted_throughput"):
-            assert result.predicted_throughput == result.throughput_tokens_s
-
-    def test_generation_total_time_warns(self, planned_session):
-        sess, _ = planned_session
-        gen = sess.serve()
-        with pytest.warns(DeprecationWarning, match="total_time_s"):
-            assert gen.total_time_s == gen.duration_s
-
-
-# ---------------------------------------------------------------------------
 # Summary protocol coverage
 # ---------------------------------------------------------------------------
 

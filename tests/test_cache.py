@@ -202,6 +202,29 @@ def test_planner_pool_persistent_across_pools(tmp_path, monkeypatch):
     assert warm.result.predicted_quality == cold.result.predicted_quality
 
 
+def test_fleet_scheduler_warm_results_equal_cold(tmp_path, monkeypatch):
+    """A planner result read back from the cache is the cold result, field
+    for field: ``==`` and the ``compare=False`` provenance alike."""
+    import dataclasses
+
+    from repro.fleet import FleetScheduler, make_job_queue
+
+    monkeypatch.setenv("SPLITQUANT_CACHE_DIR", str(tmp_path))
+    inventory = {"V100-32G": 2, "T4-16G": 2}
+    jobs = make_job_queue(n_jobs=2, seed=1, models=("opt-1.3b",))
+    cold = FleetScheduler(inventory, allocator="greedy").schedule(jobs)
+    hits = default_cache().hits
+    warm = FleetScheduler(inventory, allocator="greedy").schedule(jobs)
+    assert default_cache().hits > hits
+    assert len(warm.jobs) == len(cold.jobs) > 0
+    for w, c in zip(warm.jobs, cold.jobs):
+        assert w.assignment.result == c.assignment.result
+        for f in dataclasses.fields(c.assignment.result):
+            assert getattr(w.assignment.result, f.name) == getattr(
+                c.assignment.result, f.name
+            ), f.name
+
+
 def test_salt_covers_every_module_a_cached_value_can_reach(
     tmp_path, monkeypatch
 ):

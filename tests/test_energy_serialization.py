@@ -16,17 +16,11 @@ import warnings
 
 import pytest
 
+from repro.core import PlannerResult
+from repro.fleet import FleetSimResult
+from repro.pipeline import OnlineSimResult, PipelineSimResult
 from repro.plan import uniform_plan
-from repro.serialization import (
-    fleet_result_from_dict,
-    fleet_result_to_dict,
-    online_result_from_dict,
-    online_result_to_dict,
-    planner_result_from_dict,
-    planner_result_to_dict,
-    sim_result_from_dict,
-    sim_result_to_dict,
-)
+from repro.serialization import from_dict, to_dict
 from repro.workloads import BatchWorkload, poisson_trace
 
 
@@ -34,20 +28,20 @@ def groups_of(cluster):
     return [((d.device_id,), d.gpu.name) for d in cluster.devices]
 
 
-def _stable(to_dict, from_dict, obj):
+def _stable(obj):
     """to_dict is a fixed point of from_dict(to_dict(.)) and JSON-safe."""
     d = to_dict(obj)
     json.loads(json.dumps(d))
-    assert to_dict(from_dict(d)) == d
+    assert to_dict(from_dict(type(obj), d)) == d
     return d
 
 
-def _legacy_load(from_dict, d, *fields):
+def _legacy_load(cls, d, *fields):
     """Load a pre-energy dict (keys stripped) — no warnings allowed."""
     legacy = {k: v for k, v in d.items() if k not in fields}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return from_dict(legacy)
+        return from_dict(cls, legacy)
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +56,17 @@ def pipeline_sim(cluster5, opt13b):
 
 
 def test_pipeline_sim_energy_round_trip(pipeline_sim):
-    d = _stable(sim_result_to_dict, sim_result_from_dict, pipeline_sim)
+    d = _stable(pipeline_sim)
     assert d["energy_j"] > 0.0
     assert d["cost_usd"] > 0.0
-    back = sim_result_from_dict(d)
+    back = from_dict(PipelineSimResult, d)
     assert back.energy_j == d["energy_j"]
     assert back.cost_usd == d["cost_usd"]
 
 
 def test_pipeline_sim_legacy_dict_loads(pipeline_sim):
-    d = sim_result_to_dict(pipeline_sim)
-    back = _legacy_load(sim_result_from_dict, d, "energy_j", "cost_usd")
+    d = to_dict(pipeline_sim)
+    back = _legacy_load(PipelineSimResult, d, "energy_j", "cost_usd")
     assert back.energy_j is None
     assert back.cost_usd is None
     # Unset energy reads as zero efficiency, never a crash...
@@ -80,7 +74,7 @@ def test_pipeline_sim_legacy_dict_loads(pipeline_sim):
     assert back.usd_per_mtoken == 0.0
     # ...and the only-when-set convention keeps legacy dicts stable:
     # re-serializing the legacy load must not invent the keys.
-    d2 = sim_result_to_dict(back)
+    d2 = to_dict(back)
     assert "energy_j" not in d2
     assert "cost_usd" not in d2
 
@@ -96,13 +90,13 @@ def test_online_energy_round_trip(cluster5, opt13b):
     res = simulate_online(
         plan, cluster5, opt13b, trace, config=OnlineConfig(chunk_tokens=256)
     )
-    d = _stable(online_result_to_dict, online_result_from_dict, res)
+    d = _stable(res)
     assert d["energy_j"] > 0.0
     assert d["cost_usd"] > 0.0
-    back = _legacy_load(online_result_from_dict, d, "energy_j", "cost_usd")
+    back = _legacy_load(OnlineSimResult, d, "energy_j", "cost_usd")
     assert back.energy_j is None
     assert back.cost_usd is None
-    d2 = online_result_to_dict(back)
+    d2 = to_dict(back)
     assert "energy_j" not in d2 and "cost_usd" not in d2
 
 
@@ -115,10 +109,10 @@ def test_fleet_energy_round_trip():
     )
     sim = simulate_schedule(sched.schedule(jobs),
                             price_book=sched.price_book)
-    d = _stable(fleet_result_to_dict, fleet_result_from_dict, sim)
+    d = _stable(sim)
     assert d["energy_j"] > 0.0
     assert d["cost_usd"] > 0.0
-    back = _legacy_load(fleet_result_from_dict, d, "energy_j", "cost_usd")
+    back = _legacy_load(FleetSimResult, d, "energy_j", "cost_usd")
     assert back.energy_j is None
     assert back.cost_usd is None
 
@@ -134,15 +128,15 @@ def test_planner_provenance_round_trip(opt13b, small_cluster,
     )
     res = planner.plan(small_workload, objective="energy")
     assert res is not None
-    d = _stable(planner_result_to_dict, planner_result_from_dict, res)
+    d = _stable(res)
     assert d["objective"] == "energy"
     assert d["predicted_energy_j"] is not None
     assert d["predicted_cost_usd"] is not None
-    back = planner_result_from_dict(d)
+    back = from_dict(PlannerResult, d)
     assert back.objective == "energy"
-    # Trace floats are rounded on write, so compare to the dict value.
-    assert back.predicted_energy_j == d["predicted_energy_j"]
-    assert back.predicted_energy_j == pytest.approx(res.predicted_energy_j)
+    # Floats are written at full precision: the load is exact.
+    assert back.predicted_energy_j == res.predicted_energy_j
+    assert back.predicted_cost_usd == res.predicted_cost_usd
     # Provenance is compare=False: two results differing only in it are
     # still equal, so persisted planner caches stay hit-compatible.
     scrubbed = dataclasses.replace(
@@ -152,7 +146,7 @@ def test_planner_provenance_round_trip(opt13b, small_cluster,
     assert scrubbed == back
     # Pre-energy planner dicts (no provenance keys) still load.
     legacy = _legacy_load(
-        planner_result_from_dict, d,
+        PlannerResult, d,
         "objective", "budget", "predicted_energy_j", "predicted_cost_usd",
     )
     assert legacy.objective == "throughput"

@@ -149,7 +149,7 @@ def test_degrade_plan_with_caps_never_violates_them(case, cap_scale):
 @settings(max_examples=60, deadline=None)
 def test_random_fault_plans_are_replayable(seed, n_faults):
     from repro.runtime import FaultPlan
-    from repro.serialization import dumps_fault_plan, loads_fault_plan
+    from repro.serialization import dumps, loads
 
     fp = FaultPlan.random(
         seed=seed,
@@ -166,7 +166,7 @@ def test_random_fault_plans_are_replayable(seed, n_faults):
         n_faults=n_faults,
         kinds=("kill", "slow", "drop"),
     )
-    assert loads_fault_plan(dumps_fault_plan(fp)) == fp
+    assert loads(FaultPlan, dumps(fp)) == fp
     for spec in fp.specs:
         assert 0 <= spec.stage < 4
         assert 1 <= spec.step < 16

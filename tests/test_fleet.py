@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.fleet import (
     FleetJob,
     FleetScheduler,
+    FleetSimResult,
     GroupSpec,
     PlannerPool,
     enumerate_groups,
@@ -32,10 +33,7 @@ from repro.hardware.fleet import (
     schedulable_inventory,
 )
 from repro.pipeline.simulator import check_plan_memory
-from repro.serialization import (
-    fleet_result_from_dict,
-    fleet_result_to_dict,
-)
+from repro.serialization import from_dict, to_dict
 from repro.workloads import BatchWorkload
 
 INVENTORY = {"V100-32G": 3, "T4-16G": 4, "P100-12G": 2}
@@ -359,8 +357,8 @@ def test_fleet_result_round_trip(schedules):
     sim = simulate_schedule(schedules["greedy"])
     d = sim.to_dict()
     blob = json.dumps(d, sort_keys=True)
-    restored = fleet_result_from_dict(json.loads(blob))
-    assert fleet_result_to_dict(restored) == d
+    restored = from_dict(FleetSimResult, json.loads(blob))
+    assert to_dict(restored) == d
     assert restored.total_tokens == sim.total_tokens
     assert restored.inventory == sim.inventory
 

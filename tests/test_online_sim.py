@@ -25,10 +25,7 @@ from repro.pipeline import (
     simulate_plan,
 )
 from repro.plan import uniform_plan
-from repro.serialization import (
-    online_result_from_dict,
-    online_result_to_dict,
-)
+from repro.serialization import from_dict, to_dict
 from repro.simgpu import OutOfMemoryError
 from repro.workloads import (
     ArrivalTrace,
@@ -335,15 +332,15 @@ def test_online_result_serialization_round_trip(cluster5, opt13b):
         config=OnlineConfig(chunk_tokens=512, ttft_slo_s=1.0),
     )
     d = res.to_dict()
-    assert d == online_result_to_dict(res)
+    assert d == to_dict(res)
     assert d["kind"] == "online_sim"
     assert "backend_reason" not in d  # omitted while unset
     text = json.dumps(d, sort_keys=True)
-    back = online_result_from_dict(json.loads(text))
+    back = from_dict(OnlineSimResult, json.loads(text))
     assert isinstance(back, OnlineSimResult)
-    assert online_result_to_dict(back) == d
+    assert to_dict(back) == d
     with pytest.raises(ValueError):
-        online_result_from_dict({**d, "schema_version": 999})
+        from_dict(OnlineSimResult, {**d, "schema_version": 999})
 
 
 def test_session_serve_online_facade(small_cluster):

@@ -1,6 +1,4 @@
-"""Incremental re-solve: equivalence with cold re-plan, and the shims."""
-
-import warnings
+"""Incremental re-solve: equivalence with cold re-plan."""
 
 import pytest
 from hypothesis import given, settings
@@ -142,53 +140,12 @@ def test_job_delta_quality_close_to_cold():
     assert warm.throughput_tokens_s >= 0.5 * cold.throughput_tokens_s
 
 
-# ---------------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------------
-
-
-def test_legacy_replan_signature_warns_and_works():
+def test_legacy_replan_signature_rejected():
+    # The workload-first replan(workload, surviving_device_ids) form is
+    # gone: a device list is not a delta.  replan_cold covers that path.
     planner = _planner()
-    survivors = [1, 2]
-    with pytest.warns(DeprecationWarning, match="replan"):
-        res = planner.replan(WL, survivors)
-    assert res.plan.num_layers == planner.spec.num_layers
-
-
-def test_plan_naive_shim_warns():
-    planner = _planner((("A100-40G", 1), ("V100-32G", 1)))
-    with pytest.warns(DeprecationWarning, match="plan_naive"):
-        res = planner.plan_naive(WL)
-    assert res.plan == planner.plan_reference(WL).plan
-
-
-def test_reduced_cluster_shim_warns():
-    from repro.core.planner import _reduced_cluster, reduced_cluster
-
-    cluster = make_cluster("rc", [["V100-32G", 2]])
-    with pytest.warns(DeprecationWarning, match="reduced_cluster"):
-        shim = reduced_cluster(cluster, [0])
-    assert shim == _reduced_cluster(cluster, [0])
-
-
-def test_degrade_execution_plan_shim_warns():
-    from repro.core.planner import (
-        degrade_execution_plan,
-        degrade_execution_plan_internal,
-    )
-
-    planner = _planner()
-    prev = planner.plan(WL)
-    survivors = [
-        d.device_id for d in planner.cluster.devices if d.device_id != 2
-    ]
-    with pytest.warns(DeprecationWarning, match="degrade_execution_plan"):
-        shim = degrade_execution_plan(
-            prev.plan, survivors, planner.cluster, planner.spec, WL
-        )
-    assert shim == degrade_execution_plan_internal(
-        prev.plan, survivors, planner.cluster, planner.spec, WL
-    )
+    with pytest.raises(TypeError, match="delta must be"):
+        planner.replan(WL, [1, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,7 @@ from repro.runtime import (
     reference_generate,
     tinylm_layer_bytes,
 )
-from repro.serialization import (
-    dumps_fault_plan,
-    fault_plan_from_dict,
-    fault_plan_to_dict,
-    loads_fault_plan,
-)
+from repro.serialization import dumps, from_dict, loads, to_dict
 
 
 def tiny_plan(layers_per_stage, bits=8, mb=2, gpu="T4-16G"):
@@ -72,6 +67,23 @@ def test_fault_spec_validation():
         FaultSpec("slow", 0, delay_s=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", ["slow", "kill"])
+def test_fault_spec_rejects_non_finite_delay(kind, bad):
+    # A NaN delay made simulated makespans NaN; an infinite one kept the
+    # injector sleeping (and heartbeating) forever.
+    with pytest.raises(ValueError, match="delay_s"):
+        FaultSpec(kind, 0, delay_s=bad)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_loaded_fault_plan_rejects_non_finite_delay(token):
+    text = dumps(FaultPlan(specs=(FaultSpec("slow", 0, delay_s=0.5),)))
+    assert '"delay_s": 0.5' in text
+    with pytest.raises(ValueError, match="delay_s"):
+        loads(FaultPlan, text.replace('"delay_s": 0.5', f'"delay_s": {token}'))
+
+
 def test_fault_plan_random_is_deterministic():
     a = FaultPlan.random(seed=9, num_stages=3, n_tokens=12, n_faults=4,
                          kinds=("kill", "slow", "drop"))
@@ -92,8 +104,8 @@ def test_fault_plan_round_trip_serialization():
         ),
         seed=42,
     )
-    assert fault_plan_from_dict(fault_plan_to_dict(fp)) == fp
-    assert loads_fault_plan(dumps_fault_plan(fp)) == fp
+    assert from_dict(FaultPlan, to_dict(fp)) == fp
+    assert loads(FaultPlan, dumps(fp)) == fp
 
 
 def test_injector_fires_each_spec_once():
