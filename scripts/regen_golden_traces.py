@@ -2,13 +2,15 @@
 """Regenerate the golden-trace fixtures in tests/data/.
 
 Run after an *intentional* change to the discrete-event simulator, the
-degraded-recovery mirror, or the observability span taxonomy, then
-review the fixture diffs like any other code change:
+degraded-recovery mirror, the observability span taxonomy, or the
+heuristic planner tier, then review the fixture diffs like any other
+code change:
 
     PYTHONPATH=src python scripts/regen_golden_traces.py
 
 ``tests/test_golden_traces.py`` compares the degraded-simulation JSON
-fixtures byte-for-byte; ``tests/test_golden_fault_demo_trace.py``
+fixtures byte-for-byte; ``tests/test_golden_heuristic_plans.py`` the
+heuristic-tier plan grid; ``tests/test_golden_fault_demo_trace.py``
 compares the normalized span trace of the fault-tolerance demo.
 """
 
