@@ -2,9 +2,10 @@
 
 Scales the assigner to configurations where the exact ILP is too slow:
 
-1. obtain a feasible quality-first start (a greedy *adabits* construction:
-   capacity-proportional contiguous split with per-group bit upgrades;
-   the exact adabits ILP is the fallback when the greedy fails);
+1. obtain a feasible quality-first start from :func:`adabits_start` (a
+   greedy *adabits* construction: capacity-proportional contiguous split
+   with per-group bit upgrades; the exact adabits ILP is the fallback
+   only when the greedy fails);
 2. hill-climb with the paper's transformation family
    ``C = (b_st, b_pi, num_s)`` — re-precision a group in place, or move
    boundary groups between adjacent stages with an optional bitwidth
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +33,12 @@ from .ilp import ILPSolution, solve_adabits
 
 @dataclass
 class _State:
-    """Assignment plus incrementally-maintained per-stage aggregates."""
+    """Assignment plus incrementally-maintained per-stage aggregates.
+
+    ``tables`` holds the problem's ``l_pre``/``l_dec``/``mem``/``omega``
+    as nested lists: the same float64 values, but read without numpy's
+    per-scalar indexing cost in the hill climb's inner loop.
+    """
 
     stage: List[int]
     kidx: List[int]  # bit-choice index per group
@@ -40,79 +46,92 @@ class _State:
     t_dec: np.ndarray
     mem: np.ndarray
     quality: float
+    tables: Tuple[list, list, list, list]
 
     @classmethod
     def build(
         cls, problem: PlanningProblem, stage: Sequence[int], kidx: Sequence[int]
     ) -> "_State":
-        t_pre = problem.const_pre.copy()
-        t_dec = problem.const_dec.copy()
-        mem = np.zeros(problem.n_stages)
-        quality = 0.0
-        for g, (j, k) in enumerate(zip(stage, kidx)):
-            t_pre[j] += problem.l_pre[g, j, k]
-            t_dec[j] += problem.l_dec[g, j, k]
-            mem[j] += problem.mem[g, k]
-            quality += problem.omega[g, k]
-        return cls(
+        state = cls(
             stage=list(stage),
             kidx=list(kidx),
-            t_pre=t_pre,
-            t_dec=t_dec,
-            mem=mem,
-            quality=quality,
+            t_pre=problem.const_pre.copy(),
+            t_dec=problem.const_dec.copy(),
+            mem=np.zeros(problem.n_stages),
+            quality=0.0,
+            tables=(
+                problem.l_pre.tolist(),
+                problem.l_dec.tolist(),
+                problem.mem.tolist(),
+                problem.omega.tolist(),
+            ),
         )
+        l_pre, l_dec, mem, omega = state.tables
+        for g, (j, k) in enumerate(zip(stage, kidx)):
+            state.t_pre[j] += l_pre[g][j][k]
+            state.t_dec[j] += l_dec[g][j][k]
+            state.mem[j] += mem[g][k]
+            state.quality += omega[g][k]
+        return state
 
-    def apply(
-        self, problem: PlanningProblem, changes: Sequence[Tuple[int, int, int]]
-    ) -> None:
+    def apply(self, changes: Sequence[Tuple[int, int, int]]) -> None:
         """Apply ``(group, new_stage, new_kidx)`` changes in place."""
+        l_pre, l_dec, mem, omega = self.tables
+        t_pre, t_dec, used = self.t_pre, self.t_dec, self.mem
         for g, nj, nk in changes:
             oj, ok = self.stage[g], self.kidx[g]
-            self.t_pre[oj] -= problem.l_pre[g, oj, ok]
-            self.t_dec[oj] -= problem.l_dec[g, oj, ok]
-            self.mem[oj] -= problem.mem[g, ok]
-            self.quality -= problem.omega[g, ok]
-            self.t_pre[nj] += problem.l_pre[g, nj, nk]
-            self.t_dec[nj] += problem.l_dec[g, nj, nk]
-            self.mem[nj] += problem.mem[g, nk]
-            self.quality += problem.omega[g, nk]
+            t_pre[oj] -= l_pre[g][oj][ok]
+            t_dec[oj] -= l_dec[g][oj][ok]
+            used[oj] -= mem[g][ok]
+            self.quality -= omega[g][ok]
+            t_pre[nj] += l_pre[g][nj][nk]
+            t_dec[nj] += l_dec[g][nj][nk]
+            used[nj] += mem[g][nk]
+            self.quality += omega[g][nk]
             self.stage[g] = nj
             self.kidx[g] = nk
 
     def revert(
         self,
-        problem: PlanningProblem,
         changes: Sequence[Tuple[int, int, int]],
         saved: Sequence[Tuple[int, int]],
     ) -> None:
-        undo = [
-            (g, oj, ok) for (g, _, _), (oj, ok) in zip(changes, saved)
-        ]
-        self.apply(problem, undo)
+        self.apply(
+            [(g, oj, ok) for (g, _, _), (oj, ok) in zip(changes, saved)]
+        )
 
 
-def _objective_from_aggregates(
+def _objective(
     problem: PlanningProblem,
-    state: _State,
     theta: float,
     quality_budget: Optional[float],
-) -> float:
-    if quality_budget is not None and state.quality > quality_budget + 1e-12:
-        return float("inf")
-    if np.any(state.mem > problem.capacity + 1e-6):
-        return float("inf")
-    n = problem.workload.output_len
+) -> Callable[[_State], float]:
+    """The ILP's objective on a state's aggregates (``inf`` past memory or
+    the quality budget), with the per-problem terms computed once."""
+    capacity = problem.capacity + 1e-6
     comm_pre_max = float(problem.comm_pre.max()) if problem.comm_pre.size else 0.0
     comm_dec_max = float(problem.comm_dec.max()) if problem.comm_dec.size else 0.0
-    pre_bottleneck = max(float(state.t_pre.max()), comm_pre_max)
-    prefill_span = float(state.t_pre.sum() + problem.comm_pre.sum()) + (
-        problem.prefill_jobs - 1
-    ) * pre_bottleneck
-    dec_bottleneck = max(float(state.t_dec.max()), comm_dec_max)
-    round_trip = float(state.t_dec.sum() + problem.comm_dec.sum())
-    decode_span = (n - 1) * max(problem.mu_dec * dec_bottleneck, round_trip)
-    return prefill_span + decode_span + theta * state.quality
+    comm_pre_sum = problem.comm_pre.sum()
+    comm_dec_sum = problem.comm_dec.sum()
+    pre_waits = problem.prefill_jobs - 1
+    dec_steps = problem.workload.output_len - 1
+    mu_dec = problem.mu_dec
+
+    def value(state: _State) -> float:
+        if quality_budget is not None and state.quality > quality_budget + 1e-12:
+            return float("inf")
+        if (state.mem > capacity).any():
+            return float("inf")
+        pre_bottleneck = max(float(state.t_pre.max()), comm_pre_max)
+        prefill_span = (
+            float(state.t_pre.sum() + comm_pre_sum) + pre_waits * pre_bottleneck
+        )
+        dec_bottleneck = max(float(state.t_dec.max()), comm_dec_max)
+        round_trip = float(state.t_dec.sum() + comm_dec_sum)
+        decode_span = dec_steps * max(mu_dec * dec_bottleneck, round_trip)
+        return prefill_span + decode_span + theta * state.quality
+
+    return value
 
 
 def _boundaries(stage: Sequence[int], n_stages: int) -> List[Tuple[int, int, int]]:
@@ -256,6 +275,22 @@ def greedy_adabits(
     )
 
 
+def adabits_start(
+    problem: PlanningProblem,
+    quality_budget: Optional[float] = None,
+    time_limit_s: float = 60.0,
+) -> Optional[ILPSolution]:
+    """The heuristic tier's start: :func:`greedy_adabits`, falling back to
+    the exact adabits MILP only when the greedy finds no feasible start;
+    ``None`` if neither does."""
+    start = greedy_adabits(problem, quality_budget=quality_budget)
+    if start is None:
+        start = solve_adabits(
+            problem, quality_budget=quality_budget, time_limit_s=time_limit_s
+        )
+    return start
+
+
 def bitwidth_transfer(
     problem: PlanningProblem,
     theta: float = 10.0,
@@ -266,41 +301,28 @@ def bitwidth_transfer(
 ) -> Optional[ILPSolution]:
     """Heuristic solve of one planning subproblem; ``None`` if infeasible.
 
-    ``start`` lets the caller reuse one *adabits* warm start across many
-    (eta, xi) subproblems of the same ordering.
+    The hill climb starts from ``start`` (a caller's solution to polish)
+    when it is feasible here, else from :func:`adabits_start`.
     """
     t0 = time.perf_counter()
     bit_to_k = {b: k for k, b in enumerate(problem.bit_choices)}
+    objective = _objective(problem, theta, quality_budget)
 
-    def make_state(sol: ILPSolution) -> _State:
-        return _State.build(
-            problem,
-            sol.assign_stage,
-            [bit_to_k[b] for b in sol.assign_bits],
+    def scored(sol: ILPSolution) -> Tuple[_State, float]:
+        state = _State.build(
+            problem, sol.assign_stage, [bit_to_k[b] for b in sol.assign_bits]
         )
+        return state, objective(state)
 
-    if start is None:
-        start = greedy_adabits(problem, quality_budget=quality_budget)
-    if start is None:
-        start = solve_adabits(
-            problem, quality_budget=quality_budget, time_limit_s=time_limit_s
-        )
-    if start is None:
-        return None
-    state = make_state(start)
-    best = _objective_from_aggregates(problem, state, theta, quality_budget)
+    best = float("inf")
+    if start is not None:
+        state, best = scored(start)
     if not np.isfinite(best):
-        # A reused warm start may violate this subproblem's constraints;
-        # fall back to a fresh greedy (then exact) adabits solve.
-        start = greedy_adabits(problem, quality_budget=quality_budget)
-        if start is None:
-            start = solve_adabits(
-                problem, quality_budget=quality_budget, time_limit_s=time_limit_s
-            )
+        # No caller start, or one that violates this subproblem.
+        start = adabits_start(problem, quality_budget, time_limit_s)
         if start is None:
             return None
-        state = make_state(start)
-        best = _objective_from_aggregates(problem, state, theta, quality_budget)
+        state, best = scored(start)
         if not np.isfinite(best):
             return None
 
@@ -309,17 +331,15 @@ def bitwidth_transfer(
         best_val = best
         for changes in _candidate_changes(problem, state):
             saved = [(state.stage[g], state.kidx[g]) for g, _, _ in changes]
-            state.apply(problem, changes)
-            val = _objective_from_aggregates(
-                problem, state, theta, quality_budget
-            )
-            state.revert(problem, changes, saved)
+            state.apply(changes)
+            val = objective(state)
+            state.revert(changes, saved)
             if val < best_val - 1e-9:
                 best_val = val
                 best_move = changes
         if best_move is None:
             break
-        state.apply(problem, best_move)
+        state.apply(best_move)
         best = best_val
         if time.perf_counter() - t0 > time_limit_s:
             break

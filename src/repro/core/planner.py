@@ -33,7 +33,7 @@ from .config import PlannerConfig
 from .costs import PlanningProblem, StageGroup, build_problem
 from .enumeration import candidate_orderings, microbatch_candidates
 from .heuristic import bitwidth_transfer
-from .ilp import ILPSolution, solve_adabits, solve_partition_ilp
+from .ilp import ILPSolution, solve_partition_ilp
 from .search import CandidateSearchEngine, CandidateStat, SearchStats
 
 #: How deep into the ranked candidate frontier the objective re-rank
@@ -688,7 +688,6 @@ class SplitQuantPlanner:
             for ordering in orderings:
                 if min_weights > sum(sg.capacity_bytes for sg in ordering):
                     continue
-                adabits_start: Optional[ILPSolution] = None
                 for eta in mbs:
                     for xi in mbs:
                         if cfg.tie_microbatches and xi != eta:
@@ -707,13 +706,7 @@ class SplitQuantPlanner:
                             bit_kv=bit_kv,
                             phase_blind=cfg.phase_blind,
                         )
-                        if cfg.use_heuristic and adabits_start is None:
-                            adabits_start = solve_adabits(
-                                problem,
-                                quality_budget=cfg.quality_budget,
-                                time_limit_s=cfg.time_limit_s,
-                            )
-                        sol = self._solve_one(problem, warm_start=adabits_start)
+                        sol = self._solve_one(problem)
                         key = tuple(sg.key() for sg in ordering)
                         if sol is None:
                             stats.append(

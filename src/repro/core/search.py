@@ -73,10 +73,10 @@ from .costs import (
     problem_invariants,
 )
 from .enumeration import candidate_orderings, microbatch_candidates
+from .heuristic import adabits_start
 from .ilp import (
     ILPSolution,
     lagrangian_bound,
-    solve_adabits,
     solve_partition_lp_relaxation,
 )
 
@@ -113,7 +113,7 @@ class SearchStats:
     cache_misses: int
     #: Exact-MILP LP relaxations evaluated for pruning.
     lp_bounds: int
-    #: Adabits warm-start solves performed (heuristic mode).
+    #: Heuristic starts computed for incumbent seeding (heuristic mode).
     warm_starts: int
     #: Mean (bound / score) over solved candidates — 1.0 is a perfect
     #: bound, small values mean the bound is loose and prunes little.
@@ -309,6 +309,7 @@ class _Candidate:
     bound: float = float("-inf")  # best admissible bound known so far
     lagrangian_done: bool = False  # sibling-multiplier bound tried
     lp_done: bool = False  # exact-MILP LP relaxation tried
+    warm: Optional[ILPSolution] = None  # heuristic start, once seeded
     sol: Optional[ILPSolution] = None
     status: str = "pending"
     score: float = float("inf")
@@ -370,13 +371,10 @@ class CandidateSearchEngine:
         self.cost_model_for_kv = cost_model_for_kv
         self.solve_one = solve_one
         self._timings: List[MemoizedTiming] = []
-        self._warm_starts_done = 0
 
     # -- enumeration ---------------------------------------------------
 
-    def _enumerate(
-        self, workload: BatchWorkload
-    ) -> Tuple[List[_Candidate], Dict[Tuple[int, int], List[_Candidate]]]:
+    def _enumerate(self, workload: BatchWorkload) -> List[_Candidate]:
         cfg = self.config
         orderings = candidate_orderings(
             self.cluster,
@@ -391,7 +389,6 @@ class CandidateSearchEngine:
             self.spec, min(cfg.bit_choices)
         )
         candidates: List[_Candidate] = []
-        groups: Dict[Tuple[int, int], List[_Candidate]] = {}
         for kv_i, bit_kv in enumerate(kv_choices):
             cost_model = self.cost_model_for_kv(bit_kv)
             timing = MemoizedTiming(
@@ -442,40 +439,7 @@ class CandidateSearchEngine:
                             problem=problem,
                         )
                         candidates.append(cand)
-                        groups.setdefault((kv_i, ord_i), []).append(cand)
-        return candidates, groups
-
-    # -- warm starts (heuristic mode) ----------------------------------
-
-    def _warm_start_for(
-        self,
-        cand: _Candidate,
-        group: List[_Candidate],
-        attempts: Dict[int, Optional[ILPSolution]],
-    ) -> Optional[ILPSolution]:
-        """Replicate the serial loop's adabits warm-start protocol.
-
-        The serial search tries ``solve_adabits`` at each candidate of an
-        ordering (in enumeration order) until one succeeds, then reuses
-        that single solution for the rest of the ordering.  To stay
-        bit-identical under out-of-order solving, the warm start for a
-        candidate is the first successful attempt at an index <= its own,
-        with every attempt memoized so each is made exactly once.
-        """
-        cfg = self.config
-        for member in group:
-            if member.index > cand.index:
-                break
-            if member.index not in attempts:
-                attempts[member.index] = solve_adabits(
-                    member.problem,
-                    quality_budget=cfg.quality_budget,
-                    time_limit_s=cfg.time_limit_s,
-                )
-                self._warm_starts_done += 1
-            if attempts[member.index] is not None:
-                return attempts[member.index]
-        return None
+        return candidates
 
     # -- the search ----------------------------------------------------
 
@@ -493,7 +457,6 @@ class CandidateSearchEngine:
     def _search(self, workload: BatchWorkload, top_k: int) -> SearchOutcome:
         cfg = self.config
         t0 = time.perf_counter()
-        self._warm_starts_done = 0
         theta_eff = 0.0 if cfg.quality_budget is not None else cfg.theta
         bound_mode = cfg.bound
         if bound_mode == "auto":
@@ -501,7 +464,7 @@ class CandidateSearchEngine:
         prune = cfg.prune and bound_mode != "none"
 
         with trace.span("search.enumerate") as sp:
-            candidates, groups = self._enumerate(workload)
+            candidates = self._enumerate(workload)
             sp.set(candidates=len(candidates))
         bound_time = 0.0
         lp_bounds = 0
@@ -530,9 +493,6 @@ class CandidateSearchEngine:
                 return float("inf")
             return sorted(known.values())[k_keep - 1]
 
-        warm_attempts: Dict[Tuple[int, int], Dict[int, Optional[ILPSolution]]]
-        warm_attempts = {}
-
         # Bulk frontier scoring (heuristic mode): before any solve, score
         # every live candidate's warm-start assignment exactly — the same
         # analytic score function the backend minimizes — in one sweep,
@@ -541,8 +501,8 @@ class CandidateSearchEngine:
         # subproblem, so each seed upper-bounds that candidate's final
         # score and pruning on the seeded threshold stays parity-exact,
         # while incumbents tighten before the first solve instead of
-        # trickling in with solve order.  Warm-start attempts land in the
-        # same memo ``prep`` reads, so no solve is ever repeated.
+        # trickling in with solve order.  Each start stays on its
+        # candidate for the backend solve, so none is computed twice.
         seeded = 0
         batches_run = 0
         frontier_scored = 0
@@ -552,9 +512,8 @@ class CandidateSearchEngine:
             frontier_scored = len(candidates)
             with trace.span("search.batch_score", plans=len(candidates)) as sp:
                 for cand in candidates:
-                    key = (cand.kv_index, cand.ord_index)
-                    warm = self._warm_start_for(
-                        cand, groups[key], warm_attempts.setdefault(key, {})
+                    cand.warm = warm = adabits_start(
+                        cand.problem, cfg.quality_budget, cfg.time_limit_s
                     )
                     if warm is None:
                         continue
@@ -592,21 +551,10 @@ class CandidateSearchEngine:
             cand.score = score
             known[cand.index] = score
 
-        def prep(cand: _Candidate) -> Optional[ILPSolution]:
-            """Pre-solve work that must stay on the coordinating thread."""
-            if not cfg.use_heuristic:
-                return None
-            key = (cand.kv_index, cand.ord_index)
-            return self._warm_start_for(
-                cand, groups[key], warm_attempts.setdefault(key, {})
-            )
-
-        def solve(
-            cand: _Candidate, warm: Optional[ILPSolution]
-        ) -> Optional[ILPSolution]:
+        def solve(cand: _Candidate) -> Optional[ILPSolution]:
             """Backend solve, traced (may run on a pool thread)."""
             if not trace.enabled:
-                return self.solve_one(cand.problem, warm)
+                return self.solve_one(cand.problem, cand.warm)
             with trace.span(
                 "search.solve",
                 index=cand.index,
@@ -614,7 +562,7 @@ class CandidateSearchEngine:
                 xi=cand.xi,
                 bit_kv=cand.bit_kv,
             ) as sp:
-                sol = self.solve_one(cand.problem, warm)
+                sol = self.solve_one(cand.problem, cand.warm)
                 sp.set(
                     status="infeasible" if sol is None else sol.status,
                     bound_s=max(cand.bound, 0.0),
@@ -683,9 +631,9 @@ class CandidateSearchEngine:
                         heapq.heappush(heap, (cand.bound, idx))
                         continue
                 if pool is None:
-                    record(cand, solve(cand, prep(cand)))
+                    record(cand, solve(cand))
                     continue
-                batch.append((cand, pool.submit(solve, cand, prep(cand))))
+                batch.append((cand, pool.submit(solve, cand)))
                 if len(batch) == cfg.parallelism:
                     for c, fut in batch:
                         record(c, fut.result())
@@ -750,7 +698,7 @@ class CandidateSearchEngine:
             cache_hits=sum(t.hits for t in self._timings),
             cache_misses=sum(t.misses for t in self._timings),
             lp_bounds=lp_bounds,
-            warm_starts=self._warm_starts_done,
+            warm_starts=frontier_scored,
             mean_bound_tightness=(
                 float(np.mean(tightness)) if tightness else 0.0
             ),

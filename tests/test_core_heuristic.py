@@ -137,13 +137,13 @@ def test_state_incremental_consistency(problem):
     st = _State.build(problem, stage, kidx)
     changes = [(0, 0, 1), (G - 1, 1, 1)]
     saved = [(st.stage[g], st.kidx[g]) for g, _, _ in changes]
-    st.apply(problem, changes)
+    st.apply(changes)
     fresh = _State.build(problem, st.stage, st.kidx)
     assert np.allclose(st.t_pre, fresh.t_pre)
     assert np.allclose(st.t_dec, fresh.t_dec)
     assert np.allclose(st.mem, fresh.mem)
     assert st.quality == pytest.approx(fresh.quality)
-    st.revert(problem, changes, saved)
+    st.revert(changes, saved)
     back = _State.build(problem, stage, kidx)
     assert np.allclose(st.t_pre, back.t_pre)
     assert st.quality == pytest.approx(back.quality)
