@@ -13,14 +13,16 @@ Scales the assigner to configurations where the exact ILP is too slow:
 
 The objective mirrors the ILP: analytic end-to-end latency plus
 ``theta * sum(omega)``, under memory and (optional) quality-budget
-constraints.  Moves are evaluated incrementally against per-stage
-time/memory accumulators, so one evaluation costs O(stages) rather than
-O(layers), keeping the heuristic orders of magnitude cheaper than an
-exact solve at scale.
+constraints.  Each iteration scores every candidate move from the
+state's per-stage time/memory aggregates, held as plain float lists,
+without mutating the state; only the winning move is applied.  One
+score costs O(stages) rather than O(layers), keeping the heuristic
+orders of magnitude cheaper than an exact solve at scale.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -31,9 +33,14 @@ from .costs import PlanningProblem
 from .ilp import ILPSolution, solve_adabits
 
 
+#: A state's per-stage prefill time, decode time and memory, and its
+#: total quality: the inputs of the objective.
+Aggregates = Tuple[List[float], List[float], List[float], float]
+
+
 @dataclass
 class _State:
-    """Assignment plus incrementally-maintained per-stage aggregates.
+    """Assignment plus its per-stage aggregates, as plain float lists.
 
     ``tables`` holds the problem's ``l_pre``/``l_dec``/``mem``/``omega``
     as nested lists: the same float64 values, but read without numpy's
@@ -42,9 +49,9 @@ class _State:
 
     stage: List[int]
     kidx: List[int]  # bit-choice index per group
-    t_pre: np.ndarray
-    t_dec: np.ndarray
-    mem: np.ndarray
+    t_pre: List[float]
+    t_dec: List[float]
+    mem: List[float]
     quality: float
     tables: Tuple[list, list, list, list]
 
@@ -55,9 +62,9 @@ class _State:
         state = cls(
             stage=list(stage),
             kidx=list(kidx),
-            t_pre=problem.const_pre.copy(),
-            t_dec=problem.const_dec.copy(),
-            mem=np.zeros(problem.n_stages),
+            t_pre=problem.const_pre.tolist(),
+            t_dec=problem.const_dec.tolist(),
+            mem=[0.0] * problem.n_stages,
             quality=0.0,
             tables=(
                 problem.l_pre.tolist(),
@@ -74,62 +81,76 @@ class _State:
             state.quality += omega[g][k]
         return state
 
-    def apply(self, changes: Sequence[Tuple[int, int, int]]) -> None:
-        """Apply ``(group, new_stage, new_kidx)`` changes in place."""
+    @property
+    def aggregates(self) -> Aggregates:
+        return self.t_pre, self.t_dec, self.mem, self.quality
+
+    def moved(self, changes: Sequence[Tuple[int, int, int]]) -> Aggregates:
+        """The aggregates after ``(group, new_stage, new_kidx)`` changes,
+        leaving the state untouched: each group's old terms are
+        subtracted, then its new ones added, in ``changes`` order."""
         l_pre, l_dec, mem, omega = self.tables
-        t_pre, t_dec, used = self.t_pre, self.t_dec, self.mem
+        t_pre, t_dec, used = self.t_pre[:], self.t_dec[:], self.mem[:]
+        quality = self.quality
         for g, nj, nk in changes:
             oj, ok = self.stage[g], self.kidx[g]
             t_pre[oj] -= l_pre[g][oj][ok]
             t_dec[oj] -= l_dec[g][oj][ok]
             used[oj] -= mem[g][ok]
-            self.quality -= omega[g][ok]
+            quality -= omega[g][ok]
             t_pre[nj] += l_pre[g][nj][nk]
             t_dec[nj] += l_dec[g][nj][nk]
             used[nj] += mem[g][nk]
-            self.quality += omega[g][nk]
+            quality += omega[g][nk]
+        return t_pre, t_dec, used, quality
+
+    def apply(self, changes: Sequence[Tuple[int, int, int]]) -> None:
+        """Make ``changes`` the state's assignment."""
+        self.t_pre, self.t_dec, self.mem, self.quality = self.moved(changes)
+        for g, nj, nk in changes:
             self.stage[g] = nj
             self.kidx[g] = nk
-
-    def revert(
-        self,
-        changes: Sequence[Tuple[int, int, int]],
-        saved: Sequence[Tuple[int, int]],
-    ) -> None:
-        self.apply(
-            [(g, oj, ok) for (g, _, _), (oj, ok) in zip(changes, saved)]
-        )
 
 
 def _objective(
     problem: PlanningProblem,
     theta: float,
     quality_budget: Optional[float],
-) -> Callable[[_State], float]:
+) -> Callable[[Aggregates], float]:
     """The ILP's objective on a state's aggregates (``inf`` past memory or
-    the quality budget), with the per-problem terms computed once."""
-    capacity = problem.capacity + 1e-6
+    the quality budget), with the per-problem terms computed once.
+
+    Stage sums run left to right, as numpy's ``sum`` does below eight
+    elements; the builtin ``sum`` is compensated on Python 3.12+.
+    """
+    inf = float("inf")
+    quality_cap = inf if quality_budget is None else quality_budget + 1e-12
+    capacity = (problem.capacity + 1e-6).tolist()
     comm_pre_max = float(problem.comm_pre.max()) if problem.comm_pre.size else 0.0
     comm_dec_max = float(problem.comm_dec.max()) if problem.comm_dec.size else 0.0
-    comm_pre_sum = problem.comm_pre.sum()
-    comm_dec_sum = problem.comm_dec.sum()
+    comm_pre_sum = float(problem.comm_pre.sum())
+    comm_dec_sum = float(problem.comm_dec.sum())
     pre_waits = problem.prefill_jobs - 1
     dec_steps = problem.workload.output_len - 1
     mu_dec = problem.mu_dec
 
-    def value(state: _State) -> float:
-        if quality_budget is not None and state.quality > quality_budget + 1e-12:
-            return float("inf")
-        if (state.mem > capacity).any():
-            return float("inf")
-        pre_bottleneck = max(float(state.t_pre.max()), comm_pre_max)
-        prefill_span = (
-            float(state.t_pre.sum() + comm_pre_sum) + pre_waits * pre_bottleneck
-        )
-        dec_bottleneck = max(float(state.t_dec.max()), comm_dec_max)
-        round_trip = float(state.t_dec.sum() + comm_dec_sum)
+    def value(aggregates: Aggregates) -> float:
+        t_pre, t_dec, used, quality = aggregates
+        if quality > quality_cap:
+            return inf
+        for u, cap in zip(used, capacity):
+            if u > cap:
+                return inf
+        pre_sum = dec_sum = 0.0
+        for tp, td in zip(t_pre, t_dec):
+            pre_sum += tp
+            dec_sum += td
+        pre_bottleneck = max(max(t_pre), comm_pre_max)
+        prefill_span = (pre_sum + comm_pre_sum) + pre_waits * pre_bottleneck
+        dec_bottleneck = max(max(t_dec), comm_dec_max)
+        round_trip = dec_sum + comm_dec_sum
         decode_span = dec_steps * max(mu_dec * dec_bottleneck, round_trip)
-        return prefill_span + decode_span + theta * state.quality
+        return prefill_span + decode_span + theta * quality
 
     return value
 
@@ -240,20 +261,24 @@ def greedy_adabits(
     for j, c in enumerate(counts):
         stage.extend([j] * int(c))
     kidx = [0] * G
+    mem, omega = problem.mem.tolist(), problem.omega.tolist()
     # Upgrade bits greedily per stage by quality gain, within memory.
     for j in range(N):
         gs = [g for g in range(G) if stage[g] == j]
-        slack = float(cap[j] - sum(problem.mem[g, 0] for g in gs))
+        used = 0.0
+        for g in gs:  # left to right, not the compensated builtin sum
+            used += mem[g][0]
+        slack = float(cap[j] - used)
         while True:
             best_g, best_gain, best_cost = -1, 0.0, 0.0
             for g in gs:
                 k = kidx[g]
                 if k + 1 >= K:
                     continue
-                cost = problem.mem[g, k + 1] - problem.mem[g, k]
+                cost = mem[g][k + 1] - mem[g][k]
                 if cost > slack:
                     continue
-                gain = problem.omega[g, k] - problem.omega[g, k + 1]
+                gain = omega[g][k] - omega[g][k + 1]
                 if gain > best_gain:
                     best_g, best_gain, best_cost = g, gain, cost
             if best_g < 0:
@@ -312,28 +337,25 @@ def bitwidth_transfer(
         state = _State.build(
             problem, sol.assign_stage, [bit_to_k[b] for b in sol.assign_bits]
         )
-        return state, objective(state)
+        return state, objective(state.aggregates)
 
     best = float("inf")
     if start is not None:
         state, best = scored(start)
-    if not np.isfinite(best):
+    if not math.isfinite(best):
         # No caller start, or one that violates this subproblem.
         start = adabits_start(problem, quality_budget, time_limit_s)
         if start is None:
             return None
         state, best = scored(start)
-        if not np.isfinite(best):
+        if not math.isfinite(best):
             return None
 
     for _ in range(max_iters):
         best_move: Optional[List[Tuple[int, int, int]]] = None
         best_val = best
         for changes in _candidate_changes(problem, state):
-            saved = [(state.stage[g], state.kidx[g]) for g, _, _ in changes]
-            state.apply(changes)
-            val = objective(state)
-            state.revert(changes, saved)
+            val = objective(state.moved(changes))
             if val < best_val - 1e-9:
                 best_val = val
                 best_move = changes

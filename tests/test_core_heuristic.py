@@ -1,5 +1,7 @@
 """Tests for the bitwidth-transfer heuristic."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,12 @@ from repro.core import (
     solve_adabits,
     solve_partition_ilp,
 )
-from repro.core.heuristic import _State, greedy_adabits
+from repro.core.heuristic import (
+    _candidate_changes,
+    _objective,
+    _State,
+    greedy_adabits,
+)
 from repro.quant import normalized_indicator_table
 from repro.workloads import BatchWorkload
 
@@ -129,21 +136,27 @@ def test_greedy_adabits_infeasible_when_too_small(opt30b, cost_model_13b):
     assert greedy_adabits(problem) is None
 
 
-def test_state_incremental_consistency(problem):
-    """Incremental apply/revert must match a fresh rebuild."""
+def test_move_scores_match_fresh_build(problem):
+    """Every move's score, taken without mutating the state, equals the
+    objective of its assignment built from scratch, along a climb."""
+    objective = _objective(problem, theta=10.0, quality_budget=None)
     G = problem.n_groups
-    stage = [0] * (G // 2) + [1] * (G - G // 2)
-    kidx = [0] * G
-    st = _State.build(problem, stage, kidx)
-    changes = [(0, 0, 1), (G - 1, 1, 1)]
-    saved = [(st.stage[g], st.kidx[g]) for g, _, _ in changes]
-    st.apply(changes)
-    fresh = _State.build(problem, st.stage, st.kidx)
-    assert np.allclose(st.t_pre, fresh.t_pre)
-    assert np.allclose(st.t_dec, fresh.t_dec)
-    assert np.allclose(st.mem, fresh.mem)
-    assert st.quality == pytest.approx(fresh.quality)
-    st.revert(changes, saved)
-    back = _State.build(problem, stage, kidx)
-    assert np.allclose(st.t_pre, back.t_pre)
-    assert st.quality == pytest.approx(back.quality)
+    state = _State.build(
+        problem, [0] * (G // 2) + [1] * (G - G // 2), [0] * G
+    )
+    finite = 0
+    for _ in range(5):
+        before = copy.deepcopy((state.stage, state.kidx, state.aggregates))
+        scores = []
+        for changes in _candidate_changes(problem, state):
+            score = objective(state.moved(changes))
+            stage, kidx = list(state.stage), list(state.kidx)
+            for g, nj, nk in changes:
+                stage[g], kidx[g] = nj, nk
+            fresh = objective(_State.build(problem, stage, kidx).aggregates)
+            assert score == pytest.approx(fresh, rel=1e-12)
+            scores.append((score, changes))
+        assert (state.stage, state.kidx, state.aggregates) == before
+        finite += sum(np.isfinite(score) for score, _ in scores)
+        state.apply(min(scores, key=lambda sc: sc[0])[1])
+    assert finite > 0
