@@ -225,7 +225,6 @@ class OnlineFleetScheduler:
         parallelism: int = 1,
         max_gpus: int = 4,
         max_types: int = 2,
-        index_queue: bool = True,
     ) -> None:
         if config is None:
             from .scheduler import default_fleet_config
@@ -241,7 +240,6 @@ class OnlineFleetScheduler:
         )
         self.max_gpus = max_gpus
         self.max_types = max_types
-        self.index_queue = index_queue
         self._all_groups = enumerate_groups(
             self.inventory, max_gpus=max_gpus, max_types=max_types
         )
@@ -301,8 +299,7 @@ class OnlineFleetScheduler:
             return "started", assignment
         feasible = self._feasible_on(job, self.inventory)
         if feasible:
-            if self.index_queue:
-                self._feasible_cache[job.job_id] = feasible
+            self._feasible_cache[job.job_id] = feasible
             self.queue.append((job, now))
             return "queued", None
         return "dropped", None
@@ -313,28 +310,23 @@ class OnlineFleetScheduler:
         """Start every waiting job that now fits (FIFO, with backfill).
 
         Called after a release; returns the started
-        ``(job, arrival, assignment)`` triples in start order.  With
-        ``index_queue`` (default) the pick filters each job's cached
-        admissibility index by the free budget — zero planner calls —
-        and is decision-identical to the legacy per-job planner rescan:
-        free-fitting groups are a subset of inventory-fitting ones, the
-        cached list preserves group enumeration order, and the max key
-        is the same, so the same assignment wins every tie.
+        ``(job, arrival, assignment)`` triples in start order.  The pick
+        filters each job's cached admissibility index by the free budget
+        — zero planner calls — and is decision-identical to a per-job
+        planner rescan (``_best_on(job, self.free)``): free-fitting
+        groups are a subset of inventory-fitting ones, the cached list
+        preserves group enumeration order, and the max key is the same,
+        so the same assignment wins every tie.
         """
         started: List[Tuple[FleetJob, float, Assignment]] = []
         remaining: List[Tuple[FleetJob, float]] = []
         for job, arrival in self.queue:
-            if self.index_queue:
-                fits = [
-                    a
-                    for a in self._feasible_cache[job.job_id]
-                    if a.group.fits(self.free)
-                ]
-                assignment = (
-                    max(fits, key=self._place_key) if fits else None
-                )
-            else:
-                assignment = self._best_on(job, self.free)
+            fits = [
+                a
+                for a in self._feasible_cache[job.job_id]
+                if a.group.fits(self.free)
+            ]
+            assignment = max(fits, key=self._place_key) if fits else None
             if assignment is None:
                 remaining.append((job, arrival))
                 continue
@@ -352,7 +344,6 @@ def simulate_online_fleet(
     cross_node_link: str = "eth-800g",
     parallelism: int = 1,
     use_sim_durations: bool = True,
-    index_queue: bool = True,
     prewarm: Optional[bool] = None,
 ) -> OnlineFleetResult:
     """Replay an arrival stream of fleet jobs through the online scheduler.
@@ -363,9 +354,8 @@ def simulate_online_fleet(
     :func:`~repro.fleet.simulator.simulate_schedule` composes — falling
     back to the planner's analytic prediction where scoring declines.
 
-    ``index_queue`` keeps a per-job admissibility index so queue drains
-    filter cached feasible assignments instead of re-running the planner
-    scan; decisions are identical either way.  ``prewarm`` (default: on
+    Queue drains filter each waiting job's cached feasible assignments
+    instead of re-running the planner scan.  ``prewarm`` (default: on
     when ``parallelism > 1``) evaluates every (job, fitting-group) pair
     across the planner pool's workers *before* the serial replay, so the
     replay itself only hits memoized results — the reduction stays in
@@ -389,7 +379,7 @@ def simulate_online_fleet(
     ) as sp:
         result = _simulate_online_fleet(
             inventory, stream, config, cross_node_link, parallelism,
-            use_sim_durations, index_queue, prewarm,
+            use_sim_durations, prewarm,
         )
         sp.set(
             served=len(result.jobs),
@@ -410,7 +400,6 @@ def _simulate_online_fleet(
     cross_node_link: str,
     parallelism: int,
     use_sim_durations: bool,
-    index_queue: bool,
     prewarm: Optional[bool],
 ) -> OnlineFleetResult:
     sched = OnlineFleetScheduler(
@@ -418,7 +407,6 @@ def _simulate_online_fleet(
         config=config,
         cross_node_link=cross_node_link,
         parallelism=parallelism,
-        index_queue=index_queue,
     )
     if prewarm is None:
         prewarm = parallelism > 1

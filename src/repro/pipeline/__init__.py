@@ -2,14 +2,7 @@
 
 from .events import EventLoop, FaultEvent, Server
 from .batchsim import PlanCase, evaluate_plans
-from .fastsim import (
-    build_plan_tables,
-    clear_table_caches,
-    fast_eligibility,
-    fast_eligibility_variable,
-    fast_eligible,
-    fast_eligible_variable,
-)
+from .fastsim import build_plan_tables, clear_table_caches
 from .online import (
     ADMISSION_POLICIES,
     OnlineConfig,
@@ -19,7 +12,6 @@ from .online import (
     online_tables,
     simulate_online,
 )
-from .online_fast import fast_online_eligibility
 from .simulator import (
     DegradedSimResult,
     PipelineSimResult,
@@ -59,11 +51,6 @@ __all__ = [
     "build_plan_tables",
     "clear_table_caches",
     "evaluate_plans",
-    "fast_eligibility",
-    "fast_online_eligibility",
-    "fast_eligibility_variable",
-    "fast_eligible",
-    "fast_eligible_variable",
     "simulate_degraded",
     "simulate_plan",
     "simulate_plan_variable",

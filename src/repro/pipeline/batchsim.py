@@ -35,11 +35,12 @@ cells are exact no-ops:
   are bit-exact identities, and ``-inf`` only ever enters arrival terms,
   never durations or finish times, so no NaNs can form.
 
-Eligibility is delegated to :func:`repro.pipeline.fastsim.fast_eligibility`
-/ :func:`fast_eligibility_variable` — the same predicate ``auto``
-dispatch uses.  A frontier member that declines (variable batches with
-retiring requests) falls back to the event engine; the fallback is
-counted (``batchsim.fallback``) and the reason recorded on
+Eligibility is the same predicate ``sim_backend="auto"`` dispatch uses:
+all output lengths equal.  A uniform batch always qualifies, and an
+equal-lengths variable batch is scored on its worst-case uniform view.
+A frontier member that declines (variable batches with retiring
+requests) falls back to the event engine; the fallback is counted
+(``batchsim.fallback``) and the reason recorded on
 ``PipelineSimResult.backend_reason``.
 """
 
@@ -62,13 +63,7 @@ from ..models.architectures import ModelSpec
 from ..obs import metrics, trace
 from ..plan import ExecutionPlan
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
-from .fastsim import (
-    PlanTables,
-    build_plan_tables,
-    fast_eligibility,
-    fast_eligibility_variable,
-    shared_default_timing,
-)
+from .fastsim import PlanTables, build_plan_tables, shared_default_timing
 from .stage import TimingSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,8 +108,8 @@ def evaluate_plans(
     from ..costmodel.energy import plan_cost, plan_energy
     from .simulator import (
         PipelineSimResult,
+        _retiring_reason,
         check_plan_memory,
-        simulate_plan,
         simulate_plan_variable,
     )
 
@@ -124,13 +119,13 @@ def evaluate_plans(
     with trace.span("batchsim.evaluate", plans=n) as sp:
         results: List[Optional[PipelineSimResult]] = [None] * n
         lanes: List[
-            Tuple[int, PlanTables, int, Tuple[int, ...], PlanCase, BatchWorkload]
+            Tuple[int, PlanTables, Tuple[int, ...], PlanCase, BatchWorkload]
         ] = []
         fallbacks = 0
         for i, case in enumerate(cases):
             plan, wl = case.plan, case.workload
             if isinstance(wl, VariableBatchWorkload):
-                reason = fast_eligibility_variable(wl)
+                reason = _retiring_reason(wl.output_lens)
                 if reason is not None:
                     res = simulate_plan_variable(
                         plan, case.cluster, case.spec, wl,
@@ -140,26 +135,9 @@ def evaluate_plans(
                     results[i] = replace(res, backend_reason=reason)
                     fallbacks += 1
                     continue
-                uniform = BatchWorkload(
-                    batch=wl.batch,
-                    prompt_len=wl.prompt_len,
-                    output_len=wl.max_output,
-                    chunk_tokens=wl.chunk_tokens,
-                )
-                total_tokens = wl.total_output_tokens
+                uniform = wl.planning_view("max")
             else:
-                reason = fast_eligibility(plan, wl)
-                if reason is not None:  # pragma: no cover - always eligible
-                    res = simulate_plan(
-                        plan, case.cluster, case.spec, wl,
-                        timing=case.timing, check_memory=check_memory,
-                        sim_backend="event",
-                    )
-                    results[i] = replace(res, backend_reason=reason)
-                    fallbacks += 1
-                    continue
                 uniform = wl
-                total_tokens = wl.batch * wl.output_len
             if plan.num_layers != case.spec.num_layers:
                 raise ValueError(
                     f"plan covers {plan.num_layers} layers, model has "
@@ -177,15 +155,13 @@ def evaluate_plans(
                 plan, case.cluster, case.spec, uniform, timing,
                 share_components=True,
             )
-            lanes.append((i, tables, total_tokens, stage_mem, case, uniform))
+            lanes.append((i, tables, stage_mem, case, uniform))
 
         if lanes:
             prefill_span, decode_span, busy = _batched_core(
-                [t for _, t, _, _, _, _ in lanes]
+                [t for _, t, _, _, _ in lanes]
             )
-            for li, (i, tables, total_tokens, stage_mem, case, uniform) in (
-                enumerate(lanes)
-            ):
+            for li, (i, tables, stage_mem, case, uniform) in enumerate(lanes):
                 pre = float(prefill_span[li])
                 dec = float(decode_span[li])
                 stage_busy = tuple(
@@ -204,7 +180,7 @@ def evaluate_plans(
                     makespan_s=pre + dec,
                     prefill_span_s=pre,
                     decode_span_s=dec,
-                    total_tokens=total_tokens,
+                    total_tokens=uniform.total_output_tokens,
                     stage_busy_s=stage_busy,
                     stage_memory_bytes=stage_mem,
                     events_processed=tables.events,

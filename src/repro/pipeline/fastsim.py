@@ -27,11 +27,11 @@ results are bit-equal to the event-driven oracle, not approximations.
 The differential grid in ``tests/test_fastsim.py`` asserts exact
 equality.
 
-Eligibility: any fault-free uniform-micro-batch run (every
-``simulate_plan`` call) and the fixed-size degenerate case of
-``simulate_plan_variable`` (all requests generating the same number of
-tokens, where retirement never splits a round).  Variable-length decode
-with mid-flight retirement keeps the event-driven path.
+Eligibility: every batch whose requests all generate the same number of
+tokens — every ``simulate_plan`` call, and the equal-lengths case of
+``simulate_plan_variable``, which runs :func:`_fast_simulate_plan` on
+its worst-case uniform view.  Variable-length decode with mid-flight
+retirement keeps the event-driven path.
 
 Duration tables (per-stage chunk times, decode step series, link and
 feedback delays) are built once per ``(plan, cluster, workload, timing)``
@@ -47,78 +47,26 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..hardware.cluster import ClusterSpec, Device
+from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..models import layers as L
 from ..obs import trace
 from ..plan import ExecutionPlan
 from ..simgpu import roofline
-from ..workloads.spec import BatchWorkload, VariableBatchWorkload
+from ..workloads.spec import BatchWorkload
 from .stage import (
     MemoizedTiming,
     RooflineTiming,
     StageExecutionModel,
     TimingSource,
 )
+from .topology import PipelineTopology, microbatch_sizes
 
 __all__ = [
     "PlanTables",
     "build_plan_tables",
     "clear_table_caches",
-    "fast_eligibility",
-    "fast_eligibility_variable",
-    "fast_eligible",
-    "fast_eligible_variable",
     "shared_default_timing",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Eligibility: one predicate, one reason string, reused by every caller.
-# ---------------------------------------------------------------------------
-
-#: Reason the fast path declines a variable-output batch.
-VARIABLE_RETIRING_REASON = (
-    "variable output lengths (requests retire mid-decode)"
-)
-
-
-def fast_eligibility(
-    plan: ExecutionPlan, workload: BatchWorkload
-) -> Optional[str]:
-    """Why the fast path would *decline* a uniform-batch run, or ``None``.
-
-    Uniform micro-batching with no injected faults is exactly the
-    ``simulate_plan`` contract, so every such run is eligible; the hook
-    exists so ``sim_backend="auto"`` and the batched evaluator share one
-    documented decision point (and one reason string when it declines).
-    """
-    return None
-
-
-def fast_eligibility_variable(
-    workload: VariableBatchWorkload,
-) -> Optional[str]:
-    """Why the fast path declines a variable-output batch, or ``None``.
-
-    The fixed-size degenerate case (all output lengths equal) is exact;
-    genuinely variable batches retire requests mid-decode and keep the
-    event engine.
-    """
-    lens = workload.output_lens
-    if len(set(lens)) == 1:
-        return None
-    return VARIABLE_RETIRING_REASON
-
-
-def fast_eligible(plan: ExecutionPlan, workload: BatchWorkload) -> bool:
-    """Whether the closed-form fast path applies to a uniform-batch run."""
-    return fast_eligibility(plan, workload) is None
-
-
-def fast_eligible_variable(workload: VariableBatchWorkload) -> bool:
-    """The fixed-size portion of the variable simulator: equal lengths."""
-    return fast_eligibility_variable(workload) is None
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +140,9 @@ _COMPONENT_CACHE_MAX = 4096
 # results stay bit-identical to the uncached default.
 _DEFAULT_MEMOS: Dict[Tuple[ModelSpec, int], MemoizedTiming] = {}
 
-# Shared-build sub-memos (share_components=True only): stage contexts
+# Shared-build sub-memos (share_components=True only): topologies
 # keyed by the plan's *stages* (micro-batch variants of one partition
-# share a context), and whole prefill/decode bundles keyed by exactly
+# share one), and whole prefill/decode bundles keyed by exactly
 # what each side depends on — decode ignores prefill chunking and vice
 # versa, so chunk- and micro-batch-variant frontiers reuse wholesale.
 _CONTEXT_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
@@ -245,44 +193,6 @@ def _bounded_put(cache: Dict, limit: int, key: Any, value: Any) -> None:
     if len(cache) >= limit:
         cache.pop(next(iter(cache)))
     cache[key] = value
-
-
-def _build_stage_context(
-    plan: ExecutionPlan,
-    cluster: ClusterSpec,
-    spec: ModelSpec,
-    timing: TimingSource,
-):
-    """Stage execution models + links, mirroring ``_simulate_plan``."""
-    by_id: Dict[int, Device] = {d.device_id: d for d in cluster.devices}
-    n_stages = plan.num_stages
-    stage_models = [
-        StageExecutionModel(
-            stage=st,
-            gpu=by_id[st.device_ids[0]].gpu,
-            spec=spec,
-            timing=timing,
-            is_first=(j == 0),
-            is_last=(j == n_stages - 1),
-        )
-        for j, st in enumerate(plan.stages)
-    ]
-    fwd_links = [
-        cluster.link_between(
-            by_id[plan.stages[j].device_ids[0]],
-            by_id[plan.stages[j + 1].device_ids[0]],
-        )
-        for j in range(n_stages - 1)
-    ]
-    feedback_link = (
-        cluster.link_between(
-            by_id[plan.stages[-1].device_ids[0]],
-            by_id[plan.stages[0].device_ids[0]],
-        )
-        if n_stages > 1
-        else None
-    )
-    return stage_models, fwd_links, feedback_link
 
 
 def _layer_sum(per_layer: np.ndarray) -> np.ndarray:
@@ -438,18 +348,17 @@ def build_plan_tables(
     ctx_key = (plan.stages, cluster, spec, token)
     ctx_hit = _CONTEXT_CACHE.get(ctx_key) if share_components else None
     if ctx_hit is not None:
-        stage_models, fwd_links, feedback_link = ctx_hit[1]
+        topo = ctx_hit[1]
     else:
-        stage_models, fwd_links, feedback_link = _build_stage_context(
-            plan, cluster, spec, timing
-        )
+        topo = PipelineTopology.build(plan, cluster, spec, timing)
         if share_components:
             _bounded_put(
-                _CONTEXT_CACHE, _CONTEXT_CACHE_MAX, ctx_key,
-                (timing, (stage_models, fwd_links, feedback_link)),
+                _CONTEXT_CACHE, _CONTEXT_CACHE_MAX, ctx_key, (timing, topo)
             )
+    # A shared topology may come from a micro-batch variant of this plan:
+    # only its stage models and links are read, never ``topo.plan``.
+    stage_models = topo.stage_models
     n_stages = len(stage_models)
-    from .simulator import _FEEDBACK_BYTES_PER_REQ, _microbatch_sizes
 
     # -- prefill ---------------------------------------------------------
     chunk = workload.chunk_len
@@ -461,7 +370,7 @@ def build_plan_tables(
     if pre_hit is not None:
         n_mb, kappa, n_pre, pre_dur, pre_comm = pre_hit[1]
     else:
-        pre_sizes = _microbatch_sizes(workload.batch, plan.prefill_microbatch)
+        pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
         kappa = workload.kappa
         # Uniform micro-batching yields at most two distinct sizes, so the
         # flat job vectors are assembled by fancy-indexing one value per
@@ -483,13 +392,10 @@ def build_plan_tables(
         ]
         pre_comm = [
             np.asarray(
-                [
-                    link.transfer_time(L.hidden_state_bytes(spec, s, chunk))
-                    for s in uniq_pre
-                ],
+                [topo.prefill_comm(j, s, chunk) for s in uniq_pre],
                 dtype=np.float64,
             )[idx]
-            for link in fwd_links
+            for j in range(n_stages - 1)
         ]
         n_mb = len(pre_sizes)
         n_pre = n_mb * kappa
@@ -516,7 +422,7 @@ def build_plan_tables(
         if dec_hit is not None:
             n_dec, series_jm, comm_jm, fb_m, dec_arr = dec_hit[1]
         else:
-            dec_sizes = _microbatch_sizes(
+            dec_sizes = microbatch_sizes(
                 workload.batch, plan.decode_microbatch
             )
             dec_series: Dict[Tuple[int, int], List[float]] = {}
@@ -528,19 +434,10 @@ def build_plan_tables(
                     )
             dec_comm: Dict[Tuple[int, int], float] = {}
             for size in set(dec_sizes):
-                for j, link in enumerate(fwd_links):
-                    dec_comm[(j, size)] = link.transfer_time(
-                        L.hidden_state_bytes(spec, size, 1)
-                    )
+                for j in range(n_stages - 1):
+                    dec_comm[(j, size)] = topo.decode_comm(j, size)
             fb_delay = {
-                size: (
-                    feedback_link.transfer_time(
-                        size * _FEEDBACK_BYTES_PER_REQ
-                    )
-                    if feedback_link is not None
-                    else 0.0
-                )
-                for size in set(dec_sizes)
+                size: topo.feedback_delay(size) for size in set(dec_sizes)
             }
             n_dec = len(dec_sizes)
             series_jm = [
@@ -581,7 +478,6 @@ def build_plan_tables(
 
 def _fast_core(
     tables: PlanTables,
-    emit_spans: bool,
 ) -> Tuple[float, float, List[float], int]:
     """The cumulative-max recurrence over (micro-batch x stage) arrays.
 
@@ -596,7 +492,7 @@ def _fast_core(
     free: List[float] = []
     with trace.span(
         "sim.prefill", microbatches=tables.n_mb, chunks=tables.kappa
-    ) if emit_spans else _NULL_CTX as sp:
+    ) as sp:
         # Stage 0 sees zero arrivals: finish times are a plain running
         # sum, and np.cumsum accumulates sequentially (bit-identical to
         # the event loop's free_at chain).
@@ -628,8 +524,7 @@ def _fast_core(
         # Per-stage finishes are nondecreasing in FIFO order, so the
         # last stage's final job is the event loop's max().
         prefill_span = float(prev[-1])
-        if emit_spans:
-            sp.set(events=tables.pre_events)
+        sp.set(events=tables.pre_events)
 
     # -- decode: (round, micro-batch) with autoregressive feedback ------
     decode_steps = tables.decode_steps
@@ -642,7 +537,7 @@ def _fast_core(
 
         with trace.span(
             "sim.decode", microbatches=n_dec, steps=decode_steps
-        ) if emit_spans else _NULL_CTX as sp:
+        ) as sp:
             arrivals0 = [prefill_span] * n_dec
             rng_dec = range(n_dec)
             finishes: List[float] = arrivals0
@@ -681,26 +576,9 @@ def _fast_core(
                         finishes[m] + fb_m[m] for m in rng_dec
                     ]
             decode_span = max(finishes) - prefill_span
-            if emit_spans:
-                sp.set(events=tables.dec_events)
+            sp.set(events=tables.dec_events)
 
     return prefill_span, decode_span, busy, tables.events
-
-
-class _NullCtx:
-    """A no-op ``with`` target standing in for a span (variable path)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def set(self, **attrs) -> None:  # pragma: no cover - never called
-        pass
-
-
-_NULL_CTX = _NullCtx()
 
 
 def _fast_simulate_plan(
@@ -711,7 +589,8 @@ def _fast_simulate_plan(
     timing: Optional[TimingSource],
     check_memory: bool,
 ):
-    """Fast-path twin of ``_simulate_plan`` (bit-equal results)."""
+    """Fast-path twin of the event engine on a uniform batch (bit-equal
+    results); ``workload`` is the batch's worst-case uniform view."""
     from .simulator import PipelineSimResult, check_plan_memory
 
     if plan.num_layers != spec.num_layers:
@@ -725,68 +604,12 @@ def _fast_simulate_plan(
         else tuple(0 for _ in plan.stages)
     )
     tables = build_plan_tables(plan, cluster, spec, workload, timing)
-    prefill_span, decode_span, busy, events = _fast_core(
-        tables, emit_spans=True
-    )
+    prefill_span, decode_span, busy, events = _fast_core(tables)
     return PipelineSimResult(
         makespan_s=prefill_span + decode_span,
         prefill_span_s=prefill_span,
         decode_span_s=decode_span,
         total_tokens=workload.batch * workload.output_len,
-        stage_busy_s=tuple(busy),
-        stage_memory_bytes=stage_mem,
-        events_processed=events,
-        sim_backend="fast",
-    )
-
-
-def _fast_simulate_plan_variable(
-    plan: ExecutionPlan,
-    cluster: ClusterSpec,
-    spec: ModelSpec,
-    workload: VariableBatchWorkload,
-    timing: Optional[TimingSource],
-    check_memory: bool,
-):
-    """Fast-path twin of ``_simulate_plan_variable`` for equal lengths.
-
-    With every request generating the same token count, retirement only
-    happens after the final round, so the variable-length event schedule
-    degenerates to the uniform one and the same recurrence is exact.
-    Callers must check :func:`fast_eligible_variable` first.
-    """
-    from .simulator import PipelineSimResult, check_plan_memory
-
-    if not fast_eligible_variable(workload):
-        raise ValueError(
-            "fast backend requires uniform output lengths; "
-            "use sim_backend='event' for retiring requests"
-        )
-    if plan.num_layers != spec.num_layers:
-        raise ValueError(
-            f"plan covers {plan.num_layers} layers, model has {spec.num_layers}"
-        )
-    timing = timing or RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
-    uniform = BatchWorkload(
-        batch=workload.batch,
-        prompt_len=workload.prompt_len,
-        output_len=workload.max_output,
-        chunk_tokens=workload.chunk_tokens,
-    )
-    stage_mem = (
-        check_plan_memory(plan, cluster, spec, uniform)
-        if check_memory
-        else tuple(0 for _ in plan.stages)
-    )
-    tables = build_plan_tables(plan, cluster, spec, uniform, timing)
-    prefill_span, decode_span, busy, events = _fast_core(
-        tables, emit_spans=False
-    )
-    return PipelineSimResult(
-        makespan_s=prefill_span + decode_span,
-        prefill_span_s=prefill_span,
-        decode_span_s=decode_span,
-        total_tokens=workload.total_output_tokens,
         stage_busy_s=tuple(busy),
         stage_memory_bytes=stage_mem,
         events_processed=events,

@@ -28,10 +28,8 @@ Two backends share this scheduler, selected by ``sim_backend``:
   waves and decode rounds advance with the same max-plus recurrence as
   :mod:`repro.pipeline.fastsim`, replaying the identical float
   operations.  Results are bit-equal to the event backend.
-* ``"auto"`` (default) — dispatch through
-  :func:`~repro.pipeline.online_fast.fast_online_eligibility`, with the
-  decline reason (if any) recorded as
-  :attr:`OnlineSimResult.backend_reason`.
+* ``"auto"`` (default) — the fast backend: its replay argument has no
+  side conditions, so every online run is eligible.
 
 The contract with the offline path is differential: with every arrival
 at t=0, admission disabled, and one unbounded group, the event sequence
@@ -45,7 +43,7 @@ full online grid (overload, shedding, ragged tails) is enforced by
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -769,18 +767,15 @@ def simulate_online(
     ``sim_backend`` selects the engine: ``"event"`` runs the per-job
     discrete-event oracle, ``"fast"`` the epoch-vectorized driver
     (:mod:`repro.pipeline.online_fast`), and ``"auto"`` (default)
-    dispatches through the eligibility predicate.  The backends are
-    bit-identical; :attr:`OnlineSimResult.sim_backend` records which
-    one ran.
+    runs the fast driver, which replays every online run exactly.  The
+    backends are bit-identical; :attr:`OnlineSimResult.sim_backend`
+    records which one ran.
     """
     config = config or OnlineConfig()
     _check_backend(sim_backend)
-    from .online_fast import _fast_simulate_online, fast_online_eligibility
+    from .online_fast import _fast_simulate_online
 
-    reason = fast_online_eligibility(plan, arrivals, config)
-    use_fast = sim_backend == "fast" or (
-        sim_backend == "auto" and reason is None
-    )
+    use_fast = sim_backend != "event"
     with trace.span(
         "sim.online",
         stages=plan.num_stages,
@@ -796,8 +791,6 @@ def simulate_online(
             result = _simulate_online(
                 plan, cluster, spec, arrivals, config, timing, check_memory
             )
-            if sim_backend == "auto" and reason is not None:
-                result = replace(result, backend_reason=reason)
         sp.set(
             events=result.events_processed,
             completed=result.completed,

@@ -43,10 +43,7 @@ energy post-pass) is the *shared* :class:`~repro.pipeline.online._OnlineState`
 accounting are identical by construction, not by re-implementation.
 
 Eligibility: every online run replays exactly (the argument above has
-no side conditions), so :func:`fast_online_eligibility` — the
-documented decision point ``sim_backend="auto"`` routes through —
-always returns ``None``, mirroring the offline
-:func:`~repro.pipeline.fastsim.fast_eligibility` precedent.
+no side conditions), so ``sim_backend="auto"`` always runs this driver.
 ``tests/test_online_fast.py`` pins the full differential grid.
 """
 
@@ -72,27 +69,6 @@ from .online import (
 )
 from .stage import TimingSource
 from .topology import microbatch_sizes
-
-__all__ = ["fast_online_eligibility"]
-
-
-def fast_online_eligibility(
-    plan: ExecutionPlan,
-    arrivals: ArrivalTrace,
-    config: OnlineConfig,
-) -> Optional[str]:
-    """Why the fast path would *decline* this online run, or ``None``.
-
-    The unit-major replay argument (module docstring) covers every
-    configuration the online scheduler can produce — overlapping
-    groups, KV/SLO shedding, ragged retirement, mid-stream rejection —
-    so every run is eligible.  The hook exists so ``sim_backend="auto"``
-    has one documented decision point that future ineligible features
-    (e.g. preemption between groups) can return a reason string from,
-    surfaced as :attr:`OnlineSimResult.backend_reason`.
-    """
-    return None
-
 
 # Coarse event kinds (heap tuples sort by (time, kind, seq)).
 _ARRIVE = 0

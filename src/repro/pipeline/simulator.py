@@ -6,6 +6,9 @@ stage servers with asynchronous point-to-point communication, then decode
 proceeds token by token with the autoregressive feedback loop from the
 last stage's LM head back to the first stage's embedding.  Phases are
 sequential, matching the paper's offline latency model (objective (4)).
+A uniform batch is the equal-lengths case of a variable-output batch, so
+one event engine and one fast-path entry serve both ``simulate_plan``
+and ``simulate_plan_variable``.
 
 Per-stage memory is checked against the paper's memory cost model before
 anything runs; infeasible plans raise
@@ -15,8 +18,17 @@ hardware.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -30,11 +42,7 @@ from ..simgpu.memory import OutOfMemoryError
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .events import EventLoop, FaultEvent
 from .stage import TimingSource
-from .topology import (
-    FEEDBACK_BYTES_PER_REQ as _FEEDBACK_BYTES_PER_REQ,
-    PipelineTopology,
-    microbatch_sizes,
-)
+from .topology import PipelineTopology, microbatch_sizes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.faults import FaultPlan
@@ -154,12 +162,6 @@ def attach_energy(
     return replace(result, energy_j=energy, cost_usd=cost)
 
 
-# Historical location of the micro-batch splitter; the shared
-# implementation (with edge-case validation) lives in
-# :func:`repro.pipeline.topology.microbatch_sizes`.
-_microbatch_sizes = microbatch_sizes
-
-
 def check_plan_memory(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
@@ -216,33 +218,74 @@ def simulate_plan(
     bit-equal results; :attr:`PipelineSimResult.sim_backend` records
     which one ran.
     """
+    return _simulate(
+        plan, cluster, spec, workload,
+        (workload.output_len,) * workload.batch,
+        timing, check_memory, sim_backend,
+        "sim.run", "sim.runs", output_len=workload.output_len,
+    )
+
+
+def _retiring_reason(output_lens: Sequence[int]) -> Optional[str]:
+    """Why the fast path declines ``output_lens``, or ``None``.
+
+    With equal lengths every request retires after the final round, so
+    the schedule is the uniform one and the closed-form recurrence is
+    exact; unequal lengths retire requests mid-decode and keep the
+    event engine.
+    """
+    if len(set(output_lens)) == 1:
+        return None
+    return "variable output lengths (requests retire mid-decode)"
+
+
+def _simulate(
+    plan: ExecutionPlan,
+    cluster: ClusterSpec,
+    spec: ModelSpec,
+    workload: BatchWorkload,
+    output_lens: Sequence[int],
+    timing: Optional[TimingSource],
+    check_memory: bool,
+    sim_backend: str,
+    span_name: str,
+    runs_counter: str,
+    **span_attrs: object,
+) -> PipelineSimResult:
+    """The body both entry points share.
+
+    ``workload`` is the uniform worst-case view (it sizes memory,
+    prefill and energy, and its ``output_len`` is the longest request's);
+    ``output_lens`` are the per-request output lengths.
+    """
     _check_backend(sim_backend)
     with trace.span(
-        "sim.run",
-        stages=plan.num_stages,
-        batch=workload.batch,
-        output_len=workload.output_len,
+        span_name, stages=plan.num_stages, batch=workload.batch,
+        **span_attrs,
     ) as sp:
-        from .fastsim import _fast_simulate_plan, fast_eligibility
+        from .fastsim import _fast_simulate_plan
 
-        reason = fast_eligibility(plan, workload)
-        use_fast = sim_backend == "fast" or (
-            sim_backend == "auto" and reason is None
-        )
-        if use_fast:
+        reason = _retiring_reason(output_lens)
+        if sim_backend == "fast" and reason is not None:
+            raise ValueError(
+                "fast backend requires uniform output lengths; "
+                "use sim_backend='event' for retiring requests"
+            )
+        if sim_backend != "event" and reason is None:
             result = _fast_simulate_plan(
                 plan, cluster, spec, workload, timing, check_memory
             )
         else:
-            result = _simulate_plan(
-                plan, cluster, spec, workload, timing, check_memory
+            result = _event_simulate_plan(
+                plan, cluster, spec, workload, output_lens, timing,
+                check_memory,
             )
-            if sim_backend == "auto" and reason is not None:
+            if sim_backend == "auto":
                 result = replace(result, backend_reason=reason)
         result = attach_energy(result, plan, cluster, spec, workload)
         sp.set(events=result.events_processed)
         if trace.enabled:
-            metrics.counter("sim.runs").inc()
+            metrics.counter(runs_counter).inc()
             metrics.counter(f"sim.backend_{result.sim_backend}").inc()
             metrics.counter("sim.events").inc(result.events_processed)
             metrics.histogram(
@@ -251,14 +294,22 @@ def simulate_plan(
         return result
 
 
-def _simulate_plan(
+def _event_simulate_plan(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
     spec: ModelSpec,
     workload: BatchWorkload,
+    output_lens: Sequence[int],
     timing: Optional[TimingSource],
     check_memory: bool,
 ) -> PipelineSimResult:
+    """The discrete-event oracle.
+
+    Memory and prefill follow ``workload``, the worst-case uniform view
+    (KV reserved for the longest request, as the paper's memory model
+    does).  Decode runs the per-request ``output_lens``: requests retire
+    as they finish, so decode micro-batches shrink over time.
+    """
     topo = PipelineTopology.build(plan, cluster, spec, timing)
     n_stages = topo.num_stages
 
@@ -270,28 +321,30 @@ def _simulate_plan(
 
     loop = EventLoop()
     servers = topo.make_servers(loop)
+    # Hot-loop hoists: bind the per-stage submit methods and the last
+    # stage index once so each event pays local loads, not repeated
+    # attribute/global lookups (behavior is bit-identical).
+    submit_at = [s.submit for s in servers]
+    last_stage = n_stages - 1
 
     # ------------------------------------------------------------------
     # Prefill phase: mu_pre micro-batches x kappa chunks, chained FIFO.
     # ------------------------------------------------------------------
     pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
     chunk = workload.chunk_len
-    pre_time: Dict[Tuple[int, int], float] = {}
-    for size in set(pre_sizes):
-        for j in range(n_stages):
-            pre_time[(j, size)] = topo.prefill_time(j, size, chunk)
-    pre_comm: Dict[Tuple[int, int], float] = {}
-    for size in set(pre_sizes):
-        for j in range(n_stages - 1):
-            pre_comm[(j, size)] = topo.prefill_comm(j, size, chunk)
-
-    prefill_done_at: List[float] = [0.0] * len(pre_sizes)
-    pending = {"prefill": len(pre_sizes) * workload.kappa}
-    # Hot-loop hoists: bind the per-stage submit methods and the last
-    # stage index once so each event pays local loads, not repeated
-    # attribute/global lookups (behavior is bit-identical).
-    submit_at = [s.submit for s in servers]
-    last_stage = n_stages - 1
+    kappa = workload.kappa
+    pre_time = {
+        (j, size): topo.prefill_time(j, size, chunk)
+        for size in set(pre_sizes)
+        for j in range(n_stages)
+    }
+    pre_comm = {
+        (j, size): topo.prefill_comm(j, size, chunk)
+        for size in set(pre_sizes)
+        for j in range(n_stages - 1)
+    }
+    pending = {"prefill": len(pre_sizes) * kappa}
+    prefill_done = [0.0]
 
     def submit_prefill(j: int, m: int, c: int, size: int, ready: float) -> None:
         def done(finish: float) -> None:
@@ -299,7 +352,7 @@ def _simulate_plan(
                 arrival = finish + pre_comm[(j, size)]
                 submit_prefill(j + 1, m, c, size, arrival)
             else:
-                prefill_done_at[m] = max(prefill_done_at[m], finish)
+                prefill_done[0] = max(prefill_done[0], finish)
                 pending["prefill"] -= 1
 
         submit_at[j](
@@ -307,77 +360,88 @@ def _simulate_plan(
         )
 
     with trace.span(
-        "sim.prefill", microbatches=len(pre_sizes), chunks=workload.kappa
+        "sim.prefill", microbatches=len(pre_sizes), chunks=kappa
     ) as sp:
         for m, size in enumerate(pre_sizes):
-            for c in range(workload.kappa):
+            for c in range(kappa):
                 submit_prefill(0, m, c, size, 0.0)
         loop.run()
         sp.set(events=loop.processed)
     if pending["prefill"] != 0:
         raise RuntimeError("prefill simulation did not drain")
-    prefill_span = max(prefill_done_at) if prefill_done_at else 0.0
+    prefill_span = prefill_done[0]
 
     # ------------------------------------------------------------------
-    # Decode phase: token-by-token with autoregressive feedback.
+    # Decode phase: token-by-token with autoregressive feedback; each
+    # micro-batch shrinks as its requests retire.
     # ------------------------------------------------------------------
-    n_out = workload.output_len
-    dec_sizes = microbatch_sizes(workload.batch, plan.decode_microbatch)
-    decode_steps = n_out - 1
-    decode_span = 0.0
+    xi = plan.decode_microbatch
+    decode_steps = workload.output_len - 1
+    # active[m][t]: requests of decode micro-batch m still generating in
+    # round t (zero once all have retired).
+    active: List[List[int]] = []
+    for s in range(0, workload.batch, xi):
+        lens = sorted(output_lens[s : s + xi])
+        active.append(
+            [len(lens) - bisect_right(lens, t) for t in range(decode_steps + 2)]
+        )
+    # Hoist every duration once per (stage, size) that occurs, as plain
+    # Python floats (bit-identical: all are pure functions).
+    sizes = {n for act in active for n in act[1:] if n}
+    dec_series = {
+        (j, size): topo.decode_series(
+            j, size, workload.prompt_len, workload.output_len
+        )
+        for size in sizes
+        for j in range(n_stages)
+    }
+    dec_comm = {
+        (j, size): topo.decode_comm(j, size)
+        for size in sizes
+        for j in range(n_stages - 1)
+    }
+    fb_delay = {size: topo.feedback_delay(size) for size in sizes}
+
+    last_done = [prefill_span] * len(active)
+    remaining = {"jobs": 0}
+
+    def submit_decode(j: int, m: int, t: int, size: int, ready: float) -> None:
+        def done(finish: float) -> None:
+            if j < last_stage:
+                submit_decode(j + 1, m, t, size, finish + dec_comm[(j, size)])
+                return
+            nxt = active[m][t + 1]
+            if nxt:
+                submit_decode(0, m, t + 1, nxt, finish + fb_delay[nxt])
+            else:
+                last_done[m] = finish
+                remaining["jobs"] -= 1
+
+        submit_at[j](
+            dec_series[(j, size)][t - 1], done, not_before=ready,
+            label=f"D{m}.{t}",
+        )
+
     if decode_steps > 0:
-        # Hoist the per-event ``float(ndarray[i])`` conversion: plain
-        # Python lists carry the exact same float64 values.
-        dec_series: Dict[Tuple[int, int], List[float]] = {}
-        for size in set(dec_sizes):
-            for j in range(n_stages):
-                dec_series[(j, size)] = topo.decode_series(
-                    j, size, workload.prompt_len, n_out
-                )
-        dec_comm: Dict[Tuple[int, int], float] = {}
-        for size in set(dec_sizes):
-            for j in range(n_stages - 1):
-                dec_comm[(j, size)] = topo.decode_comm(j, size)
-        fb_delay = {
-            size: topo.feedback_delay(size) for size in set(dec_sizes)
-        }
-
-        last_token_done = [0.0] * len(dec_sizes)
-        remaining = {"jobs": len(dec_sizes)}
-
-        def submit_decode(j: int, m: int, t: int, size: int, ready: float) -> None:
-            dur = dec_series[(j, size)][t - 1]
-
-            def done(finish: float) -> None:
-                if j < last_stage:
-                    submit_decode(j + 1, m, t, size, finish + dec_comm[(j, size)])
-                elif t < decode_steps:
-                    submit_decode(0, m, t + 1, size, finish + fb_delay[size])
-                else:
-                    last_token_done[m] = finish
-                    remaining["jobs"] -= 1
-
-            submit_at[j](dur, done, not_before=ready, label=f"D{m}.{t}")
-
         events_before = loop.processed
         with trace.span(
-            "sim.decode", microbatches=len(dec_sizes), steps=decode_steps
+            "sim.decode", microbatches=len(active), steps=decode_steps
         ) as sp:
-            for m, size in enumerate(dec_sizes):
-                submit_decode(0, m, 1, size, prefill_span)
+            for m, act in enumerate(active):
+                if act[1]:
+                    remaining["jobs"] += 1
+                    submit_decode(0, m, 1, act[1], prefill_span)
             loop.run()
             sp.set(events=loop.processed - events_before)
         if remaining["jobs"] != 0:
             raise RuntimeError("decode simulation did not drain")
-        decode_span = max(last_token_done) - prefill_span
+    decode_span = max(last_done) - prefill_span
 
-    makespan = prefill_span + decode_span
-    total_tokens = workload.batch * n_out
     return PipelineSimResult(
-        makespan_s=makespan,
+        makespan_s=prefill_span + decode_span,
         prefill_span_s=prefill_span,
         decode_span_s=decode_span,
-        total_tokens=total_tokens,
+        total_tokens=sum(output_lens),
         stage_busy_s=tuple(s.busy_time for s in servers),
         stage_memory_bytes=stage_mem,
         events_processed=loop.processed,
@@ -607,193 +671,18 @@ def simulate_plan_variable(
     Requests retire as they finish, so decode micro-batches shrink over
     time and short requests stop paying for long ones — the
     variable-output-length scenario the paper's latency model only
-    sketches (Sec. IV-C).  Prefill is identical to the uniform case.
+    sketches (Sec. IV-C).  Memory, prefill and energy follow the
+    worst-case uniform view, :meth:`VariableBatchWorkload.planning_view`
+    ``("max")``.
 
-    ``sim_backend="auto"`` uses the closed-form fast path for the
-    fixed-size portion of the problem (all output lengths equal, where
-    retirement never splits a decode round) and falls back to the
-    event-driven engine otherwise; ``"fast"`` raises on a genuinely
-    variable batch.
+    A uniform batch is the equal-lengths case: ``sim_backend="auto"``
+    runs it on the closed-form fast path, exactly as ``simulate_plan``
+    would, and falls back to the event engine when requests retire
+    mid-decode; ``"fast"`` raises on such a batch.
     """
-    _check_backend(sim_backend)
-    with trace.span(
-        "sim.run_variable",
-        stages=plan.num_stages,
-        batch=workload.batch,
+    return _simulate(
+        plan, cluster, spec, workload.planning_view("max"),
+        workload.output_lens, timing, check_memory, sim_backend,
+        "sim.run_variable", "sim.runs_variable",
         max_output=workload.max_output,
-    ) as sp:
-        from .fastsim import (
-            _fast_simulate_plan_variable,
-            fast_eligibility_variable,
-        )
-
-        reason = fast_eligibility_variable(workload)
-        use_fast = sim_backend == "fast" or (
-            sim_backend == "auto" and reason is None
-        )
-        if use_fast:
-            result = _fast_simulate_plan_variable(
-                plan, cluster, spec, workload, timing, check_memory
-            )
-        else:
-            result = _simulate_plan_variable(
-                plan, cluster, spec, workload, timing, check_memory
-            )
-            if sim_backend == "auto" and reason is not None:
-                result = replace(result, backend_reason=reason)
-        # Energy references the worst-case uniform view, mirroring the
-        # engines' own memory/prefill treatment of variable batches.
-        result = attach_energy(
-            result,
-            plan,
-            cluster,
-            spec,
-            BatchWorkload(
-                batch=workload.batch,
-                prompt_len=workload.prompt_len,
-                output_len=workload.max_output,
-                chunk_tokens=workload.chunk_tokens,
-            ),
-        )
-        sp.set(events=result.events_processed)
-        if trace.enabled:
-            metrics.counter("sim.runs_variable").inc()
-            metrics.counter(f"sim.backend_{result.sim_backend}").inc()
-            metrics.counter("sim.events").inc(result.events_processed)
-            metrics.histogram(
-                "sim.bubble_fraction", DEFAULT_FRACTION_BUCKETS
-            ).observe(result.bubble_fraction)
-        return result
-
-
-def _simulate_plan_variable(
-    plan: ExecutionPlan,
-    cluster: ClusterSpec,
-    spec: ModelSpec,
-    workload: VariableBatchWorkload,
-    timing: Optional[TimingSource],
-    check_memory: bool,
-) -> PipelineSimResult:
-    topo = PipelineTopology.build(plan, cluster, spec, timing)
-    n_stages = topo.num_stages
-
-    # Memory and prefill follow the worst-case uniform view (KV reserved
-    # for the longest request, as the paper's memory model does).
-    uniform = BatchWorkload(
-        batch=workload.batch,
-        prompt_len=workload.prompt_len,
-        output_len=workload.max_output,
-        chunk_tokens=workload.chunk_tokens,
-    )
-    stage_mem = (
-        check_plan_memory(plan, cluster, spec, uniform)
-        if check_memory
-        else tuple(0 for _ in plan.stages)
-    )
-
-    loop = EventLoop()
-    servers = topo.make_servers(loop)
-
-    # ---- prefill (same wavefront as the uniform simulator) -------------
-    pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
-    chunk = uniform.chunk_len
-    pre_time = {
-        (j, size): topo.prefill_time(j, size, chunk)
-        for size in set(pre_sizes)
-        for j in range(n_stages)
-    }
-    pre_comm = {
-        (j, size): topo.prefill_comm(j, size, chunk)
-        for size in set(pre_sizes)
-        for j in range(n_stages - 1)
-    }
-    pending = {"prefill": len(pre_sizes) * uniform.kappa}
-    prefill_done = [0.0]
-    # Hot-loop hoists (bit-identical): bound submit methods, last stage.
-    submit_at = [s.submit for s in servers]
-    last_stage = n_stages - 1
-
-    def submit_prefill(j: int, size: int, ready: float) -> None:
-        def done(finish: float) -> None:
-            if j < last_stage:
-                submit_prefill(j + 1, size, finish + pre_comm[(j, size)])
-            else:
-                prefill_done[0] = max(prefill_done[0], finish)
-                pending["prefill"] -= 1
-
-        submit_at[j](pre_time[(j, size)], done, not_before=ready)
-
-    for size in pre_sizes:
-        for _ in range(uniform.kappa):
-            submit_prefill(0, size, 0.0)
-    loop.run()
-    prefill_span = prefill_done[0]
-
-    # ---- decode with retiring requests ----------------------------------
-    xi = plan.decode_microbatch
-    slices = [
-        list(workload.output_lens[s : s + xi])
-        for s in range(0, workload.batch, xi)
-    ]
-    # Lazily built per-(stage, size) step series and link times, hoisted
-    # to Python floats once instead of per-event array indexing/transfer
-    # recomputation (values bit-identical: both are pure functions).
-    series_cache: Dict[Tuple[int, int], List[float]] = {}
-    comm_cache: Dict[Tuple[int, int], float] = {}
-
-    def step_time(j: int, size: int, t: int) -> float:
-        key = (j, size)
-        series = series_cache.get(key)
-        if series is None:
-            series = series_cache[key] = topo.decode_series(
-                j, size, workload.prompt_len, workload.max_output
-            )
-        return series[t - 1]
-
-    def comm_time(j: int, size: int) -> float:
-        key = (j, size)
-        t = comm_cache.get(key)
-        if t is None:
-            t = comm_cache[key] = topo.decode_comm(j, size)
-        return t
-
-    def active_at(m: int, t: int) -> int:
-        return sum(1 for n in slices[m] if n > t)
-
-    last_done = [prefill_span] * len(slices)
-    remaining = {"jobs": 0}
-
-    def submit_decode(j: int, m: int, t: int, size: int, ready: float) -> None:
-        def done(finish: float) -> None:
-            if j < last_stage:
-                submit_decode(j + 1, m, t, size, finish + comm_time(j, size))
-                return
-            nxt = active_at(m, t + 1)
-            if nxt > 0:
-                fb = topo.feedback_delay(nxt)
-                submit_decode(0, m, t + 1, nxt, finish + fb)
-            else:
-                last_done[m] = finish
-                remaining["jobs"] -= 1
-
-        submit_at[j](step_time(j, size, t), done, not_before=ready)
-
-    for m in range(len(slices)):
-        size = active_at(m, 1)
-        if size > 0:
-            remaining["jobs"] += 1
-            submit_decode(0, m, 1, size, prefill_span)
-    loop.run()
-    if remaining["jobs"] != 0:
-        raise RuntimeError("variable decode simulation did not drain")
-    decode_span = max(last_done) - prefill_span
-
-    return PipelineSimResult(
-        makespan_s=prefill_span + decode_span,
-        prefill_span_s=prefill_span,
-        decode_span_s=decode_span,
-        total_tokens=workload.total_output_tokens,
-        stage_busy_s=tuple(s.busy_time for s in servers),
-        stage_memory_bytes=stage_mem,
-        events_processed=loop.processed,
     )

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.hardware import make_cluster, table_iii_cluster
 from repro.models import get_model
+from repro.obs import Tracer, use_tracer
 from repro.pipeline import (
     SIM_BACKENDS,
-    fast_eligible_variable,
     simulate_plan,
     simulate_plan_variable,
     trace_plan,
@@ -159,7 +159,8 @@ def test_variable_fixed_size_exact(small_cluster, opt13b):
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
     wl = VariableBatchWorkload(prompt_len=256, output_lens=(24,) * 8)
-    assert fast_eligible_variable(wl)
+    auto = simulate_plan_variable(plan, small_cluster, opt13b, wl)
+    assert auto.sim_backend == "fast" and auto.backend_reason is None
     ev = simulate_plan_variable(
         plan, small_cluster, opt13b, wl, sim_backend="event"
     )
@@ -177,13 +178,73 @@ def test_variable_retiring_uses_event(small_cluster, opt13b):
     wl = VariableBatchWorkload(
         prompt_len=256, output_lens=(8, 16, 24, 32, 8, 16, 24, 32)
     )
-    assert not fast_eligible_variable(wl)
     auto = simulate_plan_variable(plan, small_cluster, opt13b, wl)
     assert auto.sim_backend == "event"
+    assert "retire" in auto.backend_reason
     with pytest.raises(ValueError, match="uniform output lengths"):
         simulate_plan_variable(
             plan, small_cluster, opt13b, wl, sim_backend="fast"
         )
+
+
+# -- span parity: the phase spans are backend-independent ---------------
+
+def _phase_spans(run):
+    """(name, attrs) of every ``sim.prefill`` / ``sim.decode`` span."""
+    tracer = Tracer(enabled=True)
+    with use_tracer(tracer):
+        run()
+    return [
+        (r["name"], r["attrs"])
+        for r in tracer.records
+        if r["name"] in ("sim.prefill", "sim.decode")
+    ]
+
+
+@pytest.mark.parametrize("variable", [False, True])
+def test_backends_emit_identical_phase_spans(small_cluster, opt13b, variable):
+    plan = uniform_plan(
+        opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 3, 2
+    )
+    if variable:
+        wl = VariableBatchWorkload(
+            prompt_len=300, output_lens=(12,) * 7, chunk_tokens=128
+        )
+        sim = simulate_plan_variable
+    else:
+        wl = BatchWorkload(
+            batch=7, prompt_len=300, output_len=12, chunk_tokens=128
+        )
+        sim = simulate_plan
+    spans = {
+        be: _phase_spans(
+            lambda be=be: sim(plan, small_cluster, opt13b, wl, sim_backend=be)
+        )
+        for be in ("event", "fast")
+    }
+    assert [name for name, _ in spans["event"]] == ["sim.prefill", "sim.decode"]
+    assert spans["event"] == spans["fast"]
+    prefill, decode = (attrs for _, attrs in spans["event"])
+    assert prefill == {"microbatches": 3, "chunks": 3, "events": 18}
+    assert decode == {"microbatches": 4, "steps": 11, "events": 88}
+
+
+def test_retiring_batch_emits_phase_spans(small_cluster, opt13b):
+    plan = uniform_plan(
+        opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
+    )
+    wl = VariableBatchWorkload(
+        prompt_len=256, output_lens=(8, 16, 24, 32, 8, 16, 24, 32)
+    )
+    spans = _phase_spans(
+        lambda: simulate_plan_variable(plan, small_cluster, opt13b, wl)
+    )
+    assert [name for name, _ in spans] == ["sim.prefill", "sim.decode"]
+    res = simulate_plan_variable(plan, small_cluster, opt13b, wl)
+    assert res.sim_backend == "event"
+    prefill, decode = (attrs for _, attrs in spans)
+    assert decode["steps"] == 31
+    assert prefill["events"] + decode["events"] == res.events_processed
 
 
 # -- property: random shapes stay exact ---------------------------------

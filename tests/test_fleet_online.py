@@ -130,15 +130,38 @@ def test_scheduler_free_ledger_roundtrip():
     assert sched.free == sched.inventory
 
 
-def test_indexed_drain_matches_legacy_rescan():
+def _rescan_drain(self, now):
+    """Oracle for ``OnlineFleetScheduler.drain_queue``: re-run the
+    planner scan for every waiting job instead of filtering its cached
+    admissibility index."""
+    started = []
+    remaining = []
+    for job, arrival in self.queue:
+        assignment = self._best_on(job, self.free)
+        if assignment is None:
+            remaining.append((job, arrival))
+            continue
+        self._reserve(assignment.group)
+        self._feasible_cache.pop(job.job_id, None)
+        started.append((job, arrival, assignment))
+    self.queue = remaining
+    return started
+
+
+def _simulate_with_rescan(monkeypatch, inventory, arrivals):
+    with monkeypatch.context() as m:
+        m.setattr(OnlineFleetScheduler, "drain_queue", _rescan_drain)
+        return simulate_online_fleet(inventory, arrivals)
+
+
+def test_indexed_drain_matches_legacy_rescan(monkeypatch):
     """The admissibility index is a speed knob, not a policy change:
     every placement, wait, and drop — and the replay's event count —
     must match the legacy per-job planner rescan exactly."""
     arrivals = make_job_arrivals(n_jobs=6, seed=1,
                                  mean_interarrival_s=30.0)
     indexed = simulate_online_fleet(INVENTORY, arrivals)
-    legacy = simulate_online_fleet(INVENTORY, arrivals,
-                                   index_queue=False)
+    legacy = _simulate_with_rescan(monkeypatch, INVENTORY, arrivals)
     assert indexed == legacy
     assert indexed.jobs == legacy.jobs
     assert indexed.dropped == legacy.dropped
@@ -146,7 +169,7 @@ def test_indexed_drain_matches_legacy_rescan():
     assert indexed.events_processed > 0
 
 
-def test_queue_contention_indexed_vs_legacy():
+def test_queue_contention_indexed_vs_legacy(monkeypatch):
     """Single-GPU contention forces real queue drains through the
     indexed path; outcomes stay identical to the rescan."""
     inv = {"V100-32G": 1}
@@ -157,7 +180,7 @@ def test_queue_contention_indexed_vs_legacy():
         (3.0, small_job("huge", model="opt-66b")),
     ]
     indexed = simulate_online_fleet(inv, arrivals)
-    legacy = simulate_online_fleet(inv, arrivals, index_queue=False)
+    legacy = _simulate_with_rescan(monkeypatch, inv, arrivals)
     assert indexed == legacy
     assert indexed.events_processed == legacy.events_processed
     assert indexed.dropped == ("huge",)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.hardware import make_cluster, table_iii_cluster
 from repro.models import get_model
 from repro.pipeline import OnlineConfig, simulate_online
-from repro.pipeline.online_fast import fast_online_eligibility
 from repro.plan import uniform_plan
 from repro.simgpu import OutOfMemoryError
 from repro.workloads import (
@@ -258,7 +257,6 @@ def test_dispatch_validation_and_eligibility():
                         sim_backend="bogus")
     # Every online run is eligible; auto therefore runs fast with no
     # fallback reason recorded.
-    assert fast_online_eligibility(plan, trace, cfg) is None
     auto = simulate_online(plan, cluster, spec, trace, config=cfg)
     assert auto.sim_backend == "fast"
     assert auto.backend_reason is None

@@ -75,18 +75,28 @@ def test_variable_cheaper_than_uniform_max(small_cluster, opt13b, vworkload):
 
 
 def test_uniform_lengths_match_uniform_simulator(small_cluster, opt13b):
-    """With identical per-request lengths both simulators must agree."""
+    """A uniform batch is the equal-lengths variable batch: the variable
+    event engine and the uniform fast path agree bit-for-bit."""
     vwl = VariableBatchWorkload(prompt_len=256, output_lens=(32,) * 8)
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
-    var = simulate_plan_variable(plan, small_cluster, opt13b, vwl)
+    var = simulate_plan_variable(
+        plan, small_cluster, opt13b, vwl, sim_backend="event"
+    )
     uni = simulate_plan(
         plan, small_cluster, opt13b,
         BatchWorkload(batch=8, prompt_len=256, output_len=32),
+        sim_backend="fast",
     )
+    assert (var.sim_backend, uni.sim_backend) == ("event", "fast")
+    assert var == uni
     assert var.total_tokens == uni.total_tokens
-    assert var.makespan_s == pytest.approx(uni.makespan_s, rel=0.02)
+    assert var.makespan_s == uni.makespan_s
+    assert var.stage_busy_s == uni.stage_busy_s
+    assert var.events_processed == uni.events_processed
+    assert var.energy_j is not None and var.energy_j == uni.energy_j
+    assert var.cost_usd == uni.cost_usd
 
 
 def test_single_step_requests(small_cluster, opt13b):
