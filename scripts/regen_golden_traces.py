@@ -3,14 +3,16 @@
 
 Run after an *intentional* change to the discrete-event simulator, the
 degraded-recovery mirror, the observability span taxonomy, or the
-heuristic planner tier, then review the fixture diffs like any other
+planner, then review the fixture diffs like any other
 code change:
 
     PYTHONPATH=src python scripts/regen_golden_traces.py
 
 ``tests/test_golden_traces.py`` compares the degraded-simulation JSON
 fixtures byte-for-byte; ``tests/test_golden_heuristic_plans.py`` the
-heuristic-tier plan grid; ``tests/test_golden_fault_demo_trace.py``
+heuristic-tier plan grid; ``tests/test_golden_planner_paths.py`` the
+DP tier, verify re-score, objective re-rank and incremental re-plan
+results; ``tests/test_golden_fault_demo_trace.py``
 compares the normalized span trace of the fault-tolerance demo.
 """
 

@@ -12,7 +12,10 @@ regenerates them after an intentional simulator change.
 The heuristic-plan fixture pins the bitwidth-transfer planner tier the
 same way: one line per (model, Table-III cluster, quality budget) grid
 point with the chosen plan and its predicted figures, compared exactly
-by ``tests/test_golden_heuristic_plans.py``.
+by ``tests/test_golden_heuristic_plans.py``.  The planner-paths fixture
+pins the paths that fixture does not reach: the DP tier, the verify
+re-score, the energy/cost re-rank and both incremental re-plan deltas
+(``tests/test_golden_planner_paths.py``).
 """
 
 from __future__ import annotations
@@ -22,13 +25,18 @@ import json
 from pathlib import Path
 from typing import Callable, Dict
 
-from repro.core import SplitQuantPlanner
+from repro.core import (
+    ClusterDelta,
+    JobDelta,
+    PlannerConfig,
+    SplitQuantPlanner,
+)
 from repro.fleet import default_fleet_config
 from repro.hardware import make_cluster, table_iii_cluster
 from repro.models import get_model
 from repro.pipeline import simulate_degraded
 from repro.pipeline.stage import RooflineTiming
-from repro.plan import uniform_plan
+from repro.plan import InfeasibleError, uniform_plan
 from repro.runtime import FaultPlan, FaultSpec
 from repro.serialization import _round_floats, dumps_degraded_result, to_dict
 from repro.workloads import BatchWorkload
@@ -176,6 +184,137 @@ def heuristic_plans() -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+PLANNER_PATHS = "planner_paths"
+PATHS_MODEL = "opt-13b"
+PATHS_WORKLOAD = BatchWorkload(batch=8, prompt_len=256, output_len=32)
+PATHS_OBJECTIVES = ("throughput", "energy", "cost")
+PATHS_DP_CLUSTERS = {
+    "8xV100+4xT4": [("V100-32G", 8), ("T4-16G", 4)],
+    "4xA100+4xV100+4xT4": [
+        ("A100-40G", 4), ("V100-32G", 4), ("T4-16G", 4)
+    ],
+}
+PATHS_EXACT_CLUSTERS = (3, 5, 7)
+PATHS_REPLAN_CLUSTER = [("A100-40G", 1), ("V100-32G", 1), ("T4-16G", 1)]
+PATHS_JOB_BATCHES = (4, 16, 32)
+
+
+def _paths_entry(run: Callable[[], object]) -> object:
+    """One planner result as a fixture entry (``None`` when nothing
+    fits, the exception type name when planning raises)."""
+    try:
+        res = run()
+    except InfeasibleError as exc:
+        return {"error": type(exc).__name__}
+    if res is None:
+        return None
+    return {
+        "plan": to_dict(res.plan),
+        "tier": res.tier,
+        "tier_reason": res.tier_reason,
+        "predicted_latency_s": res.predicted_latency_s,
+        "predicted_quality": res.predicted_quality,
+        "throughput_tokens_s": res.throughput_tokens_s,
+        "gap_bound": res.gap_bound,
+        "predicted_energy_j": res.predicted_energy_j,
+        "predicted_cost_usd": res.predicted_cost_usd,
+    }
+
+
+def planner_paths() -> str:
+    """Planner paths beyond the heuristic grid, one result per line.
+
+    Every path runs with ``verify_top_k=3`` and two micro-batch sizes, so
+    the verify re-score and the energy/cost re-rank see several
+    candidates:
+
+    - the DP tier on two 12-GPU clusters, both solve backends, all three
+      objectives;
+    - the heuristic exact tier on Table-III clusters 3, 5 and 7, all
+      three objectives, plus the throughput objective under a hard
+      quality budget;
+    - incremental re-planning on a 3-GPU cluster: a ClusterDelta killing
+      each device (and one killing two, which forces the re-solve), and
+      a JobDelta to each new batch size.
+    """
+    spec = get_model(PATHS_MODEL)
+    base = PlannerConfig(microbatch_candidates=(4, 8), verify_top_k=3)
+    wl = PATHS_WORKLOAD
+    entries = []
+    for name, groups in PATHS_DP_CLUSTERS.items():
+        cluster = make_cluster(name, groups)
+        for heur in (False, True):
+            planner = SplitQuantPlanner(
+                spec, cluster, dataclasses.replace(base, use_heuristic=heur)
+            )
+            for obj in PATHS_OBJECTIVES:
+                entries.append((
+                    f"dp/{name}/heuristic={heur}/{obj}",
+                    _paths_entry(
+                        lambda: planner.plan(wl, tier="dp", objective=obj)
+                    ),
+                ))
+    for idx in PATHS_EXACT_CLUSTERS:
+        planner = SplitQuantPlanner(
+            spec,
+            table_iii_cluster(idx),
+            dataclasses.replace(base, use_heuristic=True),
+        )
+        for obj in PATHS_OBJECTIVES:
+            entries.append((
+                f"exact-heuristic/cluster-{idx}/{obj}",
+                _paths_entry(
+                    lambda: planner.plan(wl, tier="exact", objective=obj)
+                ),
+            ))
+        # Under a hard quality budget the verify pick scores latency alone.
+        budgeted = SplitQuantPlanner(
+            spec,
+            planner.cluster,
+            dataclasses.replace(
+                planner.config, quality_budget=planner.uniform_quality(4)
+            ),
+            cost_model=planner.cost_model,
+            omega_layers=planner.omega_layers,
+        )
+        entries.append((
+            f"exact-heuristic/cluster-{idx}/budget=uniform4",
+            _paths_entry(lambda: budgeted.plan(wl, tier="exact")),
+        ))
+    cluster = make_cluster("replan", PATHS_REPLAN_CLUSTER)
+    planner = SplitQuantPlanner(
+        spec,
+        cluster,
+        dataclasses.replace(
+            base, enable_tp=False, microbatch_candidates=(2, 4, 8)
+        ),
+    )
+    prev = planner.plan(wl)
+    entries.append(("replan/initial", _paths_entry(lambda: prev)))
+    # Single kills repair; losing the A100 and the V100 together leaves
+    # the T4 alone, where the repair cannot fit and the re-solve runs.
+    kills = [(d.device_id,) for d in cluster.devices] + [(0, 1)]
+    for removed in kills:
+        delta = ClusterDelta(removed_device_ids=removed)
+        entries.append((
+            "replan/cluster-delta/kill-" + "+".join(map(str, removed)),
+            _paths_entry(lambda: planner.replan(prev, delta)),
+        ))
+    for batch in PATHS_JOB_BATCHES:
+        delta = JobDelta(
+            BatchWorkload(batch=batch, prompt_len=256, output_len=48)
+        )
+        entries.append((
+            f"replan/job-delta/batch={batch}",
+            _paths_entry(lambda: planner.replan(prev, delta)),
+        ))
+    lines = [
+        json.dumps(key) + ": " + json.dumps(_round_floats(entry), sort_keys=True)
+        for key, entry in entries
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def fixture_path(name: str) -> Path:
     return DATA_DIR / f"{name}.json"
 
@@ -184,7 +323,11 @@ def regenerate_all() -> Dict[str, Path]:
     """(Re)write every fixture; returns the paths written."""
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     written = {}
-    builders = {**GOLDEN_SCENARIOS, HEURISTIC_PLANS: heuristic_plans}
+    builders = {
+        **GOLDEN_SCENARIOS,
+        HEURISTIC_PLANS: heuristic_plans,
+        PLANNER_PATHS: planner_paths,
+    }
     for name, build in builders.items():
         path = fixture_path(name)
         path.write_text(build())
