@@ -15,7 +15,7 @@ Three headlines, emitted to ``benchmarks/BENCH_planner_scale.json``:
 * ``incremental_vs_cold`` — ``replan(prev, ClusterDelta(...))`` vs a
   cold re-plan on the reduced cluster after losing one GPU.  The
   incremental path repairs the previous plan and re-scores it with one
-  fastsim sweep; empirically >1000x faster.  The hard floor here is a
+  fastsim sweep; about 35x faster on a 2-vCPU host.  The hard floor is a
   conservative 3x so noisy CI boxes never flake, and the repaired
   plan must keep at least half the cold plan's throughput.
 """

@@ -43,7 +43,7 @@ compares them against the records committed under ``benchmarks/``:
   the DP tier, the certified gap bound stays inside ``[1, 25)`` and
   within tolerance of the committed bound, and the incremental re-solve
   beats a cold re-plan by >= 3x while keeping >= half its throughput.
-  The raw incremental speedup (~1000x) is reported, not gated — the
+  The raw incremental speedup (~35x) is reported, not gated — the
   numerator is milliseconds and CI-noise dominated.
 
 Structural invariants (plan parity between the two search paths, the

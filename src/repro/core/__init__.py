@@ -9,7 +9,6 @@ from .enumeration import (
     node_tp_groupings,
     scalable_orderings,
 )
-from .exhaustive import brute_force_solve
 from .heuristic import bitwidth_transfer
 from .ilp import (
     ILPSolution,
@@ -47,7 +46,6 @@ __all__ = [
     "microbatch_candidates",
     "node_tp_groupings",
     "scalable_orderings",
-    "brute_force_solve",
     "bitwidth_transfer",
     "ILPSolution",
     "lagrangian_bound",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,16 +45,10 @@ from ..hardware.cluster import ClusterSpec
 from ..models import layers as _L
 from ..models.architectures import ModelSpec
 from ..obs import metrics, trace
-from ..pipeline.stage import CostModelTiming
+from ..pipeline.stage import TimingSource
 from ..workloads.spec import BatchWorkload
 from .config import PlannerConfig
-from .costs import (
-    PlanningProblem,
-    StageGroup,
-    build_problem,
-    group_layers,
-    problem_invariants,
-)
+from .costs import PlanningProblem, StageGroup, group_layers
 from .enumeration import (
     candidate_orderings,
     microbatch_candidates,
@@ -62,7 +56,13 @@ from .enumeration import (
 )
 from .heuristic import bitwidth_transfer
 from .ilp import ILPSolution
-from .search import CandidateStat, SearchStats, analytic_lower_bound
+from .search import (
+    CandidateStat,
+    SearchStats,
+    analytic_lower_bound,
+    enumerate_candidates,
+    rank_candidates,
+)
 
 __all__ = [
     "DPOutcome",
@@ -123,20 +123,23 @@ def flow_relaxed_span(
 
 def _prefix_depths(
     ordering: Tuple[StageGroup, ...],
+    timing: TimingSource,
     cluster: ClusterSpec,
     spec: ModelSpec,
     workload: BatchWorkload,
-    timing: CostModelTiming,
     config: PlannerConfig,
-    max_depth: int,
 ) -> List[int]:
     """Pipeline depths worth solving, ranked by the flow relaxation.
 
     Depths shallower than the min-bits capacity floor are skipped; the
     survivors are scored with :func:`flow_relaxed_span` and the best
-    ``config.dp_prefix_candidates`` (always including ``max_depth``) are
-    solved exactly by the segment DP.
+    ``config.dp_prefix_candidates`` (always including the deepest: every
+    stage group, at most one per layer group) are solved exactly by the
+    segment DP.
     """
+    max_depth = min(
+        len(ordering), len(group_layers(spec.num_layers, config.group_size))
+    )
     min_bits = min(config.bit_choices)
     per_layer = _L.weight_storage_bytes(spec, min_bits)
     need = spec.num_layers * per_layer
@@ -314,13 +317,14 @@ def solve_segment_dp(
     if kidx is None:
         return None
     bits = tuple(problem.bit_choices[k] for k in kidx)
+    latency = problem.latency_estimate(stage, bits)
+    quality = problem.quality_sum(bits)
     sol = ILPSolution(
         assign_stage=tuple(stage),
         assign_bits=bits,
-        objective=problem.latency_estimate(stage, bits)
-        + theta * problem.quality_sum(bits),
-        latency_s=problem.latency_estimate(stage, bits),
-        quality=problem.quality_sum(bits),
+        objective=latency + theta * quality,
+        latency_s=latency,
+        quality=quality,
         solve_time_s=0.0,
         status="dp",
     )
@@ -358,125 +362,53 @@ def dp_search(
     t0 = time.perf_counter()
     cfg = config
     theta = 0.0 if cfg.quality_budget is not None else cfg.theta
-    n_layer_groups = len(group_layers(spec.num_layers, cfg.group_size))
     small = len(cluster.devices) <= cfg.auto_exact_max_devices
-    if small:
-        orderings = candidate_orderings(
-            cluster, enable_tp=cfg.enable_tp, max_orderings=cfg.max_orderings
-        )
-    else:
-        orderings = scalable_orderings(
-            cluster, enable_tp=cfg.enable_tp, max_orderings=cfg.max_orderings
-        )
-    mbs = microbatch_candidates(workload.batch, cfg.microbatch_candidates)
-    kv_choices = cfg.kv_bit_choices or (cfg.bit_kv,)
-    min_weights = spec.num_layers * _L.weight_storage_bytes(
-        spec, min(cfg.bit_choices)
+    orderings = (candidate_orderings if small else scalable_orderings)(
+        cluster, enable_tp=cfg.enable_tp, max_orderings=cfg.max_orderings
     )
-
-    stats: List[CandidateStat] = []
-    candidates: List[tuple] = []
-    enumerated = solved = infeasible = 0
+    # Small clusters mirror the exact tier's search space: every ordering
+    # uses all of its stage groups.
+    candidates, _ = enumerate_candidates(
+        spec,
+        cluster,
+        cfg,
+        omega_layers,
+        cost_model_for_kv,
+        workload,
+        orderings,
+        depths=None if small else (
+            lambda ordering, timing: _prefix_depths(
+                ordering, timing, cluster, spec, workload, cfg
+            )
+        ),
+    )
+    infeasible = 0
     bound_time = 0.0
     cum_solve = 0.0
     best_lb = float("inf")
     tightness: List[float] = []
+    for cand in candidates:
+        ts = time.perf_counter()
+        sol = solve_segment_dp(cand.problem, theta, cfg.quality_budget, cfg)
+        cum_solve += time.perf_counter() - ts
+        cand.record(sol, cfg)
+        if sol is None:
+            infeasible += 1
+            continue
+        tb = time.perf_counter()
+        lb = analytic_lower_bound(cand.problem, theta, cfg.quality_budget)
+        bound_time += time.perf_counter() - tb
+        best_lb = min(best_lb, lb)
+        if cand.score > 0:
+            tightness.append(min(lb / cand.score, 1.0))
 
-    for bit_kv in kv_choices:
-        cost_model = cost_model_for_kv(bit_kv)
-        timing = CostModelTiming(cost_model=cost_model, spec=spec)
-        for ordering in orderings:
-            max_depth = min(len(ordering), n_layer_groups)
-            if small:
-                # Mirror the exact tier's search space: every ordering
-                # uses all of its stage groups.
-                depths = [len(ordering)]
-            else:
-                depths = _prefix_depths(
-                    ordering, cluster, spec, workload, timing, cfg, max_depth
-                )
-            for depth in depths:
-                prefix = ordering[:depth]
-                if min_weights > sum(sg.capacity_bytes for sg in prefix):
-                    continue
-                invariants = problem_invariants(
-                    spec,
-                    cluster,
-                    prefix,
-                    workload,
-                    omega_layers,
-                    cfg.bit_choices,
-                    group_size=cfg.group_size,
-                    bit_kv=bit_kv,
-                )
-                key = tuple(sg.key() for sg in prefix)
-                for eta in mbs:
-                    for xi in mbs:
-                        if cfg.tie_microbatches and xi != eta:
-                            continue
-                        enumerated += 1
-                        problem = build_problem(
-                            spec,
-                            cluster,
-                            prefix,
-                            workload,
-                            cost_model,
-                            omega_layers,
-                            eta,
-                            xi,
-                            cfg.bit_choices,
-                            group_size=cfg.group_size,
-                            bit_kv=bit_kv,
-                            phase_blind=cfg.phase_blind,
-                            timing=timing,
-                            invariants=invariants,
-                        )
-                        ts = time.perf_counter()
-                        sol = solve_segment_dp(
-                            problem, theta, cfg.quality_budget, cfg
-                        )
-                        cum_solve += time.perf_counter() - ts
-                        solved += 1
-                        if sol is None:
-                            infeasible += 1
-                            stats.append(
-                                CandidateStat(
-                                    key, eta, xi, "infeasible", 0.0, 0.0, 0.0
-                                )
-                            )
-                            continue
-                        tb = time.perf_counter()
-                        lb = analytic_lower_bound(
-                            problem, theta, cfg.quality_budget
-                        )
-                        bound_time += time.perf_counter() - tb
-                        best_lb = min(best_lb, lb)
-                        stats.append(
-                            CandidateStat(
-                                key,
-                                eta,
-                                xi,
-                                sol.status,
-                                sol.latency_s,
-                                sol.quality,
-                                sol.solve_time_s,
-                            )
-                        )
-                        score = sol.latency_s + theta * sol.quality
-                        if score > 0:
-                            tightness.append(min(lb / score, 1.0))
-                        candidates.append(
-                            (score, sol, prefix, problem.group_sizes,
-                             eta, xi, bit_kv)
-                        )
-
-    candidates.sort(key=lambda c: c[0])  # stable: ties keep loop order
+    ranked = [c.entry() for c in rank_candidates(candidates)]
     gap_bound: Optional[float] = None
-    if candidates and np.isfinite(best_lb) and best_lb > 0:
-        gap_bound = float(candidates[0][0] / best_lb)
+    if ranked and np.isfinite(best_lb) and best_lb > 0:
+        gap_bound = float(ranked[0][0] / best_lb)
     search = SearchStats(
-        enumerated=enumerated,
-        solved=solved,
+        enumerated=len(candidates),
+        solved=len(candidates),
         pruned=0,
         infeasible=infeasible,
         cache_hits=0,
@@ -493,10 +425,10 @@ def dp_search(
     )
     if trace.enabled:
         metrics.counter("planner.dp_searches").inc()
-        metrics.counter("planner.dp_candidates").inc(enumerated)
+        metrics.counter("planner.dp_candidates").inc(len(candidates))
     return DPOutcome(
-        ranked=candidates,
-        stats=tuple(stats),
+        ranked=ranked,
+        stats=tuple(c.stat() for c in candidates),
         search=search,
         gap_bound=gap_bound,
     )

@@ -34,7 +34,12 @@ from .costs import PlanningProblem, StageGroup, build_problem
 from .enumeration import candidate_orderings, microbatch_candidates
 from .heuristic import bitwidth_transfer
 from .ilp import ILPSolution, solve_partition_ilp
-from .search import CandidateSearchEngine, CandidateStat, SearchStats
+from .search import (
+    CandidateSearchEngine,
+    CandidateStat,
+    SearchStats,
+    candidate_score,
+)
 
 #: How deep into the ranked candidate frontier the objective re-rank
 #: looks (at least ``config.verify_top_k``): every scored candidate gets
@@ -326,110 +331,107 @@ class SplitQuantPlanner:
             time_limit_s=cfg.time_limit_s,
         )
 
-    def _verify_candidates(
+    def _simulate_frontier(
         self, top, workload: BatchWorkload
-    ) -> Tuple[Any, int, int]:
-        """Dry-run the leading candidates through the simulator, batched.
+    ) -> Tuple[List[Tuple[Any, Any, Any]], int]:
+        """Expand ranked candidates to plans and simulate them, batched.
 
-        Timing comes from the fitted cost model (never the testbed truth),
-        so this is a pure refinement of the analytic pipeline formula —
-        it captures bubble/feedback effects the closed form approximates.
-        The whole top-k frontier is scored in one batched fastsim sweep
-        (bit-identical to per-plan simulation); the discrete-event engine
-        then re-simulates the winner as the bit-exactness oracle, falling
-        back to per-candidate event selection if the check ever fails.
-        Returns ``(winner, plans_scored, batches)``.
+        Timing comes from the fitted cost model (never the testbed
+        truth).  Candidates that do not expand are skipped; the rest are
+        scored in one :func:`~repro.pipeline.batchsim.evaluate_plans`
+        sweep (bit-identical to per-plan simulation), which also stamps
+        joules and dollars on each result.  If the sweep raises, each
+        plan is simulated alone and the failures are dropped.  Returns
+        ``([(candidate, plan case, result)], batches)``, where
+        ``batches`` is 1 when the batched sweep ran and 0 otherwise.
         """
         from ..pipeline.batchsim import PlanCase, evaluate_plans
-        from ..pipeline.simulator import simulate_plan
         from ..pipeline.stage import CostModelTiming
 
-        with trace.span("planner.verify", k=len(top)):
-            cases: List[Tuple[Any, "PlanCase"]] = []
-            for cand in top:
-                _, sol, ordering, group_sizes, eta, xi, bit_kv = cand
-                timing = CostModelTiming(
-                    cost_model=self.cost_model_for_kv(bit_kv), spec=self.spec
-                )
-                try:
-                    plan = solution_to_plan(
-                        self.spec, ordering, group_sizes, sol, eta, xi, bit_kv
-                    )
-                except (ValueError, RuntimeError):
-                    continue
-                cases.append(
-                    (cand, PlanCase(plan, self.cluster, self.spec,
-                                    workload, timing))
-                )
-            if not cases:
-                return top[0], 0, 0
-            try:
-                results = evaluate_plans([pc for _, pc in cases])
-            except (ValueError, RuntimeError):
-                best = self._verify_candidates_inner(
-                    top, workload, simulate_plan, CostModelTiming
-                )
-                return best, 0, 0
-            best = None
-            best_makespan = float("inf")
-            best_pc = best_res = None
-            for (cand, pc), res in zip(cases, results):
-                sol = cand[1]
-                penalty = (
-                    0.0
-                    if self.config.quality_budget is not None
-                    else self.config.theta * sol.quality
-                )
-                if res.makespan_s + penalty < best_makespan:
-                    best_makespan = res.makespan_s + penalty
-                    best, best_pc, best_res = cand, pc, res
-            if best is None:
-                return top[0], len(cases), 1
-            # Differential oracle: the event engine re-simulates the
-            # winner; any disagreement with the batched score falls back
-            # to the per-candidate event path (and is counted).
-            oracle = simulate_plan(
-                best_pc.plan, self.cluster, self.spec, workload,
-                timing=best_pc.timing, check_memory=False,
-                sim_backend="event",
-            )
-            if oracle != best_res:  # pragma: no cover - exactness guard
-                if trace.enabled:
-                    metrics.counter("planner.verify_oracle_mismatch").inc()
-                best = self._verify_candidates_inner(
-                    top, workload, simulate_plan, CostModelTiming
-                )
-            return best, len(cases), 1
-
-    def _verify_candidates_inner(
-        self, top, workload, simulate_plan, CostModelTiming
-    ):
-        best = None
-        best_makespan = float("inf")
+        cases = []
         for cand in top:
             _, sol, ordering, group_sizes, eta, xi, bit_kv = cand
-            timing = CostModelTiming(
-                cost_model=self.cost_model_for_kv(bit_kv), spec=self.spec
-            )
             try:
                 plan = solution_to_plan(
                     self.spec, ordering, group_sizes, sol, eta, xi, bit_kv
                 )
+            except (ValueError, RuntimeError):
+                continue
+            timing = CostModelTiming(
+                cost_model=self.cost_model_for_kv(bit_kv), spec=self.spec
+            )
+            cases.append(
+                (cand, PlanCase(plan, self.cluster, self.spec, workload, timing))
+            )
+        if not cases:
+            return [], 0
+        try:
+            results = evaluate_plans([pc for _, pc in cases])
+        except (ValueError, RuntimeError):
+            return self._simulate_each(cases), 0
+        return [(c, pc, r) for (c, pc), r in zip(cases, results)], 1
+
+    def _simulate_each(self, cases) -> List[Tuple[Any, Any, Any]]:
+        """Per-plan simulation of ``(candidate, plan case)`` pairs,
+        dropping the plans that fail."""
+        from ..pipeline.simulator import simulate_plan
+
+        scored = []
+        for cand, pc in cases:
+            try:
                 res = simulate_plan(
-                    plan, self.cluster, self.spec, workload,
-                    timing=timing, check_memory=False,
+                    pc.plan, pc.cluster, pc.spec, pc.workload,
+                    timing=pc.timing, check_memory=False,
                 )
             except (ValueError, RuntimeError):
                 continue
-            penalty = (
-                0.0
-                if self.config.quality_budget is not None
-                else self.config.theta * sol.quality
-            )
-            if res.makespan_s + penalty < best_makespan:
-                best_makespan = res.makespan_s + penalty
-                best = cand
-        return best if best is not None else top[0]
+            scored.append((cand, pc, res))
+        return scored
+
+    def _verify_candidates(
+        self, top, workload: BatchWorkload
+    ) -> Tuple[Any, int, int]:
+        """Dry-run the leading candidates through the simulator.
+
+        A pure refinement of the analytic pipeline formula: it captures
+        bubble/feedback effects the closed form approximates.  The
+        frontier is scored by :meth:`_simulate_frontier` and the best
+        objective-(4) score wins, ties keeping the ranking's order.  The
+        discrete-event engine then re-simulates the winner as the
+        bit-exactness oracle; on a disagreement (counted) the frontier
+        is re-scored plan by plan.  Returns ``(winner, plans_scored,
+        batches)``; the counts are 0 unless the batched sweep ran.
+        """
+        from ..pipeline.simulator import simulate_plan
+
+        def pick(scored):
+            best, best_score = None, float("inf")
+            for cand, pc, res in scored:
+                score = candidate_score(
+                    res.makespan_s, cand[1].quality, self.config
+                )
+                if score < best_score:
+                    best, best_score = (cand, pc, res), score
+            return best
+
+        with trace.span("planner.verify", k=len(top)):
+            scored, batches = self._simulate_frontier(top, workload)
+            best = pick(scored)
+            if best is not None and batches:
+                _, pc, res = best
+                oracle = simulate_plan(
+                    pc.plan, self.cluster, self.spec, workload,
+                    timing=pc.timing, check_memory=False,
+                    sim_backend="event",
+                )
+                if oracle != res:  # pragma: no cover - exactness guard
+                    if trace.enabled:
+                        metrics.counter("planner.verify_oracle_mismatch").inc()
+                    best = pick(
+                        self._simulate_each([(c, p) for c, p, _ in scored])
+                    )
+            winner = top[0] if best is None else best[0]
+            return winner, len(scored) * batches, batches
 
     def resolve_tier(self, tier: Optional[str] = None) -> Tuple[str, str]:
         """Resolve a requested tier to a concrete one, with a reason.
@@ -482,78 +484,43 @@ class SplitQuantPlanner:
         chosen plan is bit-identical to pre-energy planning.
         """
         resolved, reason = self.resolve_tier(tier)
-        if resolved == "dp":
-            return self._plan_dp(
-                workload, reason, objective=objective, budget=budget
-            )
+        dp = resolved == "dp"
         t0 = time.perf_counter()
         with trace.span(
-            "planner.plan",
+            "planner.plan_dp" if dp else "planner.plan",
             model=self.spec.name,
             cluster=self.cluster.name,
             batch=workload.batch,
             output_len=workload.output_len,
         ) as sp:
-            engine = CandidateSearchEngine(
-                self.spec,
-                self.cluster,
-                self.config,
-                self.omega_layers,
-                self.cost_model_for_kv,
-                self._solve_one,
-            )
-            # An energy/cost re-rank reads the whole leading frontier.
-            top_k = self.config.verify_top_k
-            if (objective or self.config.objective) in ("energy", "cost"):
-                top_k = max(top_k, OBJECTIVE_FRONTIER_K)
-            outcome = engine.search(workload, top_k=top_k)
-            result = self._finish(
-                outcome.ranked,
-                outcome.stats,
-                workload,
-                t0,
-                search=outcome.search,
-                objective=objective,
-                budget=budget,
-            )
-            if result is not None:
-                result = replace(result, tier="exact", tier_reason=reason)
-            sp.set(feasible=result is not None)
-            if trace.enabled:
-                metrics.counter("planner.plans").inc()
-                metrics.histogram("planner.plan_wall_s").observe(
-                    time.perf_counter() - t0
+            gap_bound = None
+            if dp:
+                # The scalable tier: segment DP + flow relaxation, no MILP.
+                from .dp import dp_search
+
+                outcome = dp_search(
+                    self.spec,
+                    self.cluster,
+                    self.config,
+                    self.omega_layers,
+                    self.cost_model_for_kv,
+                    workload,
                 )
-                if result is None:
-                    metrics.counter("planner.plans_infeasible").inc()
-            return result
-
-    def _plan_dp(
-        self,
-        workload: BatchWorkload,
-        reason: str,
-        objective: Optional[str] = None,
-        budget: Optional[float] = None,
-    ) -> Optional[PlannerResult]:
-        """The scalable tier: segment DP + flow relaxation, no MILP."""
-        from .dp import dp_search
-
-        t0 = time.perf_counter()
-        with trace.span(
-            "planner.plan_dp",
-            model=self.spec.name,
-            cluster=self.cluster.name,
-            batch=workload.batch,
-            output_len=workload.output_len,
-        ) as sp:
-            outcome = dp_search(
-                self.spec,
-                self.cluster,
-                self.config,
-                self.omega_layers,
-                self.cost_model_for_kv,
-                workload,
-            )
+                gap_bound = outcome.gap_bound
+            else:
+                engine = CandidateSearchEngine(
+                    self.spec,
+                    self.cluster,
+                    self.config,
+                    self.omega_layers,
+                    self.cost_model_for_kv,
+                    self._solve_one,
+                )
+                # An energy/cost re-rank reads the whole leading frontier.
+                top_k = self.config.verify_top_k
+                if (objective or self.config.objective) in ("energy", "cost"):
+                    top_k = max(top_k, OBJECTIVE_FRONTIER_K)
+                outcome = engine.search(workload, top_k=top_k)
             result = self._finish(
                 outcome.ranked,
                 outcome.stats,
@@ -566,14 +533,19 @@ class SplitQuantPlanner:
             if result is not None:
                 result = replace(
                     result,
-                    tier="dp",
+                    tier=resolved,
                     tier_reason=reason,
-                    gap_bound=outcome.gap_bound,
+                    gap_bound=gap_bound,
                 )
             sp.set(feasible=result is not None)
             if trace.enabled:
                 metrics.counter("planner.plans").inc()
-                metrics.counter("planner.dp_plans").inc()
+                if dp:
+                    metrics.counter("planner.dp_plans").inc()
+                else:
+                    metrics.histogram("planner.plan_wall_s").observe(
+                        time.perf_counter() - t0
+                    )
                 if result is None:
                     metrics.counter("planner.plans_infeasible").inc()
             return result
@@ -814,62 +786,27 @@ class SplitQuantPlanner:
     ) -> Tuple[Any, float, float]:
         """Re-rank the candidate frontier through the energy model.
 
-        Every leading candidate is expanded and scored in one batched
-        fastsim sweep, which stamps joules and dollars on each result
-        (:func:`repro.pipeline.simulator.attach_energy`).  With no
+        Every leading candidate is expanded and scored by
+        :meth:`_simulate_frontier`, whose results carry joules and
+        dollars (:func:`repro.pipeline.simulator.attach_energy`).  With no
         budget the minimum-metric candidate wins (J/token under
         ``"energy"``, $/Mtoken under ``"cost"``); with a budget the
         fastest candidate under the ceiling wins.  Ties keep the search
         ranking's order.  Returns ``(candidate, energy_j, cost_usd)``.
         """
-        from ..pipeline.batchsim import PlanCase, evaluate_plans
-        from ..pipeline.simulator import simulate_plan
-        from ..pipeline.stage import CostModelTiming
-
         top = ranked[: max(self.config.verify_top_k, OBJECTIVE_FRONTIER_K)]
         with trace.span(
             "planner.objective_rerank", objective=objective, k=len(top)
         ):
-            cases: List[Tuple[Any, Any]] = []
-            for cand in top:
-                _, sol, ordering, group_sizes, eta, xi, bit_kv = cand
-                timing = CostModelTiming(
-                    cost_model=self.cost_model_for_kv(bit_kv), spec=self.spec
-                )
-                try:
-                    plan = solution_to_plan(
-                        self.spec, ordering, group_sizes, sol, eta, xi, bit_kv
-                    )
-                except (ValueError, RuntimeError):
-                    continue
-                cases.append(
-                    (cand, PlanCase(plan, self.cluster, self.spec,
-                                    workload, timing))
-                )
-            if not cases:
+            frontier, _ = self._simulate_frontier(top, workload)
+            if not frontier:
                 raise InfeasibleError(
                     f"objective={objective!r}: no expandable candidates"
                 )
-            try:
-                results = evaluate_plans([pc for _, pc in cases])
-            except (ValueError, RuntimeError):
-                results = [
-                    simulate_plan(
-                        pc.plan, self.cluster, self.spec, workload,
-                        timing=pc.timing, check_memory=False,
-                    )
-                    for _, pc in cases
-                ]
-            scored = [
-                (
-                    cand,
-                    res,
-                    res.joules_per_token
-                    if objective == "energy"
-                    else res.usd_per_mtoken,
-                )
-                for (cand, _), res in zip(cases, results)
-            ]
+            metric = (
+                "joules_per_token" if objective == "energy" else "usd_per_mtoken"
+            )
+            scored = [(c, res, getattr(res, metric)) for c, _, res in frontier]
             pool = scored
             if budget is not None:
                 pool = [s for s in scored if s[2] <= budget]

@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..obs import metrics, trace
 from ..plan import ExecutionPlan, InfeasibleError
 from ..workloads.spec import BatchWorkload
-from .costs import StageGroup, build_problem
-from .enumeration import microbatch_candidates
+from .costs import StageGroup
 from .heuristic import bitwidth_transfer
 from .ilp import ILPSolution
-from .search import CandidateStat
+from .search import CandidateStat, enumerate_candidates, rank_candidates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .planner import PlannerResult, SplitQuantPlanner
@@ -325,63 +324,32 @@ def _replan_job(
                 raise InfeasibleError("no feasible plan for new workload")
             return result
         theta = 0.0 if cfg.quality_budget is not None else cfg.theta
-        bit_kv = prev.plan.bit_kv
-        cost_model = planner.cost_model_for_kv(bit_kv)
-        mbs = microbatch_candidates(workload.batch, cfg.microbatch_candidates)
-        key = tuple(sg.key() for sg in ordering)
-        stats: List[CandidateStat] = []
-        candidates: List[tuple] = []
-        for eta in mbs:
-            for xi in mbs:
-                if cfg.tie_microbatches and xi != eta:
-                    continue
-                problem = build_problem(
-                    planner.spec,
-                    planner.cluster,
-                    ordering,
-                    workload,
-                    cost_model,
-                    planner.omega_layers,
-                    eta,
-                    xi,
-                    cfg.bit_choices,
-                    group_size=cfg.group_size,
-                    bit_kv=bit_kv,
-                    phase_blind=cfg.phase_blind,
-                )
-                start = _warm_solution(problem, prev.plan)
-                sol = bitwidth_transfer(
-                    problem,
-                    theta=theta,
-                    quality_budget=cfg.quality_budget,
-                    time_limit_s=cfg.time_limit_s,
-                    start=start,
-                )
-                if sol is None:
-                    stats.append(
-                        CandidateStat(
-                            key, eta, xi, "infeasible", 0.0, 0.0, 0.0
-                        )
-                    )
-                    continue
-                stats.append(
-                    CandidateStat(
-                        key,
-                        eta,
-                        xi,
-                        sol.status,
-                        sol.latency_s,
-                        sol.quality,
-                        sol.solve_time_s,
-                    )
-                )
-                score = sol.latency_s + theta * sol.quality
-                candidates.append(
-                    (score, sol, ordering, problem.group_sizes,
-                     eta, xi, bit_kv)
-                )
-        candidates.sort(key=lambda c: c[0])  # stable: ties keep loop order
-        result = planner._finish(candidates, stats, workload, t0, search=None)
+        candidates, _ = enumerate_candidates(
+            planner.spec,
+            planner.cluster,
+            cfg,
+            planner.omega_layers,
+            planner.cost_model_for_kv,
+            workload,
+            [ordering],
+            kv_choices=(prev.plan.bit_kv,),
+        )
+        for cand in candidates:
+            sol = bitwidth_transfer(
+                cand.problem,
+                theta=theta,
+                quality_budget=cfg.quality_budget,
+                time_limit_s=cfg.time_limit_s,
+                start=_warm_solution(cand.problem, prev.plan),
+            )
+            cand.record(sol, cfg)
+        result = planner._finish(
+            [c.entry() for c in rank_candidates(candidates)],
+            [c.stat() for c in candidates],
+            workload,
+            t0,
+            search=None,
+        )
         if result is not None:
             sp.set(path="warm")
             if trace.enabled:

@@ -16,6 +16,9 @@ Four layers:
    the (eta, xi)-independent tensors of each subproblem (memory table,
    grouped indicator, capacities, links) are materialized once per
    (ordering, bit_kv) via :func:`~repro.core.costs.problem_invariants`.
+   :func:`enumerate_candidates` is this grid; the DP tier and the
+   incremental re-solve enumerate through it too, and
+   :func:`candidate_score` is the one objective-(4) score they share.
 
 2. **Admissible lower-bound pruning** — before paying a solve, each
    candidate climbs a ladder of ever tighter, ever dearer bounds:
@@ -54,7 +57,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +66,7 @@ from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..models.layers import weight_storage_bytes
 from ..obs import DEFAULT_FRACTION_BUCKETS, metrics, trace
-from ..pipeline.stage import CostModelTiming, MemoizedTiming
+from ..pipeline.stage import CostModelTiming, MemoizedTiming, TimingSource
 from ..workloads.spec import BatchWorkload
 from .config import PlannerConfig
 from .costs import (
@@ -294,25 +297,15 @@ def analytic_lower_bound(
     return bound
 
 
-@dataclass
-class _Candidate:
-    """One enumerated (ordering, eta, xi, bit_kv) configuration."""
-
-    index: int  # global enumeration index (the serial tie-break key)
-    kv_index: int
-    ord_index: int
-    ordering: Tuple[StageGroup, ...]
-    bit_kv: int
-    eta: int
-    xi: int
-    problem: PlanningProblem
-    bound: float = float("-inf")  # best admissible bound known so far
-    lagrangian_done: bool = False  # sibling-multiplier bound tried
-    lp_done: bool = False  # exact-MILP LP relaxation tried
-    warm: Optional[ILPSolution] = None  # heuristic start, once seeded
-    sol: Optional[ILPSolution] = None
-    status: str = "pending"
-    score: float = float("inf")
+def candidate_score(
+    latency: float, quality: float, config: PlannerConfig
+) -> float:
+    """Objective (4): latency plus theta x quality, or latency alone
+    under a hard quality budget (Sec. VI-C), where quality is a
+    constraint rather than an objective term."""
+    if config.quality_budget is not None:
+        return latency
+    return latency + config.theta * quality
 
 
 #: Ranked candidate tuple, shaped like the planner's verify list:
@@ -329,6 +322,132 @@ RankedCandidate = Tuple[
 
 
 @dataclass
+class _Candidate:
+    """One enumerated (ordering prefix, eta, xi, bit_kv) configuration."""
+
+    index: int  # global enumeration index (the serial tie-break key)
+    #: Enumeration index of the (bit_kv, ordering prefix) it belongs to;
+    #: candidates sharing it share the MILP row space.
+    prefix_index: int
+    ordering: Tuple[StageGroup, ...]
+    bit_kv: int
+    eta: int
+    xi: int
+    problem: PlanningProblem
+    bound: float = float("-inf")  # best admissible bound known so far
+    lagrangian_done: bool = False  # sibling-multiplier bound tried
+    lp_done: bool = False  # exact-MILP LP relaxation tried
+    warm: Optional[ILPSolution] = None  # heuristic start, once seeded
+    sol: Optional[ILPSolution] = None
+    status: str = "pending"
+    score: float = float("inf")
+
+    def record(self, sol: Optional[ILPSolution], config: PlannerConfig) -> None:
+        """Store a backend solve (``None``: infeasible) and its score."""
+        self.sol = sol
+        if sol is None:
+            self.status = "infeasible"
+            return
+        self.status = "solved"
+        self.score = candidate_score(sol.latency_s, sol.quality, config)
+
+    def stat(self) -> CandidateStat:
+        sol = self.sol
+        figures = (0.0, 0.0, 0.0) if sol is None else (
+            sol.latency_s, sol.quality, sol.solve_time_s
+        )
+        return CandidateStat(
+            tuple(sg.key() for sg in self.ordering),
+            self.eta,
+            self.xi,
+            self.status if sol is None else sol.status,
+            *figures,
+            bound_s=max(self.bound, 0.0),
+        )
+
+    def entry(self) -> RankedCandidate:
+        assert self.sol is not None
+        return (self.score, self.sol, self.ordering, self.problem.group_sizes,
+                self.eta, self.xi, self.bit_kv)
+
+
+def rank_candidates(candidates: Sequence[_Candidate]) -> List[_Candidate]:
+    """The solved candidates sorted on (score, enumeration index) — the
+    order a stable score sort of the serial enumeration produces."""
+    solved = [c for c in candidates if c.status == "solved"]
+    solved.sort(key=lambda c: (c.score, c.index))
+    return solved
+
+
+def enumerate_candidates(
+    spec: ModelSpec,
+    cluster: ClusterSpec,
+    config: PlannerConfig,
+    omega_layers: np.ndarray,
+    cost_model_for_kv: Callable[[int], LatencyCostModel],
+    workload: BatchWorkload,
+    orderings: Sequence[Sequence[StageGroup]],
+    kv_choices: Optional[Sequence[int]] = None,
+    depths: Optional[
+        Callable[[Tuple[StageGroup, ...], TimingSource], Sequence[int]]
+    ] = None,
+) -> Tuple[List[_Candidate], List[MemoizedTiming]]:
+    """The planner's candidate grid, shared by every tier.
+
+    Loops KV bits (default ``config.kv_bit_choices or (config.bit_kv,)``)
+    -> ordering -> pipeline depth -> eta -> xi.  ``depths(ordering,
+    timing)`` names the leading stage-group counts to try per ordering;
+    by default only the full ordering.  A prefix whose total capacity
+    cannot hold the all-min-bits weights is skipped.  Problems share one
+    :class:`MemoizedTiming` per KV bitwidth and one
+    :func:`~repro.core.costs.problem_invariants` per prefix, so each is
+    bit-identical to a standalone :func:`build_problem`.  Returns the
+    candidates in enumeration order and the per-KV timing memos.
+    """
+    cfg = config
+    if kv_choices is None:
+        kv_choices = cfg.kv_bit_choices or (cfg.bit_kv,)
+    mbs = microbatch_candidates(workload.batch, cfg.microbatch_candidates)
+    min_weights = spec.num_layers * weight_storage_bytes(
+        spec, min(cfg.bit_choices)
+    )
+    candidates: List[_Candidate] = []
+    timings: List[MemoizedTiming] = []
+    n_prefixes = 0
+    for bit_kv in kv_choices:
+        cost_model = cost_model_for_kv(bit_kv)
+        timing = MemoizedTiming(CostModelTiming(cost_model=cost_model, spec=spec))
+        timings.append(timing)
+        for ordering in orderings:
+            ordering = tuple(ordering)
+            for depth in depths(ordering, timing) if depths else [len(ordering)]:
+                prefix = ordering[:depth]
+                if min_weights > sum(sg.capacity_bytes for sg in prefix):
+                    continue
+                inv = problem_invariants(
+                    spec, cluster, prefix, workload, omega_layers,
+                    cfg.bit_choices, group_size=cfg.group_size, bit_kv=bit_kv,
+                )
+                for eta in mbs:
+                    for xi in mbs:
+                        if cfg.tie_microbatches and xi != eta:
+                            continue
+                        problem = build_problem(
+                            spec, cluster, prefix, workload, cost_model,
+                            omega_layers, eta, xi, cfg.bit_choices,
+                            group_size=cfg.group_size, bit_kv=bit_kv,
+                            phase_blind=cfg.phase_blind, timing=timing,
+                            invariants=inv,
+                        )
+                        candidates.append(_Candidate(
+                            len(candidates), n_prefixes, prefix, bit_kv,
+                            eta, xi, problem,
+                        ))
+                n_prefixes += 1
+    return candidates, timings
+
+
+@dataclass
 class SearchOutcome:
     """Everything ``plan()`` needs from one search."""
 
@@ -340,6 +459,7 @@ class SearchOutcome:
     search: SearchStats
 
 
+@dataclass
 class CandidateSearchEngine:
     """Enumerate, bound, prune and solve planner candidates.
 
@@ -353,95 +473,14 @@ class CandidateSearchEngine:
     admissible bound proves they cannot enter the ranked top-k.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        cluster: ClusterSpec,
-        config: PlannerConfig,
-        omega_layers: np.ndarray,
-        cost_model_for_kv: Callable[[int], LatencyCostModel],
-        solve_one: Callable[
-            [PlanningProblem, Optional[ILPSolution]], Optional[ILPSolution]
-        ],
-    ) -> None:
-        self.spec = spec
-        self.cluster = cluster
-        self.config = config
-        self.omega_layers = omega_layers
-        self.cost_model_for_kv = cost_model_for_kv
-        self.solve_one = solve_one
-        self._timings: List[MemoizedTiming] = []
-
-    # -- enumeration ---------------------------------------------------
-
-    def _enumerate(self, workload: BatchWorkload) -> List[_Candidate]:
-        cfg = self.config
-        orderings = candidate_orderings(
-            self.cluster,
-            enable_tp=cfg.enable_tp,
-            max_orderings=cfg.max_orderings,
-        )
-        mbs = microbatch_candidates(workload.batch, cfg.microbatch_candidates)
-        kv_choices = cfg.kv_bit_choices or (cfg.bit_kv,)
-        # Loop-invariant feasibility floor: even all-min-bits weights must
-        # fit in the cluster's total capacity (hoisted out of the loops).
-        min_weights = self.spec.num_layers * weight_storage_bytes(
-            self.spec, min(cfg.bit_choices)
-        )
-        candidates: List[_Candidate] = []
-        for kv_i, bit_kv in enumerate(kv_choices):
-            cost_model = self.cost_model_for_kv(bit_kv)
-            timing = MemoizedTiming(
-                CostModelTiming(cost_model=cost_model, spec=self.spec)
-            )
-            self._timings.append(timing)
-            for ord_i, ordering in enumerate(orderings):
-                if min_weights > sum(sg.capacity_bytes for sg in ordering):
-                    continue
-                inv = problem_invariants(
-                    self.spec,
-                    self.cluster,
-                    ordering,
-                    workload,
-                    self.omega_layers,
-                    cfg.bit_choices,
-                    group_size=cfg.group_size,
-                    bit_kv=bit_kv,
-                )
-                for eta in mbs:
-                    for xi in mbs:
-                        if cfg.tie_microbatches and xi != eta:
-                            continue
-                        problem = build_problem(
-                            self.spec,
-                            self.cluster,
-                            ordering,
-                            workload,
-                            cost_model,
-                            self.omega_layers,
-                            eta,
-                            xi,
-                            cfg.bit_choices,
-                            group_size=cfg.group_size,
-                            bit_kv=bit_kv,
-                            phase_blind=cfg.phase_blind,
-                            timing=timing,
-                            invariants=inv,
-                        )
-                        cand = _Candidate(
-                            index=len(candidates),
-                            kv_index=kv_i,
-                            ord_index=ord_i,
-                            ordering=tuple(ordering),
-                            bit_kv=bit_kv,
-                            eta=eta,
-                            xi=xi,
-                            problem=problem,
-                        )
-                        candidates.append(cand)
-        return candidates
-
-    # -- the search ----------------------------------------------------
+    spec: ModelSpec
+    cluster: ClusterSpec
+    config: PlannerConfig
+    omega_layers: np.ndarray
+    cost_model_for_kv: Callable[[int], LatencyCostModel]
+    solve_one: Callable[
+        [PlanningProblem, Optional[ILPSolution]], Optional[ILPSolution]
+    ]
 
     def search(self, workload: BatchWorkload, top_k: int) -> SearchOutcome:
         """Run the search; the leading ``top_k`` ranked candidates are
@@ -464,7 +503,19 @@ class CandidateSearchEngine:
         prune = cfg.prune and bound_mode != "none"
 
         with trace.span("search.enumerate") as sp:
-            candidates = self._enumerate(workload)
+            candidates, timings = enumerate_candidates(
+                self.spec,
+                self.cluster,
+                cfg,
+                self.omega_layers,
+                self.cost_model_for_kv,
+                workload,
+                candidate_orderings(
+                    self.cluster,
+                    enable_tp=cfg.enable_tp,
+                    max_orderings=cfg.max_orderings,
+                ),
+            )
             sp.set(candidates=len(candidates))
         bound_time = 0.0
         lp_bounds = 0
@@ -528,28 +579,23 @@ class CandidateSearchEngine:
                         and quality > cfg.quality_budget + 1e-12
                     ):
                         continue
-                    score = problem.latency_estimate(
-                        warm.assign_stage, warm.assign_bits
+                    known[cand.index] = candidate_score(
+                        problem.latency_estimate(
+                            warm.assign_stage, warm.assign_bits
+                        ),
+                        quality,
+                        cfg,
                     )
-                    if cfg.quality_budget is None:
-                        score += cfg.theta * quality
-                    known[cand.index] = score
                     seeded += 1
                 sp.set(seeded=seeded)
             bound_time += time.perf_counter() - tb
 
         def record(cand: _Candidate, sol: Optional[ILPSolution]) -> None:
-            cand.sol = sol
+            cand.record(sol, cfg)
             if sol is None:
-                cand.status = "infeasible"
                 known.pop(cand.index, None)
-                return
-            cand.status = "solved"
-            score = sol.latency_s + cfg.theta * sol.quality
-            if cfg.quality_budget is not None:
-                score = sol.latency_s
-            cand.score = score
-            known[cand.index] = score
+            else:
+                known[cand.index] = cand.score
 
         def solve(cand: _Candidate) -> Optional[ILPSolution]:
             """Backend solve, traced (may run on a pool thread)."""
@@ -582,7 +628,7 @@ class CandidateSearchEngine:
         # bit_kv, so the same row space) first, once, then the LP itself.
         # Analytic keys never change and unpruned keys are all -inf, so
         # those modes pop in (bound, index) resp. enumeration order.
-        duals: Dict[Tuple[int, int], List[np.ndarray]] = {}
+        duals: Dict[int, List[np.ndarray]] = {}
         heap = [(c.bound, c.index) for c in candidates]
         heapq.heapify(heap)
         pool_cm = (
@@ -603,7 +649,7 @@ class CandidateSearchEngine:
                         continue
                     if bound_mode == "lp" and not cand.lp_done:
                         tb = time.perf_counter()
-                        group = (cand.kv_index, cand.ord_index)
+                        group = cand.prefix_index
                         if group in duals and not cand.lagrangian_done:
                             cand.lagrangian_done = True
                             tight = lagrangian_bound(
@@ -643,46 +689,9 @@ class CandidateSearchEngine:
 
         # Deterministic reduction: a stable sort on (score, enumeration
         # index) reproduces the serial search's stable score sort exactly.
-        solved = [c for c in candidates if c.status == "solved"]
-        solved.sort(key=lambda c: (c.score, c.index))
-        ranked: List[RankedCandidate] = [
-            (
-                c.score,
-                c.sol,
-                c.ordering,
-                c.problem.group_sizes,
-                c.eta,
-                c.xi,
-                c.bit_kv,
-            )
-            for c in solved
-        ]
-
-        stats: List[CandidateStat] = []
-        for c in candidates:
-            key = tuple(sg.key() for sg in c.ordering)
-            bound_s = max(c.bound, 0.0)
-            if c.status == "solved":
-                stats.append(
-                    CandidateStat(
-                        key,
-                        c.eta,
-                        c.xi,
-                        c.sol.status,
-                        c.sol.latency_s,
-                        c.sol.quality,
-                        c.sol.solve_time_s,
-                        bound_s=bound_s,
-                    )
-                )
-            else:
-                stats.append(
-                    CandidateStat(
-                        key, c.eta, c.xi, c.status, 0.0, 0.0, 0.0,
-                        bound_s=bound_s,
-                    )
-                )
-
+        solved = rank_candidates(candidates)
+        ranked = [c.entry() for c in solved]
+        stats = [c.stat() for c in candidates]
         tightness = [
             c.bound / c.score
             for c in solved
@@ -695,8 +704,8 @@ class CandidateSearchEngine:
             infeasible=sum(
                 1 for c in candidates if c.status == "infeasible"
             ),
-            cache_hits=sum(t.hits for t in self._timings),
-            cache_misses=sum(t.misses for t in self._timings),
+            cache_hits=sum(t.hits for t in timings),
+            cache_misses=sum(t.misses for t in timings),
             lp_bounds=lp_bounds,
             warm_starts=frontier_scored,
             mean_bound_tightness=(

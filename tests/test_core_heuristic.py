@@ -8,7 +8,6 @@ import pytest
 from repro.core import (
     StageGroup,
     bitwidth_transfer,
-    brute_force_solve,
     build_problem,
     solve_adabits,
     solve_partition_ilp,
@@ -21,6 +20,7 @@ from repro.core.heuristic import (
 )
 from repro.quant import normalized_indicator_table
 from repro.workloads import BatchWorkload
+from tests.exhaustive_oracle import brute_force_solve
 
 BITS = (4, 16)
 

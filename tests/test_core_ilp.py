@@ -4,13 +4,13 @@ import pytest
 
 from repro.core import (
     StageGroup,
-    brute_force_solve,
     build_problem,
     solve_adabits,
     solve_partition_ilp,
 )
 from repro.quant import normalized_indicator_table
 from repro.workloads import BatchWorkload
+from tests.exhaustive_oracle import brute_force_solve
 
 BITS = (4, 16)  # tiny bit set keeps brute force tractable
 

@@ -132,7 +132,7 @@ def test_channel_pending_count():
 
 def test_empty_sample_means_are_zero_not_nan():
     """Context filtering can strip every request; stats must stay finite."""
-    from repro.workloads.distributions import LengthSample, sample_dataset
+    from repro.workloads.distributions import sample_dataset
     from repro.workloads.generator import filter_by_context
 
     spec = get_model("opt-13b")  # 2048-token context

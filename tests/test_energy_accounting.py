@@ -15,14 +15,11 @@ import pytest
 from repro.costmodel.energy import (
     DEFAULT_PRICES,
     GPUPrice,
-    PriceBook,
     default_price_book,
     plan_cost,
     plan_energy,
     stage_occupancies,
 )
-from repro.hardware import table_iii_cluster
-from repro.models import get_model
 from repro.pipeline import (
     OnlineConfig,
     PlanCase,

@@ -10,11 +10,12 @@ experiments never reach.
 import numpy as np
 import pytest
 
-from repro.core import brute_force_solve, solve_adabits, solve_partition_ilp
+from repro.core import solve_adabits, solve_partition_ilp
 from repro.core.costs import PlanningProblem, StageGroup
 from repro.core.heuristic import bitwidth_transfer, greedy_adabits
 from repro.hardware import get_gpu
 from repro.workloads import BatchWorkload
+from tests.exhaustive_oracle import brute_force_solve
 
 BITS = (4, 16)
 
