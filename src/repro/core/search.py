@@ -171,9 +171,13 @@ def mckp_lp_min_cost(
     buy weight reduction from the globally cheapest hull segments until the
     budget is met (fractionally on the last segment).  Returns ``inf`` when
     even the maximal reduction cannot meet the budget — the integer problem
-    is then infeasible too.
+    is then infeasible too.  A shortfall within 1e-9 of the min-cost
+    picks' total weight counts as met, as the MILP's feasibility
+    tolerance does: a budget at the minimum-weight sum (Sec. VI-C quality
+    matching a 16-bit baseline) leaves float residue.
     """
     base = 0.0
+    top = 0.0  # total weight of the min-cost picks
     need = -float(budget)
     segments: List[Tuple[float, float]] = []  # (cost per unit weight, dw)
     for g in range(cost.shape[0]):
@@ -189,6 +193,7 @@ def mckp_lp_min_cost(
         frontier.reverse()  # weight desc, cost asc; [0] = min-cost choice
         w0, c0 = frontier[0]
         base += c0
+        top += w0
         need += w0
         # Lower convex hull: slopes (dc / d(-w)) must increase.
         hull = [(w0, c0)]
@@ -213,7 +218,7 @@ def mckp_lp_min_cost(
         need -= take
         if need <= 0:
             return lb
-    return float("inf")
+    return lb if need <= 1e-9 * top else float("inf")
 
 
 def analytic_lower_bound(
@@ -263,6 +268,10 @@ def analytic_lower_bound(
 
     s_pre = float(problem.const_pre.sum()) + group_sum_bound(cmin_pre)
     s_dec = float(problem.const_dec.sum()) + group_sum_bound(cmin_dec)
+    if s_pre == float("inf") or s_dec == float("inf"):
+        # No assignment fits the total capacity; returning early also
+        # keeps a zero job multiplier from turning inf into NaN.
+        return float("inf")
     comm_pre_max = (
         float(problem.comm_pre.max()) if problem.comm_pre.size else 0.0
     )

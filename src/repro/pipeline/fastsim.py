@@ -1,11 +1,11 @@
 """Closed-form steady-state fast path for the pipeline simulator.
 
-The discrete-event simulator in :mod:`repro.pipeline.simulator` executes
-one heap event per (micro-batch, stage, step) job.  For the uniform
-micro-batch schedules the paper's offline serving model produces, that
-event ordering is fully determined in advance, so the same finish times
-admit a closed-form recurrence — the trick Vidur-class LLM-serving
-simulators use to stay fast at fleet scale.
+The discrete-event driver (:mod:`repro.pipeline.online`, also the offline
+``"event"`` backend) executes one heap event per (micro-batch, stage,
+step) job.  For the uniform micro-batch schedules the paper's offline
+serving model produces, that event ordering is fully determined in
+advance, so the same finish times admit a closed-form recurrence — the
+trick Vidur-class LLM-serving simulators use to stay fast at fleet scale.
 
 **Why the recurrence is exact.**  Every stage is a FIFO server whose jobs
 arrive from exactly one upstream source (stage ``j-1`` forward, or the

@@ -1,14 +1,14 @@
 """Online serving simulation: arrivals, continuous batching, admission.
 
-The online driver runs the *same* event core as the offline simulator —
+This module holds the repo's one discrete-event driver:
 :class:`~repro.pipeline.events.EventLoop` FIFO servers parameterized by
-:class:`~repro.pipeline.topology.PipelineTopology` — but feeds it a
-stream of requests instead of one closed batch:
+:class:`~repro.pipeline.topology.PipelineTopology`, fed a stream of
+requests:
 
 * Requests enter a FIFO queue as they arrive.
 * The scheduler greedily drains admissible requests into *groups*; each
   group is chunk-prefilled as padded micro-batches and then decoded with
-  per-request retirement, exactly like the offline drivers.
+  per-request retirement, exactly like one offline closed batch.
 * Groups overlap on the stage servers: a new group's prefill micro-
   batches slot in between an older group's decode steps (continuous
   micro-batch refill), with decode submissions keeping priority at each
@@ -31,13 +31,13 @@ Two backends share this scheduler, selected by ``sim_backend``:
 * ``"auto"`` (default) — the fast backend: its replay argument has no
   side conditions, so every online run is eligible.
 
-The contract with the offline path is differential: with every arrival
-at t=0, admission disabled, and one unbounded group, the event sequence
-replays the offline ``simulate_plan`` run *bit-identically* (makespan,
-spans, busy times, memory tuple, and event count) — enforced by
-``tests/test_online_sim.py``; the fast/event equivalence across the
-full online grid (overload, shedding, ragged tails) is enforced by
-``tests/test_online_fast.py``.
+The offline event backend is this driver's degenerate run: with every
+arrival at t=0 and admission disabled, one group replays the closed
+batch, so ``simulate_plan(sim_backend="event")`` is a thin adapter over
+``_simulate_online``, and the offline max-plus kernels are differential
+against it (``tests/test_fastsim.py``).  The fast/event equivalence
+across the full online grid (overload, shedding, ragged tails) is
+enforced by ``tests/test_online_fast.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from ..plan import ExecutionPlan
 from ..simgpu.memory import OutOfMemoryError
 from ..workloads.arrivals import ArrivalTrace, Request
 from ..workloads.spec import BatchWorkload
-from .events import EventLoop
+from .events import EventLoop, Server
 from .fastsim import (
     _bounded_put,
     _decode_series_shared,
@@ -788,7 +788,7 @@ def simulate_online(
                 plan, cluster, spec, arrivals, config, timing, check_memory
             )
         else:
-            result = _simulate_online(
+            result, _ = _simulate_online(
                 plan, cluster, spec, arrivals, config, timing, check_memory
             )
         sp.set(
@@ -818,7 +818,9 @@ def _simulate_online(
     config: OnlineConfig,
     timing: Optional[TimingSource],
     check_memory: bool,
-) -> OnlineSimResult:
+    record_jobs: bool = False,
+) -> Tuple[OnlineSimResult, List[Server]]:
+    """The per-job event driver; also returns its stage servers."""
     ctx = _OnlineContext(
         plan, cluster, spec, arrivals, config, timing, check_memory
     )
@@ -830,7 +832,7 @@ def _simulate_online(
     dec_comm = tables.dec_comm
 
     loop = EventLoop()
-    servers = ctx.topo.make_servers(loop)
+    servers = ctx.topo.make_servers(loop, record_jobs)
     submit_at = [s.submit for s in servers]
 
     state = _OnlineState(ctx)
@@ -937,4 +939,4 @@ def _simulate_online(
     stage_busy = tuple(s.busy_time for s in servers)
     return _finalize(
         ctx, state, arrivals, stage_busy, loop.processed, loop.now, "event"
-    )
+    ), servers

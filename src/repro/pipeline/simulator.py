@@ -1,14 +1,16 @@
 """End-to-end pipeline serving simulation (the "runtime" of Fig. 6).
 
-Simulates offline serving of one padded batch through a pipeline plan as a
-discrete-event system: chunked prefill micro-batches flow through the FIFO
-stage servers with asynchronous point-to-point communication, then decode
-proceeds token by token with the autoregressive feedback loop from the
-last stage's LM head back to the first stage's embedding.  Phases are
-sequential, matching the paper's offline latency model (objective (4)).
-A uniform batch is the equal-lengths case of a variable-output batch, so
-one event engine and one fast-path entry serve both ``simulate_plan``
-and ``simulate_plan_variable``.
+Simulates offline serving of one padded batch through a pipeline plan:
+chunked prefill micro-batches flow through the FIFO stage servers with
+asynchronous point-to-point communication, then decode proceeds token by
+token with the autoregressive feedback loop from the last stage's LM head
+back to the first stage's embedding.  Phases are sequential, matching the
+paper's offline latency model (objective (4)).  The ``"event"`` backend
+runs the batch as the degenerate online run (every request at t=0,
+admission off) on the one event driver, :mod:`repro.pipeline.online`;
+``"fast"`` is its bit-identical max-plus twin (:mod:`.fastsim`).  A
+uniform batch is the equal-lengths case of a variable-output batch, so
+both ``simulate_plan`` and ``simulate_plan_variable`` share one body.
 
 Per-stage memory is checked against the paper's memory cost model before
 anything runs; infeasible plans raise
@@ -18,7 +20,6 @@ hardware.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -39,13 +40,14 @@ from ..models import layers as L
 from ..obs import DEFAULT_FRACTION_BUCKETS, metrics, trace
 from ..plan import ExecutionPlan
 from ..simgpu.memory import OutOfMemoryError
+from ..workloads.arrivals import ArrivalTrace, Request
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
-from .events import EventLoop, FaultEvent
+from .events import FaultEvent
 from .stage import TimingSource
-from .topology import PipelineTopology, microbatch_sizes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.faults import FaultPlan
+    from .events import Server
 
 #: Accepted ``sim_backend`` values for the simulator entry points.
 SIM_BACKENDS = ("event", "fast", "auto")
@@ -276,7 +278,7 @@ def _simulate(
                 plan, cluster, spec, workload, timing, check_memory
             )
         else:
-            result = _event_simulate_plan(
+            result, _ = _event_simulate_plan(
                 plan, cluster, spec, workload, output_lens, timing,
                 check_memory,
             )
@@ -302,150 +304,58 @@ def _event_simulate_plan(
     output_lens: Sequence[int],
     timing: Optional[TimingSource],
     check_memory: bool,
-) -> PipelineSimResult:
-    """The discrete-event oracle.
+    record_jobs: bool = False,
+) -> Tuple[PipelineSimResult, List["Server"]]:
+    """The discrete-event oracle: the batch as a degenerate online run.
 
-    Memory and prefill follow ``workload``, the worst-case uniform view
-    (KV reserved for the longest request, as the paper's memory model
-    does).  Decode runs the per-request ``output_lens``: requests retire
-    as they finish, so decode micro-batches shrink over time.
+    Every request arrives at t=0 with admission off, so the online event
+    driver forms one group and replays the closed batch, retiring
+    requests as their ``output_lens`` run out.  Memory is checked here,
+    on ``workload`` — the worst-case uniform view, whose KV reservation
+    the online driver does not see.  Also returns the stage servers,
+    with per-job records when ``record_jobs`` is set.
     """
-    topo = PipelineTopology.build(plan, cluster, spec, timing)
-    n_stages = topo.num_stages
+    from .online import OnlineConfig, _simulate_online
 
     stage_mem = (
         check_plan_memory(plan, cluster, spec, workload)
         if check_memory
         else tuple(0 for _ in plan.stages)
     )
-
-    loop = EventLoop()
-    servers = topo.make_servers(loop)
-    # Hot-loop hoists: bind the per-stage submit methods and the last
-    # stage index once so each event pays local loads, not repeated
-    # attribute/global lookups (behavior is bit-identical).
-    submit_at = [s.submit for s in servers]
-    last_stage = n_stages - 1
-
-    # ------------------------------------------------------------------
-    # Prefill phase: mu_pre micro-batches x kappa chunks, chained FIFO.
-    # ------------------------------------------------------------------
-    pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
-    chunk = workload.chunk_len
-    kappa = workload.kappa
-    pre_time = {
-        (j, size): topo.prefill_time(j, size, chunk)
-        for size in set(pre_sizes)
-        for j in range(n_stages)
-    }
-    pre_comm = {
-        (j, size): topo.prefill_comm(j, size, chunk)
-        for size in set(pre_sizes)
-        for j in range(n_stages - 1)
-    }
-    pending = {"prefill": len(pre_sizes) * kappa}
-    prefill_done = [0.0]
-
-    def submit_prefill(j: int, m: int, c: int, size: int, ready: float) -> None:
-        def done(finish: float) -> None:
-            if j < last_stage:
-                arrival = finish + pre_comm[(j, size)]
-                submit_prefill(j + 1, m, c, size, arrival)
-            else:
-                prefill_done[0] = max(prefill_done[0], finish)
-                pending["prefill"] -= 1
-
-        submit_at[j](
-            pre_time[(j, size)], done, not_before=ready, label=f"P{m}.{c}"
-        )
-
-    with trace.span(
-        "sim.prefill", microbatches=len(pre_sizes), chunks=kappa
-    ) as sp:
-        for m, size in enumerate(pre_sizes):
-            for c in range(kappa):
-                submit_prefill(0, m, c, size, 0.0)
-        loop.run()
-        sp.set(events=loop.processed)
-    if pending["prefill"] != 0:
-        raise RuntimeError("prefill simulation did not drain")
-    prefill_span = prefill_done[0]
-
-    # ------------------------------------------------------------------
-    # Decode phase: token-by-token with autoregressive feedback; each
-    # micro-batch shrinks as its requests retire.
-    # ------------------------------------------------------------------
-    xi = plan.decode_microbatch
-    decode_steps = workload.output_len - 1
-    # active[m][t]: requests of decode micro-batch m still generating in
-    # round t (zero once all have retired).
-    active: List[List[int]] = []
-    for s in range(0, workload.batch, xi):
-        lens = sorted(output_lens[s : s + xi])
-        active.append(
-            [len(lens) - bisect_right(lens, t) for t in range(decode_steps + 2)]
-        )
-    # Hoist every duration once per (stage, size) that occurs, as plain
-    # Python floats (bit-identical: all are pure functions).
-    sizes = {n for act in active for n in act[1:] if n}
-    dec_series = {
-        (j, size): topo.decode_series(
-            j, size, workload.prompt_len, workload.output_len
-        )
-        for size in sizes
-        for j in range(n_stages)
-    }
-    dec_comm = {
-        (j, size): topo.decode_comm(j, size)
-        for size in sizes
-        for j in range(n_stages - 1)
-    }
-    fb_delay = {size: topo.feedback_delay(size) for size in sizes}
-
-    last_done = [prefill_span] * len(active)
-    remaining = {"jobs": 0}
-
-    def submit_decode(j: int, m: int, t: int, size: int, ready: float) -> None:
-        def done(finish: float) -> None:
-            if j < last_stage:
-                submit_decode(j + 1, m, t, size, finish + dec_comm[(j, size)])
-                return
-            nxt = active[m][t + 1]
-            if nxt:
-                submit_decode(0, m, t + 1, nxt, finish + fb_delay[nxt])
-            else:
-                last_done[m] = finish
-                remaining["jobs"] -= 1
-
-        submit_at[j](
-            dec_series[(j, size)][t - 1], done, not_before=ready,
-            label=f"D{m}.{t}",
-        )
-
-    if decode_steps > 0:
-        events_before = loop.processed
-        with trace.span(
-            "sim.decode", microbatches=len(active), steps=decode_steps
-        ) as sp:
-            for m, act in enumerate(active):
-                if act[1]:
-                    remaining["jobs"] += 1
-                    submit_decode(0, m, 1, act[1], prefill_span)
-            loop.run()
-            sp.set(events=loop.processed - events_before)
-        if remaining["jobs"] != 0:
-            raise RuntimeError("decode simulation did not drain")
-    decode_span = max(last_done) - prefill_span
-
-    return PipelineSimResult(
-        makespan_s=prefill_span + decode_span,
-        prefill_span_s=prefill_span,
-        decode_span_s=decode_span,
-        total_tokens=sum(output_lens),
-        stage_busy_s=tuple(s.busy_time for s in servers),
-        stage_memory_bytes=stage_mem,
-        events_processed=loop.processed,
+    arrivals = ArrivalTrace(tuple(
+        Request(i, 0.0, workload.prompt_len, n)
+        for i, n in enumerate(output_lens)
+    ))
+    online, servers = _simulate_online(
+        plan, cluster, spec, arrivals,
+        OnlineConfig(chunk_tokens=workload.chunk_tokens, admission="none"),
+        timing, False, record_jobs,
     )
+    # The phases of a closed batch never overlap: emit the fast path's
+    # phase spans; their wall time stays on the enclosing run span.
+    n_pre = -(-workload.batch // plan.prefill_microbatch)
+    pre_events = n_pre * workload.kappa * plan.num_stages
+    with trace.span("sim.prefill", microbatches=n_pre,
+                    chunks=workload.kappa, events=pre_events):
+        pass
+    if workload.output_len > 1:
+        with trace.span(
+            "sim.decode",
+            microbatches=-(-workload.batch // plan.decode_microbatch),
+            steps=workload.output_len - 1,
+            events=online.events_processed - pre_events,
+        ):
+            pass
+    result = PipelineSimResult(
+        makespan_s=online.makespan_s,
+        prefill_span_s=online.prefill_span_s,
+        decode_span_s=online.decode_span_s,
+        total_tokens=online.total_tokens,
+        stage_busy_s=online.stage_busy_s,
+        stage_memory_bytes=stage_mem,
+        events_processed=online.events_processed,
+    )
+    return result, servers
 
 
 @dataclass(frozen=True)

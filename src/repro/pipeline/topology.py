@@ -1,14 +1,12 @@
 """The shared pipeline topology: LLM semantics over the generic event core.
 
 :mod:`repro.pipeline.events` stays deliberately generic (a heap-ordered
-loop plus FIFO servers); this module holds everything both the offline
-driver (:mod:`repro.pipeline.simulator`) and the online driver
-(:mod:`repro.pipeline.online`) need on top of it — the per-stage
-execution models, the inter-stage links, the decode feedback link, and
-the pure duration functions (prefill chunk times, decode step series,
-transfer times).  All of it is a pure function of ``(plan, cluster,
-spec, timing)``: the two drivers compute bit-identical durations because
-they call the *same* code with the same inputs.
+loop plus FIFO servers); this module holds what the one event driver
+(:mod:`repro.pipeline.online`) and the max-plus kernels need on top of
+it — the per-stage execution models, the inter-stage and feedback links,
+and the transfer-time functions — all pure functions of ``(plan,
+cluster, spec, timing)``, so every backend computes bit-identical
+durations from the same code.
 """
 
 from __future__ import annotations
@@ -55,10 +53,9 @@ def microbatch_sizes(total: int, micro: int) -> List[int]:
 class PipelineTopology:
     """Stage models and links of one plan on one cluster.
 
-    Built once per simulation run; drivers hoist the returned durations
-    into local tables themselves (the hoisting strategy differs between
-    offline — all sizes known upfront — and online — sizes discovered as
-    groups form).
+    Built once per configuration; callers memoize the returned durations
+    in their own tables (:class:`~repro.pipeline.online.OnlineTables`,
+    :class:`~repro.pipeline.fastsim.PlanTables`).
     """
 
     plan: ExecutionPlan
@@ -125,31 +122,22 @@ class PipelineTopology:
     def num_stages(self) -> int:
         return self.plan.num_stages
 
-    def make_servers(self, loop: EventLoop) -> List[Server]:
+    def make_servers(
+        self, loop: EventLoop, record_jobs: bool = False
+    ) -> List[Server]:
         """One FIFO server per pipeline stage, bound to ``loop``."""
-        return [Server(loop, f"stage{j}") for j in range(self.num_stages)]
+        return [Server(loop, f"stage{j}", record_jobs=record_jobs)
+                for j in range(self.num_stages)]
 
-    # -- pure duration functions ---------------------------------------
-    # Each is exactly the expression the pre-split offline simulator
-    # inlined; drivers memoize the returned floats per (stage, size).
-
-    def prefill_time(self, j: int, size: int, chunk_len: int) -> float:
-        """One prefill chunk of ``size`` requests on stage ``j``."""
-        return self.stage_models[j].prefill_chunk_time(size, chunk_len)
+    # -- pure transfer-time functions -----------------------------------
+    # Compute times come from ``stage_models``; callers memoize the
+    # returned floats per (stage, size).
 
     def prefill_comm(self, j: int, size: int, chunk_len: int) -> float:
         """Hidden-state transfer of one prefill chunk over link ``j``."""
         return self.fwd_links[j].transfer_time(
             L.hidden_state_bytes(self.spec, size, chunk_len)
         )
-
-    def decode_series(
-        self, j: int, size: int, prompt_len: int, n_tokens: int
-    ) -> List[float]:
-        """Decode-step times t=1..n_tokens-1 on stage ``j`` (plain floats)."""
-        return self.stage_models[j].decode_time_series(
-            size, prompt_len, n_tokens
-        ).tolist()
 
     def decode_comm(self, j: int, size: int) -> float:
         """Single-token hidden-state transfer over link ``j``."""

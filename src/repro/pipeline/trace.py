@@ -1,9 +1,9 @@
 """Execution timelines: record and render pipeline schedules.
 
 ``trace_plan`` reruns a plan through the discrete-event simulator with
-per-job recording enabled and returns a :class:`Timeline`; ``render_gantt``
-draws it as text — the quickest way to *see* pipeline bubbles, phase
-boundaries and stage imbalance.
+the stage servers' per-job recording on and returns a :class:`Timeline`;
+``render_gantt`` draws it as text — the quickest way to *see* pipeline
+bubbles, phase boundaries and stage imbalance.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..plan import ExecutionPlan
 from ..workloads.spec import BatchWorkload
-from .simulator import PipelineSimResult, simulate_plan
+from .simulator import PipelineSimResult, _event_simulate_plan, attach_energy
 from .stage import TimingSource
 
 
@@ -49,39 +49,24 @@ def trace_plan(
     timing: Optional[TimingSource] = None,
     check_memory: bool = True,
 ) -> Timeline:
-    """Simulate ``plan`` with per-job recording and return the timeline."""
-    captured: List[Tuple[str, Tuple[Tuple[float, float, str], ...]]] = []
+    """Simulate ``plan`` with per-job recording and return the timeline.
 
-    # simulate_plan constructs its own servers (via the shared topology);
-    # intercept them by wrapping the Server class used at that call site.
-    from . import topology as _topo
-    from .events import Server
-
-    servers_seen: List[Server] = []
-    original = _topo.Server
-
-    def recording_server(loop, name):  # matches Server(loop, name) call sites
-        srv = original(loop, name, record_jobs=True)
-        servers_seen.append(srv)
-        return srv
-
-    _topo.Server = recording_server  # type: ignore[assignment]
-    try:
-        # Per-job recording only exists in the discrete-event engine, so
-        # pin the backend: the fast path computes the same finish times
-        # in closed form without ever materializing servers.
-        result = simulate_plan(
-            plan, cluster, spec, workload, timing=timing,
-            check_memory=check_memory, sim_backend="event",
-        )
-    finally:
-        _topo.Server = original  # type: ignore[assignment]
-    for srv in servers_seen:
-        captured.append((srv.name, tuple(srv.jobs)))
+    Per-job intervals exist only in the discrete-event engine (the fast
+    path computes the same finish times in closed form without servers),
+    so this always runs the event backend.  Job labels are those of the
+    online driver the event backend runs on: ``P{group}.{micro-batch}.
+    {chunk}`` for prefill and ``D{group}.{micro-batch}.{step}`` for
+    decode, with one group (``0``) per closed batch.
+    """
+    result, servers = _event_simulate_plan(
+        plan, cluster, spec, workload,
+        (workload.output_len,) * workload.batch,
+        timing, check_memory, record_jobs=True,
+    )
     return Timeline(
-        stages=tuple(captured),
+        stages=tuple((srv.name, tuple(srv.jobs)) for srv in servers),
         makespan_s=result.makespan_s,
-        result=result,
+        result=attach_energy(result, plan, cluster, spec, workload),
     )
 
 

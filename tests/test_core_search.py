@@ -68,6 +68,37 @@ def test_engine_matches_naive_cluster5(opt30b, cluster5):
     _assert_same_plan(planner.plan(wl), planner.plan_reference(wl))
 
 
+def test_engine_matches_naive_at_16bit_quality_match():
+    """Fig. 9, cluster 3, Qwen2.5-14B on LooGLE: Uniform runs at 16 bits,
+    so the Sec. VI-C quality match sets the budget to the minimum-weight
+    sum (0.0).  Float residue in the MCKP bound once made it ``inf`` on
+    every candidate, so pruning dropped them all and the engine planned
+    nothing while the exhaustive loop found a plan."""
+    from repro.experiments.common import cost_model_for, microbatch_grid
+    from repro.experiments.fig09_hetero_vllm import build_workload
+    from repro.hardware import table_iii_cluster
+    from repro.models import get_model
+
+    spec = get_model("qwen2.5-14b")
+    cluster = table_iii_cluster(3)
+    wl = build_workload("loogle", spec.name, 3)
+    base = PlannerConfig(
+        group_size=max(spec.num_layers // 16, 1), max_orderings=6,
+        microbatch_candidates=microbatch_grid(wl.batch), time_limit_s=20.0,
+    )
+    seed_planner = SplitQuantPlanner(
+        spec, cluster, base, cost_model=cost_model_for(spec, cluster)
+    )
+    budget = seed_planner.uniform_quality(16)
+    assert budget == 0.0
+    planner = SplitQuantPlanner(
+        spec, cluster, dataclasses.replace(base, quality_budget=budget),
+        cost_model=seed_planner.cost_model,
+        omega_layers=seed_planner.omega_layers,
+    )
+    _assert_same_plan(planner.plan(wl), planner.plan_reference(wl))
+
+
 def test_engine_parallel_matches_serial(opt13b, small_cluster,
                                         cost_model_13b, small_workload):
     base = SplitQuantPlanner(opt13b, small_cluster, FAST,
@@ -200,10 +231,27 @@ def _fuzz_problems(opt13b, cost_model_13b, small_cluster, n=4):
     return problems
 
 
-@pytest.mark.parametrize("theta,budget", [(10.0, None), (0.0, 30.0)])
+def _resolve_budget(problem, budget):
+    """A parametrized budget; the strings sit at the least achievable
+    quality sum (every group at its best bitwidth), the Sec. VI-C budget
+    when the matched baseline runs at 16 bits, or one ulp either side."""
+    if not isinstance(budget, str):
+        return budget
+    exact = float(problem.omega.min(axis=1).sum())
+    return {
+        "min": exact,
+        "above": float(np.nextafter(exact, np.inf)),
+        "below": float(np.nextafter(exact, -np.inf)),
+    }[budget]
+
+
+@pytest.mark.parametrize("theta,budget", [
+    (10.0, None), (0.0, 30.0), (0.0, "min"), (0.0, "above"), (0.0, "below"),
+])
 def test_bounds_admissible_on_fuzzed_problems(opt13b, cost_model_13b,
                                               small_cluster, theta, budget):
     for problem in _fuzz_problems(opt13b, cost_model_13b, small_cluster):
+        budget = _resolve_budget(problem, budget)
         sol = solve_partition_ilp(problem, theta=theta,
                                   quality_budget=budget, time_limit_s=10.0)
         if sol is None:
@@ -215,6 +263,26 @@ def test_bounds_admissible_on_fuzzed_problems(opt13b, cost_model_13b,
                                               quality_budget=budget)
         assert lp is not None
         assert lp <= score * (1 + 1e-6) + 1e-9, (lp, score)
+
+
+def test_analytic_bound_inf_not_nan_when_nothing_fits(opt30b, t4):
+    """OPT-30B fits one T4 at no bitwidth.  At B = eta = 8 there is one
+    prefill job, and ``(prefill_jobs - 1) * inf`` used to give NaN."""
+    from repro.costmodel.latency import LatencyCostModel
+    from repro.hardware import make_cluster
+    from repro.simgpu.profiler import Profiler
+
+    cluster = make_cluster("one-t4", [("T4-16G", 1)])
+    cm = LatencyCostModel(opt30b)
+    cm.fit([t4], (3, 4, 8, 16), Profiler(seed=11))
+    problem = build_problem(
+        opt30b, cluster, candidate_orderings(cluster)[0],
+        BatchWorkload(batch=8, prompt_len=256, output_len=32), cm,
+        np.zeros((opt30b.num_layers, 4)), 8, 8, (3, 4, 8, 16), group_size=8,
+    )
+    assert problem.prefill_jobs == 1
+    for theta in (0.0, 1.0):
+        assert analytic_lower_bound(problem, theta, None) == float("inf")
 
 
 def test_lp_relaxation_flags_infeasible(opt13b, cost_model_13b,

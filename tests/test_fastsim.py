@@ -9,7 +9,7 @@ equality precisely so whole results can be compared directly.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import make_cluster, table_iii_cluster
@@ -262,9 +262,17 @@ def test_retiring_batch_emits_phase_spans(small_cluster, opt13b):
     mb_pre=st.sampled_from([1, 2, 3, 4, 8]),
     mb_dec=st.sampled_from([1, 2, 4, 5, 8, 16]),
     bits=st.sampled_from([3, 4, 8, 16]),
+    reserve=st.integers(min_value=0, max_value=256),
 )
+# KV reserved past the last token (a variable batch's worst-case view):
+# memory and energy follow the reservation identically on both backends.
+@example(batch=8, prompt=256, out=16, chunk=256, mb_pre=4, mb_dec=4,
+         bits=8, reserve=48)
+# Fits without the reservation, misfits with it: the same OOM on both.
+@example(batch=32, prompt=512, out=32, chunk=512, mb_pre=8, mb_dec=16,
+         bits=8, reserve=1000)
 def test_fast_equals_event_property(
-    batch, prompt, out, chunk, mb_pre, mb_dec, bits
+    batch, prompt, out, chunk, mb_pre, mb_dec, bits, reserve
 ):
     cluster = make_cluster("prop", [("T4-16G", 1), ("V100-32G", 1)])
     spec = get_model("opt-13b")
@@ -272,16 +280,23 @@ def test_fast_equals_event_property(
         spec.name, spec.num_layers, groups_of(cluster), bits, mb_pre, mb_dec
     )
     wl = BatchWorkload(
-        batch=batch, prompt_len=prompt, output_len=out, chunk_tokens=chunk
+        batch=batch, prompt_len=prompt, output_len=out, chunk_tokens=chunk,
+        reserve_output_len=out + reserve if reserve else None,
     )
     try:
         ev = simulate_plan(plan, cluster, spec, wl, sim_backend="event")
-    except OutOfMemoryError:
-        with pytest.raises(OutOfMemoryError):
+    except OutOfMemoryError as err:
+        with pytest.raises(OutOfMemoryError) as fast_err:
             simulate_plan(plan, cluster, spec, wl, sim_backend="fast")
+        assert fast_err.value.args == err.args
+        assert (fast_err.value.device, fast_err.value.requested) == (
+            err.device, err.requested
+        )
         return
     fa = simulate_plan(plan, cluster, spec, wl, sim_backend="fast")
     assert ev.makespan_s == fa.makespan_s
+    assert ev.stage_memory_bytes == fa.stage_memory_bytes
+    assert ev.energy_j == fa.energy_j
     assert ev.throughput_tokens_s == fa.throughput_tokens_s
     assert ev.bubble_fraction == fa.bubble_fraction
     assert ev.stage_utilization == fa.stage_utilization

@@ -126,10 +126,11 @@ def test_tables_equal_topology_per_stage(name, opt30b_spec, cluster7):
     # different structures would hand the later stage a wrong entry.
     for size, (pad, max_n) in itertools.product((1, 8), ((256, 9), (64, 40))):
         for j in range(topo.num_stages):
+            sm = topo.stage_models[j]
             assert tables.pre_time(j, size, CHUNK_LEN) == (
-                topo.prefill_time(j, size, CHUNK_LEN)
+                sm.prefill_chunk_time(size, CHUNK_LEN)
             )
-            ref = topo.decode_series(j, size, pad, max_n)
+            ref = sm.decode_time_series(size, pad, max_n).tolist()
             assert tables.dec_series(j, size, pad, max_n) == ref
             for t in (1, max_n - 1):
                 assert tables.dec_step(j, size, pad, max_n, t) == ref[t - 1]
