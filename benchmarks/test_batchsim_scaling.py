@@ -11,9 +11,13 @@ Measures ``repro.pipeline.evaluate_plans`` against a per-plan
 
 Both timings start from cold evaluation caches (``clear_table_caches``
 runs inside the timed region), so the measured gap is the vectorized
-sweep plus cross-plan component sharing, not warm-cache luck.  Results
-must be *bit-identical* to the per-plan loop, and the batched path must
-clear a hard >= 10x throughput floor.  Emits
+sweep, not warm-cache luck.  Results must be *bit-identical* to the
+per-plan loop.  The speedup is recorded, not gated: both paths share
+one stage-duration implementation and one component memo, so a ratio
+would punish the per-plan path for getting faster and miss a slowdown
+that hits both.  The absolute wall time of the batched sweep on the
+planner frontier is the ledger's ``frontier-500`` workload, which CI
+compares against the base commit.  Emits
 ``benchmarks/BENCH_batchsim.json``.
 """
 
@@ -37,8 +41,6 @@ from repro.workloads import BatchWorkload
 
 OUT = Path(__file__).resolve().parent / "BENCH_batchsim.json"
 
-#: The batched sweep must beat the per-plan loop by at least this factor.
-MIN_SPEEDUP = 10.0
 ROUNDS = 3
 
 #: The fleet demo's idle pool: 25 GPUs across three types.
@@ -140,11 +142,6 @@ def _section(name, cases):
     loop_wall, batch_wall, loop_res, batch_res = _measure(cases)
     assert batch_res == loop_res, f"{name}: batched results diverged"
     speedup = loop_wall / batch_wall
-    assert speedup >= MIN_SPEEDUP, (
-        f"{name}: batched evaluation only {speedup:.1f}x faster "
-        f"(need >= {MIN_SPEEDUP}x): per-plan {loop_wall * 1e3:.1f}ms vs "
-        f"batched {batch_wall * 1e3:.1f}ms for {len(cases)} plans"
-    )
     return {
         "plans": len(cases),
         "per_plan_wall_s": round(loop_wall, 5),
@@ -162,7 +159,6 @@ def test_batchsim_scaling():
 
     record = {
         "bench": "batchsim_scaling",
-        "min_speedup": MIN_SPEEDUP,
         "planner_frontier": _section("planner frontier", planner_cases),
         "fleet_frontier": _section("fleet frontier", fleet_cases),
     }

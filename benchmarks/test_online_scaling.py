@@ -18,8 +18,10 @@ table construction and the best round measures the driver itself — the
 same thing either backend costs inside a warm serving loop.
 
 Results must be *bit-identical* (the fast path is a speed knob, not a
-fidelity one) and the fast backend must clear a hard >= 5x wall-clock
-floor on the overload stream.  Emits ``benchmarks/BENCH_online.json``.
+fidelity one).  The speedup is recorded, not gated: the absolute wall
+time of the fast backend is the ledger's ``online-overload`` and
+``online-sustain`` workloads, which CI compares against the base
+commit.  Emits ``benchmarks/BENCH_online.json``.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ from repro.workloads import poisson_trace, rate_for_daily
 
 OUT = Path(__file__).resolve().parent / "BENCH_online.json"
 
-#: The fast backend must beat the event engine by at least this factor
-#: on the overload stream (the steady-stream speedup is reported and
-#: ratio-guarded against the committed baseline, but has no hard floor).
-MIN_SPEEDUP = 5.0
 ROUNDS = 5
 
 
@@ -118,13 +116,6 @@ def _section(name, plan, cluster, spec, arrivals, config):
     )
     assert fast_res == event_res, f"{name}: fast backend diverged"
     speedup = event_wall / fast_wall
-    if name == "overload":
-        assert speedup >= MIN_SPEEDUP, (
-            f"{name}: fast online backend only {speedup:.1f}x faster "
-            f"(need >= {MIN_SPEEDUP}x): event {event_wall * 1e3:.1f}ms "
-            f"vs fast {fast_wall * 1e3:.1f}ms for "
-            f"{arrivals.n_requests} requests"
-        )
     return {
         "requests": arrivals.n_requests,
         "completed": event_res.completed,
@@ -138,10 +129,7 @@ def _section(name, plan, cluster, spec, arrivals, config):
 
 
 def test_online_scaling():
-    record = {
-        "bench": "online_scaling",
-        "min_speedup": MIN_SPEEDUP,
-    }
+    record = {"bench": "online_scaling"}
     for name, plan, cluster, spec, arrivals, config in _bench_cases():
         record[name] = _section(
             name, plan, cluster, spec, arrivals, config

@@ -2,9 +2,13 @@
 
 Runs the Table-VI-style planning configuration (OPT-30B on Table III
 cluster 5, 6 orderings x 3x3 micro-batch grid, hard quality budget) through
-both search paths, asserts the engine returns a bit-identical plan at >= 3x
-less wall-clock, and emits ``benchmarks/BENCH_planner.json`` with the
-measured record.
+the search engine and the exhaustive serial oracle
+(``tests/planner_oracle.py``), asserts the engine returns a bit-identical
+plan, and emits ``benchmarks/BENCH_planner.json`` with the measured
+record.  The engine-vs-oracle speedup is recorded, not gated: the
+absolute wall time of ``Session.plan`` on this configuration is the
+ledger's ``plan-table6`` workload, which CI compares against the base
+commit.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from repro.core import PlannerConfig, SplitQuantPlanner
 from repro.hardware import table_iii_cluster
 from repro.models import get_model
 from repro.workloads import BatchWorkload
+from tests.planner_oracle import plan_reference
 
 OUT = Path(__file__).resolve().parent / "BENCH_planner.json"
 
@@ -46,7 +51,7 @@ def test_planner_scaling():
     fast = planner.plan(workload)
     t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
-    naive = planner.plan_reference(workload)
+    naive = plan_reference(planner, workload)
     t_naive = time.perf_counter() - t0
 
     assert fast is not None and naive is not None
@@ -95,4 +100,3 @@ def test_planner_scaling():
     print(json.dumps(record, indent=2))
     assert s.pruned > 0
     assert s.cache_hits > 0
-    assert speedup >= 3.0, f"search engine only {speedup:.2f}x vs naive"

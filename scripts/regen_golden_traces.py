@@ -2,8 +2,8 @@
 """Regenerate the golden-trace fixtures in tests/data/.
 
 Run after an *intentional* change to the discrete-event simulator, the
-degraded-recovery mirror, the observability span taxonomy, or the
-planner, then review the fixture diffs like any other
+degraded-recovery mirror, the observability span taxonomy, the planner
+or the fleet scheduler, then review the fixture diffs like any other
 code change:
 
     PYTHONPATH=src python scripts/regen_golden_traces.py
@@ -12,8 +12,10 @@ code change:
 fixtures byte-for-byte; ``tests/test_golden_heuristic_plans.py`` the
 heuristic-tier plan grid; ``tests/test_golden_planner_paths.py`` the
 DP tier, verify re-score, objective re-rank and incremental re-plan
-results; ``tests/test_golden_fault_demo_trace.py``
-compares the normalized span trace of the fault-tolerance demo.
+results; ``tests/test_golden_fleet_schedules.py`` a small greedy and
+beam fleet schedule; ``tests/test_golden_fault_demo_trace.py`` and
+``tests/test_golden_online_demo_trace.py`` compare the normalized span
+traces of the fault-tolerance and online serving demos.
 """
 
 from __future__ import annotations

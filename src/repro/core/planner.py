@@ -30,8 +30,7 @@ from ..plan import ExecutionPlan, InfeasibleError, StagePlan, degrade_plan
 from ..quant.sensitivity import normalized_indicator_table
 from ..workloads.spec import BatchWorkload
 from .config import PlannerConfig
-from .costs import PlanningProblem, StageGroup, build_problem
-from .enumeration import candidate_orderings, microbatch_candidates
+from .costs import PlanningProblem, StageGroup
 from .heuristic import bitwidth_transfer
 from .ilp import ILPSolution, solve_partition_ilp
 from .search import (
@@ -611,103 +610,6 @@ class SplitQuantPlanner:
             if trace.enabled:
                 metrics.counter("planner.replans").inc()
             return result
-
-    def plan_reference(
-        self, workload: BatchWorkload
-    ) -> Optional[PlannerResult]:
-        """The exhaustive serial reference search (no memo, bounds or pool).
-
-        Kept as the ground truth for determinism regression tests and the
-        scaling benchmark: :meth:`plan` must return an identical plan.
-        """
-        with trace.span(
-            "planner.plan_naive",
-            model=self.spec.name,
-            batch=workload.batch,
-        ):
-            return self._plan_naive(workload)
-
-    def _plan_naive(self, workload: BatchWorkload) -> Optional[PlannerResult]:
-        cfg = self.config
-        t0 = time.perf_counter()
-        orderings = candidate_orderings(
-            self.cluster, enable_tp=cfg.enable_tp, max_orderings=cfg.max_orderings
-        )
-        mbs = microbatch_candidates(workload.batch, cfg.microbatch_candidates)
-        kv_choices = cfg.kv_bit_choices or (cfg.bit_kv,)
-        stats: List[CandidateStat] = []
-        candidates: List[
-            Tuple[
-                float,
-                ILPSolution,
-                Tuple[StageGroup, ...],
-                Tuple[int, ...],
-                int,
-                int,
-                int,
-            ]
-        ] = []
-        # Loop-invariant feasibility floor: even all-min-bits weights must
-        # fit in a candidate ordering's total capacity.
-        from ..models.layers import weight_storage_bytes
-
-        min_weights = self.spec.num_layers * weight_storage_bytes(
-            self.spec, min(cfg.bit_choices)
-        )
-
-        for bit_kv in kv_choices:
-            cost_model = self.cost_model_for_kv(bit_kv)
-            for ordering in orderings:
-                if min_weights > sum(sg.capacity_bytes for sg in ordering):
-                    continue
-                for eta in mbs:
-                    for xi in mbs:
-                        if cfg.tie_microbatches and xi != eta:
-                            continue
-                        problem = build_problem(
-                            self.spec,
-                            self.cluster,
-                            ordering,
-                            workload,
-                            cost_model,
-                            self.omega_layers,
-                            eta,
-                            xi,
-                            cfg.bit_choices,
-                            group_size=cfg.group_size,
-                            bit_kv=bit_kv,
-                            phase_blind=cfg.phase_blind,
-                        )
-                        sol = self._solve_one(problem)
-                        key = tuple(sg.key() for sg in ordering)
-                        if sol is None:
-                            stats.append(
-                                CandidateStat(
-                                    key, eta, xi, "infeasible", 0.0, 0.0, 0.0
-                                )
-                            )
-                            continue
-                        stats.append(
-                            CandidateStat(
-                                key,
-                                eta,
-                                xi,
-                                sol.status,
-                                sol.latency_s,
-                                sol.quality,
-                                sol.solve_time_s,
-                            )
-                        )
-                        score = sol.latency_s + cfg.theta * sol.quality
-                        if cfg.quality_budget is not None:
-                            score = sol.latency_s
-                        candidates.append(
-                            (score, sol, ordering, problem.group_sizes,
-                             eta, xi, bit_kv)
-                        )
-
-        candidates.sort(key=lambda c: c[0])  # stable: ties keep loop order
-        return self._finish(candidates, stats, workload, t0, search=None)
 
     def _finish(
         self,

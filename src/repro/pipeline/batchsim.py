@@ -152,8 +152,7 @@ def evaluate_plans(
                 case.spec, plan.bit_kv
             )
             tables = build_plan_tables(
-                plan, case.cluster, case.spec, uniform, timing,
-                share_components=True,
+                plan, case.cluster, case.spec, uniform, timing
             )
             lanes.append((i, tables, stage_mem, case, uniform))
 

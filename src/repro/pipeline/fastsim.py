@@ -51,7 +51,6 @@ from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..obs import trace
 from ..plan import ExecutionPlan
-from ..simgpu import roofline
 from ..workloads.spec import BatchWorkload
 from .stage import (
     MemoizedTiming,
@@ -126,25 +125,25 @@ _TABLE_CACHE: Dict[Any, Tuple[TimingSource, PlanTables]] = {}
 _TABLE_CACHE_MAX = 256
 
 # Cross-plan component memo: per-stage prefill chunk times and decode
-# series depend only on (timing, spec, stage plan, gpu, position,
-# micro-batch, lengths) — not the rest of the plan — so structurally
-# identical stages recur heavily across a candidate frontier.  Shared
-# only when the caller opts in (the batched evaluator does; the per-plan
-# path keeps its seed-identical cold-start cost).
+# series depend only on (timing, spec, layer bits, TP degree, GPU spec,
+# position, micro-batch, lengths) — not the rest of the plan — so
+# structurally identical stages recur heavily across a candidate
+# frontier, whether it is scored per plan or batched.
 _COMPONENT_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
 _COMPONENT_CACHE_MAX = 4096
 
 # Default-timing memo for the batched evaluator: one MemoizedTiming per
 # (model, KV bitwidth) so unit layer costs are computed once per fleet,
 # not once per plan.  Returns the very floats RooflineTiming would, so
-# results stay bit-identical to the uncached default.
+# results stay bit-identical to the uncached default.  Its entries key
+# on the whole GPUSpec, like the component memo.
 _DEFAULT_MEMOS: Dict[Tuple[ModelSpec, int], MemoizedTiming] = {}
 
-# Shared-build sub-memos (share_components=True only): topologies
-# keyed by the plan's *stages* (micro-batch variants of one partition
-# share one), and whole prefill/decode bundles keyed by exactly
-# what each side depends on — decode ignores prefill chunking and vice
-# versa, so chunk- and micro-batch-variant frontiers reuse wholesale.
+# Shared-build sub-memos: topologies keyed by the plan's *stages*
+# (micro-batch variants of one partition share one), and whole
+# prefill/decode bundles keyed by exactly what each side depends on —
+# decode ignores prefill chunking and vice versa, so chunk- and
+# micro-batch-variant frontiers reuse wholesale.
 _CONTEXT_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
 _CONTEXT_CACHE_MAX = 1024
 _PREFILL_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
@@ -195,109 +194,31 @@ def _bounded_put(cache: Dict, limit: int, key: Any, value: Any) -> None:
     cache[key] = value
 
 
-def _layer_sum(per_layer: np.ndarray) -> np.ndarray:
-    """Sequential left-to-right sum over the trailing (layer) axis.
-
-    ``np.cumsum`` accumulates strictly in order (no pairwise reduction),
-    so taking the last partial sum reproduces the scalar
-    ``total = 0.0; total += layer`` chain bit-for-bit (``0.0 + x == x``).
-    """
-    return np.cumsum(per_layer, axis=-1)[..., -1]
-
-
-def _prefill_chunk_shared(
-    sm: StageExecutionModel, size: int, chunk: int
-) -> float:
-    """Bit-exact replica of ``StageExecutionModel.prefill_chunk_time``.
-
-    Looks up each *distinct* layer bitwidth once instead of once per
-    layer — the timing source is memoized on exactly those arguments —
-    then accumulates in layer order.
-    """
-    bits_seq = sm.stage.layer_bits
-    tp = sm.stage.tp_degree
-    per_bits = {
-        b: sm.timing.prefill(sm.gpu, b, size, chunk, tp)
-        for b in set(bits_seq)
-    }
-    total = float(
-        _layer_sum(
-            np.asarray([per_bits[b] for b in bits_seq], dtype=np.float64)
-        )
-    )
-    if sm.is_first:
-        total += roofline.embedding_time(sm.gpu, sm.spec, size * chunk)
-    if sm.is_last:
-        total += roofline.lm_head_time(sm.gpu, sm.spec, size)
-    return total
-
-
-def _decode_series_shared(
-    sm: StageExecutionModel,
-    size: int,
-    prompt_len: int,
-    n_out: int,
-    samples: int = 9,
-) -> List[float]:
-    """Bit-exact replica of ``StageExecutionModel.decode_time_series``.
-
-    Same probe contexts, same interpolation — but each distinct layer
-    bitwidth costs one memoized timing lookup per probe instead of one
-    per layer, and the per-step layer sum runs as one sequential cumsum.
-    """
-    steps = np.arange(1, max(n_out, 2))
-    contexts = prompt_len + steps
-    direct = len(contexts) <= samples
-    if direct:
-        probe = contexts
-    else:
-        probe = np.unique(
-            np.linspace(contexts[0], contexts[-1], samples).astype(int)
-        )
-    bits_seq = sm.stage.layer_bits
-    tp = sm.stage.tp_degree
-    per_bits = {
-        b: [sm.timing.decode(sm.gpu, b, size, int(c), tp) for c in probe]
-        for b in set(bits_seq)
-    }
-    vals = np.empty((len(probe), len(bits_seq)), dtype=np.float64)
-    for j, b in enumerate(bits_seq):
-        vals[:, j] = per_bits[b]
-    times = _layer_sum(vals)
-    if sm.is_first:
-        times = times + roofline.embedding_time(sm.gpu, sm.spec, size)
-    if sm.is_last:
-        times = times + roofline.lm_head_time(sm.gpu, sm.spec, size)
-    if direct:
-        return times.tolist()
-    return np.interp(contexts, probe, times).tolist()
-
-
 def _stage_key(sm: StageExecutionModel) -> Tuple[Any, ...]:
     """What a stage's timing actually depends on.
 
     Device ids and the stage's position in the layer range don't enter
-    any per-stage time, so keying on (bitwidths, TP degree, GPU model,
+    any per-stage time, so keying on (bitwidths, TP degree, GPU spec,
     boundary flags) lets structurally identical stages share across
     different clusters and layer offsets — e.g. every 10-layer INT4 T4
-    stage in a fleet sweep, wherever it sits.
+    stage in a fleet sweep, wherever it sits.  The key holds the whole
+    :class:`GPUSpec`, not its name: a ``GPUSpec.replace`` copy keeps the
+    name but not the timing.
     """
     return (
-        sm.spec, sm.stage.layer_bits, sm.stage.tp_degree, sm.gpu.name,
+        sm.spec, sm.stage.layer_bits, sm.stage.tp_degree, sm.gpu,
         sm.is_first, sm.is_last,
     )
 
 
 def _prefill_chunk_time(
-    sm: StageExecutionModel, size: int, chunk: int, token: Any, share: bool
+    sm: StageExecutionModel, size: int, chunk: int, token: Any
 ) -> float:
-    if not share:
-        return sm.prefill_chunk_time(size, chunk)
     key = ("p", token, _stage_key(sm), size, chunk)
     hit = _COMPONENT_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    val = _prefill_chunk_shared(sm, size, chunk)
+    val = sm.prefill_chunk_time(size, chunk)
     _bounded_put(
         _COMPONENT_CACHE, _COMPONENT_CACHE_MAX, key, (sm.timing, val)
     )
@@ -310,15 +231,12 @@ def _decode_series(
     prompt_len: int,
     n_out: int,
     token: Any,
-    share: bool,
 ) -> List[float]:
-    if not share:
-        return sm.decode_time_series(size, prompt_len, n_out).tolist()
     key = ("d", token, _stage_key(sm), size, prompt_len, n_out)
     hit = _COMPONENT_CACHE.get(key)
     if hit is not None:
         return hit[1]
-    val = _decode_series_shared(sm, size, prompt_len, n_out)
+    val = sm.decode_time_series(size, prompt_len, n_out)
     _bounded_put(
         _COMPONENT_CACHE, _COMPONENT_CACHE_MAX, key, (sm.timing, val)
     )
@@ -331,13 +249,13 @@ def build_plan_tables(
     spec: ModelSpec,
     workload: BatchWorkload,
     timing: TimingSource,
-    share_components: bool = False,
 ) -> PlanTables:
     """Build (or fetch) the duration tables for one plan evaluation.
 
-    ``share_components=True`` additionally memoizes per-stage chunk
-    times and decode series across *different* plans sharing structurally
-    identical stages — the batched evaluator's main table-cost lever.
+    Per-stage chunk times and decode series are also memoized across
+    *different* plans sharing structurally identical stages, and whole
+    prefill / decode bundles across plans that differ only on the other
+    phase — the main table-cost lever on a frontier.
     """
     token = _timing_token(timing)
     key = (plan, cluster, workload, token)
@@ -346,15 +264,14 @@ def build_plan_tables(
         return hit[1]
 
     ctx_key = (plan.stages, cluster, spec, token)
-    ctx_hit = _CONTEXT_CACHE.get(ctx_key) if share_components else None
+    ctx_hit = _CONTEXT_CACHE.get(ctx_key)
     if ctx_hit is not None:
         topo = ctx_hit[1]
     else:
         topo = PipelineTopology.build(plan, cluster, spec, timing)
-        if share_components:
-            _bounded_put(
-                _CONTEXT_CACHE, _CONTEXT_CACHE_MAX, ctx_key, (timing, topo)
-            )
+        _bounded_put(
+            _CONTEXT_CACHE, _CONTEXT_CACHE_MAX, ctx_key, (timing, topo)
+        )
     # A shared topology may come from a micro-batch variant of this plan:
     # only its stage models and links are read, never ``topo.plan``.
     stage_models = topo.stage_models
@@ -366,7 +283,7 @@ def build_plan_tables(
         plan.stages, plan.prefill_microbatch, cluster, spec, token,
         workload.batch, workload.prompt_len, chunk,
     )
-    pre_hit = _PREFILL_CACHE.get(pre_key) if share_components else None
+    pre_hit = _PREFILL_CACHE.get(pre_key)
     if pre_hit is not None:
         n_mb, kappa, n_pre, pre_dur, pre_comm = pre_hit[1]
     else:
@@ -383,7 +300,7 @@ def build_plan_tables(
         pre_dur = [
             np.asarray(
                 [
-                    _prefill_chunk_time(sm, s, chunk, token, share_components)
+                    _prefill_chunk_time(sm, s, chunk, token)
                     for s in uniq_pre
                 ],
                 dtype=np.float64,
@@ -399,11 +316,10 @@ def build_plan_tables(
         ]
         n_mb = len(pre_sizes)
         n_pre = n_mb * kappa
-        if share_components:
-            _bounded_put(
-                _PREFILL_CACHE, _PREFILL_CACHE_MAX, pre_key,
-                (timing, (n_mb, kappa, n_pre, pre_dur, pre_comm)),
-            )
+        _bounded_put(
+            _PREFILL_CACHE, _PREFILL_CACHE_MAX, pre_key,
+            (timing, (n_mb, kappa, n_pre, pre_dur, pre_comm)),
+        )
 
     # -- decode ----------------------------------------------------------
     n_out = workload.output_len
@@ -418,7 +334,7 @@ def build_plan_tables(
             plan.stages, plan.decode_microbatch, cluster, spec, token,
             workload.batch, workload.prompt_len, n_out,
         )
-        dec_hit = _DECODE_CACHE.get(dec_key) if share_components else None
+        dec_hit = _DECODE_CACHE.get(dec_key)
         if dec_hit is not None:
             n_dec, series_jm, comm_jm, fb_m, dec_arr = dec_hit[1]
         else:
@@ -429,8 +345,7 @@ def build_plan_tables(
             for size in set(dec_sizes):
                 for j, sm in enumerate(stage_models):
                     dec_series[(j, size)] = _decode_series(
-                        sm, size, workload.prompt_len, n_out, token,
-                        share_components,
+                        sm, size, workload.prompt_len, n_out, token
                     )
             dec_comm: Dict[Tuple[int, int], float] = {}
             for size in set(dec_sizes):
@@ -449,12 +364,11 @@ def build_plan_tables(
                 for j in range(n_stages - 1)
             ]
             fb_m = [fb_delay[size] for size in dec_sizes]
-            if share_components:
-                dec_arr = np.asarray(series_jm, dtype=np.float64)
-                _bounded_put(
-                    _DECODE_CACHE, _DECODE_CACHE_MAX, dec_key,
-                    (timing, (n_dec, series_jm, comm_jm, fb_m, dec_arr)),
-                )
+            dec_arr = np.asarray(series_jm, dtype=np.float64)
+            _bounded_put(
+                _DECODE_CACHE, _DECODE_CACHE_MAX, dec_key,
+                (timing, (n_dec, series_jm, comm_jm, fb_m, dec_arr)),
+            )
 
     tables = PlanTables(
         n_stages=n_stages,

@@ -61,13 +61,7 @@ from ..simgpu.memory import OutOfMemoryError
 from ..workloads.arrivals import ArrivalTrace, Request
 from ..workloads.spec import BatchWorkload
 from .events import EventLoop, Server
-from .fastsim import (
-    _bounded_put,
-    _decode_series_shared,
-    _prefill_chunk_shared,
-    _stage_key,
-    _timing_token,
-)
+from .fastsim import _bounded_put, _stage_key, _timing_token
 from .simulator import _check_backend, check_plan_memory
 from .stage import RooflineTiming, TimingSource
 from .topology import PipelineTopology, microbatch_sizes
@@ -282,10 +276,10 @@ class OnlineTables:
     dicts per run; sharing the bundle makes repeat traces (benchmarks,
     fleets, differential tests) pay each lookup once.
 
-    Prefill and decode misses are filled by the batched evaluator's
-    duration functions, which time each distinct layer bitwidth once and
-    sum in layer order (bit-exact with ``StageExecutionModel``), and are
-    keyed by stage structure, so identical stages share one entry.
+    Prefill and decode misses are filled straight from the stage model
+    (:class:`~repro.pipeline.stage.StageExecutionModel`, the duration
+    implementation every simulator shares) and keyed by stage structure,
+    so identical stages share one entry.
     """
 
     __slots__ = (
@@ -311,9 +305,8 @@ class OnlineTables:
         key = (self._struct[j], size, chunk_len)
         t = self._pre_time.get(key)
         if t is None:
-            t = self._pre_time[key] = _prefill_chunk_shared(
-                self.topo.stage_models[j], size, chunk_len
-            )
+            sm = self.topo.stage_models[j]
+            t = self._pre_time[key] = sm.prefill_chunk_time(size, chunk_len)
         return t
 
     def pre_comm(self, j: int, size: int, chunk_len: int) -> float:
@@ -331,8 +324,9 @@ class OnlineTables:
         key = (self._struct[j], size, pad, max_n)
         series = self._dec_series.get(key)
         if series is None:
-            series = self._dec_series[key] = _decode_series_shared(
-                self.topo.stage_models[j], size, pad, max_n
+            sm = self.topo.stage_models[j]
+            series = self._dec_series[key] = sm.decode_time_series(
+                size, pad, max_n
             )
         return series
 

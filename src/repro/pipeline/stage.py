@@ -1,15 +1,16 @@
 """Per-stage execution timing, backed by the roofline truth or a cost model.
 
 The simulator asks each stage two questions: how long one prefill chunk of
-a micro-batch takes, and how long one decode step takes at a given context
-length.  Both are sums over the stage's layers at their assigned
-bitwidths, plus embedding / LM-head work on the first / last stage.
+a micro-batch takes, and how long each decode step of a micro-batch takes
+as its context grows.  Both are sums over the stage's layers at their
+assigned bitwidths, plus embedding / LM-head work on the first / last
+stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import List, Protocol
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class CostModelTiming:
 class MemoizedTiming:
     """A memo layer over any :class:`TimingSource` (the planner's cache).
 
-    Unit layer costs depend only on ``(phase, gpu model, bits, batch,
+    Unit layer costs depend only on ``(phase, gpu spec, bits, batch,
     seq/context, tp degree)``, yet the candidate search evaluates the same
     tuples over and over: identical ``(gpu, tp)`` stage groups recur across
     device orderings, and each ``(eta, xi)`` micro-batch pair revisits every
@@ -121,7 +122,7 @@ class MemoizedTiming:
     def prefill(
         self, gpu: GPUSpec, bits: int, batch: int, seq: int, tp: int = 1
     ) -> float:
-        key = ("p", gpu.name, bits, batch, seq, tp)
+        key = ("p", gpu, bits, batch, seq, tp)
         val = self._cache.get(key)
         if val is None:
             val = self.source.prefill(gpu, bits, batch, seq, tp)
@@ -134,7 +135,7 @@ class MemoizedTiming:
     def decode(
         self, gpu: GPUSpec, bits: int, batch: int, context: int, tp: int = 1
     ) -> float:
-        key = ("d", gpu.name, bits, batch, context, tp)
+        key = ("d", gpu, bits, batch, context, tp)
         val = self._cache.get(key)
         if val is None:
             val = self.source.decode(gpu, bits, batch, context, tp)
@@ -145,9 +146,25 @@ class MemoizedTiming:
         return val
 
 
+def _layer_sum(per_layer: np.ndarray) -> np.ndarray:
+    """Sequential left-to-right sum over the trailing (layer) axis.
+
+    ``np.cumsum`` accumulates strictly in order (no pairwise reduction),
+    so taking the last partial sum reproduces the scalar
+    ``total = 0.0; total += layer`` chain bit-for-bit (``0.0 + x == x``).
+    """
+    return np.cumsum(per_layer, axis=-1)[..., -1]
+
+
 @dataclass
 class StageExecutionModel:
-    """Timing of one pipeline stage under a plan."""
+    """Timing of one pipeline stage under a plan.
+
+    A stage's time is the sum of its layers' costs at their assigned
+    bitwidths.  Each *distinct* bitwidth costs one timing lookup (the
+    timing sources are pure in exactly those arguments), and the layer
+    sum runs in layer order as one sequential ``np.cumsum``.
+    """
 
     stage: StagePlan
     gpu: GPUSpec
@@ -158,11 +175,17 @@ class StageExecutionModel:
 
     def prefill_chunk_time(self, microbatch: int, chunk_len: int) -> float:
         """Time for one prefill chunk of ``microbatch`` requests."""
-        total = 0.0
-        for bits in self.stage.layer_bits:
-            total += self.timing.prefill(
-                self.gpu, bits, microbatch, chunk_len, self.stage.tp_degree
+        bits_seq = self.stage.layer_bits
+        tp = self.stage.tp_degree
+        per_bits = {
+            b: self.timing.prefill(self.gpu, b, microbatch, chunk_len, tp)
+            for b in set(bits_seq)
+        }
+        total = float(
+            _layer_sum(
+                np.asarray([per_bits[b] for b in bits_seq], dtype=np.float64)
             )
+        )
         if self.is_first:
             total += roofline.embedding_time(
                 self.gpu, self.spec, microbatch * chunk_len
@@ -173,22 +196,9 @@ class StageExecutionModel:
             total += roofline.lm_head_time(self.gpu, self.spec, microbatch)
         return total
 
-    def decode_step_time(self, microbatch: int, context: int) -> float:
-        """Time for one decode step at total ``context`` length."""
-        total = 0.0
-        for bits in self.stage.layer_bits:
-            total += self.timing.decode(
-                self.gpu, bits, microbatch, context, self.stage.tp_degree
-            )
-        if self.is_first:
-            total += roofline.embedding_time(self.gpu, self.spec, microbatch)
-        if self.is_last:
-            total += roofline.lm_head_time(self.gpu, self.spec, microbatch)
-        return total
-
     def decode_time_series(
         self, microbatch: int, prompt_len: int, n_tokens: int, samples: int = 9
-    ) -> np.ndarray:
+    ) -> List[float]:
         """Decode-step times for t = 1..n_tokens-1, by interpolation.
 
         Per-step cost is piecewise-linear in context length, so sampling a
@@ -196,14 +206,34 @@ class StageExecutionModel:
         """
         steps = np.arange(1, max(n_tokens, 2))
         contexts = prompt_len + steps
-        if len(contexts) <= samples:
-            return np.array(
-                [self.decode_step_time(microbatch, int(c)) for c in contexts]
+        direct = len(contexts) <= samples
+        if direct:
+            probe = contexts
+        else:
+            probe = np.unique(
+                np.linspace(contexts[0], contexts[-1], samples).astype(int)
             )
-        probe = np.unique(
-            np.linspace(contexts[0], contexts[-1], samples).astype(int)
-        )
-        times = np.array(
-            [self.decode_step_time(microbatch, int(c)) for c in probe]
-        )
-        return np.interp(contexts, probe, times)
+        bits_seq = self.stage.layer_bits
+        tp = self.stage.tp_degree
+        per_bits = {
+            b: [
+                self.timing.decode(self.gpu, b, microbatch, int(c), tp)
+                for c in probe
+            ]
+            for b in set(bits_seq)
+        }
+        vals = np.empty((len(probe), len(bits_seq)), dtype=np.float64)
+        for j, b in enumerate(bits_seq):
+            vals[:, j] = per_bits[b]
+        times = _layer_sum(vals)
+        if self.is_first:
+            times = times + roofline.embedding_time(
+                self.gpu, self.spec, microbatch
+            )
+        if self.is_last:
+            times = times + roofline.lm_head_time(
+                self.gpu, self.spec, microbatch
+            )
+        if direct:
+            return times.tolist()
+        return np.interp(contexts, probe, times).tolist()

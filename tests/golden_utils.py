@@ -15,7 +15,10 @@ point with the chosen plan and its predicted figures, compared exactly
 by ``tests/test_golden_heuristic_plans.py``.  The planner-paths fixture
 pins the paths that fixture does not reach: the DP tier, the verify
 re-score, the energy/cost re-rank and both incremental re-plan deltas
-(``tests/test_golden_planner_paths.py``).
+(``tests/test_golden_planner_paths.py``).  The fleet-schedule fixture
+pins a small greedy and beam schedule: each job's group, timeline slot
+and plan, and the simulated fleet makespan, energy and cost
+(``tests/test_golden_fleet_schedules.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ from repro.core import (
     PlannerConfig,
     SplitQuantPlanner,
 )
-from repro.fleet import default_fleet_config
+from repro.fleet import (
+    FleetScheduler,
+    default_fleet_config,
+    make_job_queue,
+    simulate_schedule,
+)
 from repro.hardware import make_cluster, table_iii_cluster
 from repro.models import get_model
 from repro.pipeline import simulate_degraded
@@ -315,6 +323,49 @@ def planner_paths() -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
+FLEET_SCHEDULES = "fleet_schedules"
+FLEET_INVENTORY = {"V100-32G": 3, "T4-16G": 4, "P100-12G": 2}
+FLEET_ALLOCATORS = ("greedy", "beam")
+
+
+def fleet_schedules() -> str:
+    """A small greedy and beam fleet schedule, one line per job.
+
+    Four seeded jobs (OPT-1.3B and BLOOM-3B) on a 9-GPU mixed
+    inventory, as in ``tests/test_fleet.py``.  Each job records its
+    group, its slot on the timeline and its plan; each allocator's
+    summary line records the schedule makespan, the unscheduled jobs and
+    the simulated fleet makespan, tokens, energy and cost.
+    """
+    jobs = make_job_queue(n_jobs=4, seed=0, models=("opt-1.3b", "bloom-3b"))
+    entries = []
+    for name in FLEET_ALLOCATORS:
+        schedule = FleetScheduler(FLEET_INVENTORY, allocator=name).schedule(
+            jobs
+        )
+        sim = simulate_schedule(schedule)
+        entries.append((f"{name}/summary", {
+            "makespan_s": schedule.makespan_s,
+            "unscheduled": [job.job_id for job in schedule.unscheduled],
+            "sim_makespan_s": sim.makespan_s,
+            "sim_total_tokens": sim.total_tokens,
+            "sim_energy_j": sim.energy_j,
+            "sim_cost_usd": sim.cost_usd,
+        }))
+        for sj in schedule.jobs:
+            entries.append((f"{name}/{sj.job.job_id}", {
+                "group": [list(c) for c in sj.group.counts],
+                "start_s": sj.start_s,
+                "end_s": sj.end_s,
+                "plan": to_dict(sj.assignment.result.plan),
+            }))
+    lines = [
+        json.dumps(key) + ": " + json.dumps(_round_floats(entry), sort_keys=True)
+        for key, entry in entries
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 def fixture_path(name: str) -> Path:
     return DATA_DIR / f"{name}.json"
 
@@ -327,6 +378,7 @@ def regenerate_all() -> Dict[str, Path]:
         **GOLDEN_SCENARIOS,
         HEURISTIC_PLANS: heuristic_plans,
         PLANNER_PATHS: planner_paths,
+        FLEET_SCHEDULES: fleet_schedules,
     }
     for name, build in builders.items():
         path = fixture_path(name)

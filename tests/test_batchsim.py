@@ -9,6 +9,8 @@ call.  Every assertion here is ``==`` on whole results.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.models import get_model
 from repro.obs import Tracer, metrics, use_tracer
 from repro.pipeline import (
     PlanCase,
+    clear_table_caches,
     evaluate_plans,
     simulate_plan,
     simulate_plan_variable,
@@ -104,6 +107,43 @@ def test_singleton_frontier(small_cluster, opt13b, small_workload):
         plan, small_cluster, opt13b, small_workload, sim_backend="fast"
     )
     assert res == fast
+
+
+def test_replaced_gpu_spec_is_not_served_stale_timings():
+    """A ``GPUSpec.replace`` copy keeps the GPU's name, not its timing.
+
+    Cluster 5 next to a copy whose decode bandwidth is quartered: each
+    lane must equal its own per-plan run (2.845 s vs 6.653 s), not
+    reuse the first cluster's name-keyed stage times or unit costs.
+    """
+    spec = get_model("opt-13b")
+    fast = table_iii_cluster(5)
+    slow = replace(fast, devices=tuple(
+        replace(d, gpu=d.gpu.replace(
+            mem_bw_decode_gbps=d.gpu.mem_bw_decode_gbps / 4
+        ))
+        for d in fast.devices
+    ))
+    wl = BatchWorkload(batch=16, prompt_len=256, output_len=32)
+    cases = [
+        PlanCase(
+            plan=uniform_plan(
+                spec.name, spec.num_layers, groups_of(c), 4, 8, 8
+            ),
+            cluster=c, spec=spec, workload=wl,
+        )
+        for c in (fast, slow)
+    ]
+    clear_table_caches()
+    alone = [
+        simulate_plan(
+            c.plan, c.cluster, c.spec, c.workload, check_memory=False
+        )
+        for c in cases
+    ]
+    assert alone[1].makespan_s > 2 * alone[0].makespan_s
+    clear_table_caches()
+    assert evaluate_plans(cases) == alone
 
 
 def test_check_memory_raises_like_per_plan(small_cluster, opt30b,

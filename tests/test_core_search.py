@@ -21,6 +21,7 @@ from repro.core.enumeration import candidate_orderings
 from repro.core.search import _PRUNE_ABS_SLACK, _PRUNE_REL_SLACK
 from repro.workloads import BatchWorkload
 from tests.golden_utils import HEURISTIC_WORKLOAD, heuristic_planners
+from tests.planner_oracle import plan_reference
 
 FAST = PlannerConfig(
     group_size=5,
@@ -49,7 +50,7 @@ def test_engine_matches_naive_small(opt13b, small_cluster, cost_model_13b,
     planner = SplitQuantPlanner(opt13b, small_cluster, cfg,
                                 cost_model=cost_model_13b)
     _assert_same_plan(planner.plan(small_workload),
-                      planner.plan_reference(small_workload))
+                      plan_reference(planner, small_workload))
 
 
 def test_engine_matches_naive_cluster5(opt30b, cluster5):
@@ -65,7 +66,7 @@ def test_engine_matches_naive_cluster5(opt30b, cluster5):
         omega_layers=seed_planner.omega_layers,
     )
     wl = BatchWorkload(batch=16, prompt_len=256, output_len=32)
-    _assert_same_plan(planner.plan(wl), planner.plan_reference(wl))
+    _assert_same_plan(planner.plan(wl), plan_reference(planner, wl))
 
 
 def test_engine_matches_naive_at_16bit_quality_match():
@@ -96,7 +97,7 @@ def test_engine_matches_naive_at_16bit_quality_match():
         cost_model=seed_planner.cost_model,
         omega_layers=seed_planner.omega_layers,
     )
-    _assert_same_plan(planner.plan(wl), planner.plan_reference(wl))
+    _assert_same_plan(planner.plan(wl), plan_reference(planner, wl))
 
 
 def test_engine_parallel_matches_serial(opt13b, small_cluster,
@@ -148,7 +149,7 @@ def test_best_first_solves_only_competitive_candidates(opt30b, cluster5):
     kth = sorted(st.latency_s for st in solved)[cfg.verify_top_k - 1]
     limit = kth + _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * kth
     assert [st.bound_s for st in solved if st.bound_s > limit] == []
-    _assert_same_plan(res, planner.plan_reference(wl))
+    _assert_same_plan(res, plan_reference(planner, wl))
 
 
 def test_engine_prune_off_matches(opt13b, small_cluster, cost_model_13b,
@@ -186,7 +187,7 @@ def test_heuristic_tier_needs_no_milp(monkeypatch, opt13b, cluster5, budget):
 
     _patch_everywhere(monkeypatch, "solve_adabits", no_milp)
     wl = HEURISTIC_WORKLOAD
-    _assert_same_plan(planner.plan(wl), planner.plan_reference(wl))
+    _assert_same_plan(planner.plan(wl), plan_reference(planner, wl))
 
 
 def test_heuristic_tier_falls_back_to_milp(monkeypatch, opt13b, cluster5):
@@ -204,7 +205,7 @@ def test_heuristic_tier_falls_back_to_milp(monkeypatch, opt13b, cluster5):
     wl = HEURISTIC_WORKLOAD
     res = planner.plan(wl)
     assert res is not None and calls
-    _assert_same_plan(res, planner.plan_reference(wl))
+    _assert_same_plan(res, plan_reference(planner, wl))
 
 
 # -- admissibility: bounds never exceed a solved candidate's score -------
@@ -503,7 +504,7 @@ def test_search_stats_surface_on_result(opt13b, small_cluster,
         st.status for st in res.stats if st.status.startswith("status-")
     }
     # Naive path reports no search stats.
-    assert planner.plan_reference(small_workload).search is None
+    assert plan_reference(planner, small_workload).search is None
 
 
 def test_search_prunes_on_budget_config(opt13b, small_cluster,
@@ -525,7 +526,7 @@ def test_search_prunes_on_budget_config(opt13b, small_cluster,
     pruned_stats = [st for st in res.stats if st.status == "pruned"]
     assert len(pruned_stats) == s.pruned
     assert all(st.bound_s > 0 for st in pruned_stats)
-    _assert_same_plan(res, planner.plan_reference(small_workload))
+    _assert_same_plan(res, plan_reference(planner, small_workload))
 
 
 def test_config_validates_search_knobs():

@@ -1,0 +1,31 @@
+"""Golden fleet schedules.
+
+``tests/data/fleet_schedules.json`` pins a small greedy and beam
+schedule of the same four-job queue on a 9-GPU mixed inventory: per
+allocator, the schedule makespan, the unscheduled jobs and the simulated
+fleet makespan, tokens, energy and cost; per job, its GPU group, its
+slot on the timeline and its plan (floats rounded to 12 significant
+digits).  A mismatch means the fleet scheduler, its planner pool or the
+fleet simulator changed its output — review the fixture diff, and if
+intentional regenerate with
+``PYTHONPATH=src python scripts/regen_golden_traces.py``.
+"""
+
+from tests.golden_utils import (
+    FLEET_SCHEDULES,
+    assert_same_lines,
+    fixture_path,
+    fleet_schedules,
+)
+
+REGEN_HINT = (
+    "fleet schedules changed; if intentional run "
+    "`PYTHONPATH=src python scripts/regen_golden_traces.py` and review "
+    "the fixture diff"
+)
+
+
+def test_fleet_schedules_match_fixture():
+    path = fixture_path(FLEET_SCHEDULES)
+    assert path.exists(), f"missing fixture {path}; run the regen script"
+    assert_same_lines(fleet_schedules(), path.read_text(), REGEN_HINT)

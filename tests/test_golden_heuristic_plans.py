@@ -4,8 +4,8 @@
 Table-III cluster, quality budget) grid point: the plan the
 bitwidth-transfer tier chooses and its predicted latency, quality and
 throughput (floats rounded to 12 significant digits).  The exact tier
-is pinned by ``plan_reference()``; this fixture pins the heuristic tier,
-whose plans depend on its warm start and hill climb.  A mismatch means
+is pinned by ``tests/planner_oracle.py``; this fixture pins the
+heuristic tier, whose plans depend on its warm start and hill climb.  A mismatch means
 heuristic plans changed — review the fixture diff, and if intentional
 regenerate with ``PYTHONPATH=src python scripts/regen_golden_traces.py``.
 """

@@ -1,12 +1,14 @@
-"""The online duration tables against the per-layer reference.
+"""The stage-duration model and the online tables against the per-layer
+reference.
 
-``OnlineTables`` fills prefill and decode misses with fastsim's shared
-duration functions (one timing lookup per distinct layer bitwidth, then
-an in-order layer sum) and keys them by stage structure, so identical
-stages share one entry.  The event == fast online differential cannot
-catch an error here — both backends read the same tables — so these
-tests pin the tables directly to ``StageExecutionModel``, the per-layer
-reference, with ``==`` on raw floats.
+``StageExecutionModel`` is the one stage-duration implementation every
+simulator shares: one timing lookup per distinct layer bitwidth, then an
+in-order layer sum.  ``OnlineTables`` fills its misses from it and keys
+them by stage structure, so identical stages share one entry.  The
+event == fast differentials cannot catch an error in either — every
+backend reads the same durations — so these tests pin both directly to
+``tests/stage_oracle.py``, the literal one-call-per-layer sum, with
+``==`` on raw floats.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ import pytest
 from repro.hardware import table_iii_cluster
 from repro.models import get_model
 from repro.pipeline import CostModelTiming, OnlineTables, RooflineTiming
-from repro.pipeline.fastsim import (
-    _decode_series_shared,
-    _prefill_chunk_shared,
-)
 from repro.pipeline.stage import StageExecutionModel
 from repro.pipeline.topology import PipelineTopology
 from repro.plan import ExecutionPlan, StagePlan, uniform_plan
+from tests import stage_oracle
 
 #: Nine layers with repeated, interleaved bitwidths: long enough that a
 #: pairwise (non-sequential) sum or a per-bitwidth ``count * t`` product
@@ -64,12 +63,12 @@ def test_shared_functions_equal_stage_model(
         is_first=is_first, is_last=is_last,
     )
     for size in SIZES:
-        assert _prefill_chunk_shared(sm, size, CHUNK_LEN) == (
-            sm.prefill_chunk_time(size, CHUNK_LEN)
+        assert sm.prefill_chunk_time(size, CHUNK_LEN) == (
+            stage_oracle.prefill_chunk_time(sm, size, CHUNK_LEN)
         )
         for n_out in N_OUTS:
-            assert _decode_series_shared(sm, size, PROMPT_LEN, n_out) == (
-                sm.decode_time_series(size, PROMPT_LEN, n_out).tolist()
+            assert sm.decode_time_series(size, PROMPT_LEN, n_out) == (
+                stage_oracle.decode_time_series(sm, size, PROMPT_LEN, n_out)
             )
 
 
@@ -128,9 +127,9 @@ def test_tables_equal_topology_per_stage(name, opt30b_spec, cluster7):
         for j in range(topo.num_stages):
             sm = topo.stage_models[j]
             assert tables.pre_time(j, size, CHUNK_LEN) == (
-                sm.prefill_chunk_time(size, CHUNK_LEN)
+                stage_oracle.prefill_chunk_time(sm, size, CHUNK_LEN)
             )
-            ref = sm.decode_time_series(size, pad, max_n).tolist()
+            ref = stage_oracle.decode_time_series(sm, size, pad, max_n)
             assert tables.dec_series(j, size, pad, max_n) == ref
             for t in (1, max_n - 1):
                 assert tables.dec_step(j, size, pad, max_n, t) == ref[t - 1]

@@ -12,6 +12,7 @@ from repro.pipeline import (
 from repro.plan import StagePlan, uniform_plan
 from repro.simgpu import OutOfMemoryError
 from repro.workloads import BatchWorkload
+from tests import stage_oracle
 
 
 def groups_of(cluster):
@@ -152,7 +153,7 @@ def test_decode_time_series_interpolation(opt13b, v100):
     assert len(series) == 49
     # Monotone non-decreasing in context.
     assert all(b >= a - 1e-12 for a, b in zip(series, series[1:]))
-    exact = sm.decode_step_time(4, 256 + 25)
+    exact = stage_oracle.decode_step_time(sm, 4, 256 + 25)
     assert abs(series[24] - exact) / exact < 0.02
 
 
@@ -185,6 +186,6 @@ def test_first_last_stage_extras(opt13b, v100):
         gpu=v100, spec=opt13b, timing=RooflineTiming(spec=opt13b),
         is_last=True,
     )
-    t = base.decode_step_time(4, 256)
-    assert first.decode_step_time(4, 256) > t
-    assert last.decode_step_time(4, 256) > t
+    t = base.decode_time_series(4, 255, 2)[0]
+    assert first.decode_time_series(4, 255, 2)[0] > t
+    assert last.decode_time_series(4, 255, 2)[0] > t
