@@ -16,8 +16,9 @@ by ``tests/test_golden_heuristic_plans.py``.  The planner-paths fixture
 pins the paths that fixture does not reach: the DP tier, the verify
 re-score, the energy/cost re-rank and both incremental re-plan deltas
 (``tests/test_golden_planner_paths.py``).  The fleet-schedule fixture
-pins a small greedy and beam schedule: each job's group, timeline slot
-and plan, and the simulated fleet makespan, energy and cost
+pins small greedy and beam schedules under the throughput and the cost
+objective: each job's group, timeline slot and plan, and the simulated
+fleet makespan, energy and cost; and one seeded online fleet replay
 (``tests/test_golden_fleet_schedules.py``).
 """
 
@@ -37,7 +38,9 @@ from repro.core import (
 from repro.fleet import (
     FleetScheduler,
     default_fleet_config,
+    make_job_arrivals,
     make_job_queue,
+    simulate_online_fleet,
     simulate_schedule,
 )
 from repro.hardware import make_cluster, table_iii_cluster
@@ -325,26 +328,41 @@ def planner_paths() -> str:
 
 FLEET_SCHEDULES = "fleet_schedules"
 FLEET_INVENTORY = {"V100-32G": 3, "T4-16G": 4, "P100-12G": 2}
-FLEET_ALLOCATORS = ("greedy", "beam")
+#: (key prefix, allocator, FleetScheduler keyword arguments).
+FLEET_RUNS = (
+    ("greedy", "greedy", {}),
+    ("beam", "beam", {}),
+    ("cost-greedy", "greedy", {"objective": "cost", "spot_types": ("T4-16G",)}),
+    ("cost-beam", "beam", {"objective": "cost", "spot_types": ("T4-16G",)}),
+)
+#: The online replay: a 3-GPU inventory and a seeded stream dense
+#: enough that jobs queue, plus an OPT-66B job that one arrival drops.
+FLEET_ONLINE_INVENTORY = {"V100-32G": 1, "T4-16G": 2}
+FLEET_ONLINE_MODELS = ("opt-1.3b", "bloom-3b", "opt-66b")
 
 
 def fleet_schedules() -> str:
-    """A small greedy and beam fleet schedule, one line per job.
+    """Small greedy and beam fleet schedules and one online replay.
 
     Four seeded jobs (OPT-1.3B and BLOOM-3B) on a 9-GPU mixed
-    inventory, as in ``tests/test_fleet.py``.  Each job records its
-    group, its slot on the timeline and its plan; each allocator's
-    summary line records the schedule makespan, the unscheduled jobs and
-    the simulated fleet makespan, tokens, energy and cost.
+    inventory, as in ``tests/test_fleet.py``, scheduled by each
+    allocator under the throughput objective and under the cost
+    objective with T4s spot-priced.  Each job records its group, its
+    slot on the timeline and its plan; each run's summary line records
+    the schedule makespan, the unscheduled jobs and the simulated fleet
+    makespan, tokens, energy and cost.  The online entries replay a
+    seeded arrival stream through ``simulate_online_fleet``: per job its
+    group, start and end, then the drops and the makespan.
     """
     jobs = make_job_queue(n_jobs=4, seed=0, models=("opt-1.3b", "bloom-3b"))
     entries = []
-    for name in FLEET_ALLOCATORS:
-        schedule = FleetScheduler(FLEET_INVENTORY, allocator=name).schedule(
-            jobs
+    for prefix, allocator, kwargs in FLEET_RUNS:
+        scheduler = FleetScheduler(
+            FLEET_INVENTORY, allocator=allocator, **kwargs
         )
-        sim = simulate_schedule(schedule)
-        entries.append((f"{name}/summary", {
+        schedule = scheduler.schedule(jobs)
+        sim = simulate_schedule(schedule, price_book=scheduler.price_book)
+        entries.append((f"{prefix}/summary", {
             "makespan_s": schedule.makespan_s,
             "unscheduled": [job.job_id for job in schedule.unscheduled],
             "sim_makespan_s": sim.makespan_s,
@@ -353,12 +371,26 @@ def fleet_schedules() -> str:
             "sim_cost_usd": sim.cost_usd,
         }))
         for sj in schedule.jobs:
-            entries.append((f"{name}/{sj.job.job_id}", {
+            entries.append((f"{prefix}/{sj.job.job_id}", {
                 "group": [list(c) for c in sj.group.counts],
                 "start_s": sj.start_s,
                 "end_s": sj.end_s,
                 "plan": to_dict(sj.assignment.result.plan),
             }))
+    arrivals = make_job_arrivals(
+        n_jobs=6, seed=1, mean_interarrival_s=5.0, models=FLEET_ONLINE_MODELS
+    )
+    online = simulate_online_fleet(FLEET_ONLINE_INVENTORY, arrivals)
+    for rec in online.jobs:
+        entries.append((f"online/{rec.job_id}", {
+            "group": [list(c) for c in rec.group_counts],
+            "start_s": rec.start_s,
+            "end_s": rec.end_s,
+        }))
+    entries.append(("online/summary", {
+        "dropped": list(online.dropped),
+        "makespan_s": online.makespan_s,
+    }))
     lines = [
         json.dumps(key) + ": " + json.dumps(_round_floats(entry), sort_keys=True)
         for key, entry in entries

@@ -1,12 +1,15 @@
 """Golden fleet schedules.
 
 ``tests/data/fleet_schedules.json`` pins a small greedy and beam
-schedule of the same four-job queue on a 9-GPU mixed inventory: per
-allocator, the schedule makespan, the unscheduled jobs and the simulated
-fleet makespan, tokens, energy and cost; per job, its GPU group, its
-slot on the timeline and its plan (floats rounded to 12 significant
-digits).  A mismatch means the fleet scheduler, its planner pool or the
-fleet simulator changed its output — review the fixture diff, and if
+schedule of the same four-job queue on a 9-GPU mixed inventory, under
+the throughput objective and under the cost objective with one
+spot-priced GPU type: per run, the schedule makespan, the unscheduled
+jobs and the simulated fleet makespan, tokens, energy and cost; per job,
+its GPU group, its slot on the timeline and its plan.  It also pins one
+seeded online fleet replay: per job its group, start and end, then the
+drops and the makespan (floats rounded to 12 significant digits).  A
+mismatch means the fleet scheduler, its planner pool, the online fleet
+or the fleet simulator changed its output — review the fixture diff, and if
 intentional regenerate with
 ``PYTHONPATH=src python scripts/regen_golden_traces.py``.
 """
