@@ -6,8 +6,8 @@ Measures ``repro.pipeline.evaluate_plans`` against a per-plan
 * the Table-VI planner configuration (OPT-30B on cluster 5) with a
   frontier of bitwidth x micro-batching x chunking variants — the shape
   the candidate-search scoring stage sees, and
-* a 25-GPU fleet inventory where every (job, group) probe materializes a
-  different cluster — the shape the beam allocator's lookahead sees.
+* a fleet-shaped frontier on a 25-GPU inventory: one plan per (job,
+  group) pair, each group materializing a different cluster.
 
 Both timings start from cold evaluation caches (``clear_table_caches``
 runs inside the timed region), so the measured gap is the vectorized
@@ -78,7 +78,7 @@ def _planner_frontier():
 
 
 def _fleet_frontier():
-    """The beam-lookahead frontier: one plan per (job, group) probe."""
+    """A fleet-shaped frontier: one plan per (job, group) pair."""
     spec = get_model("opt-13b")
     groups = enumerate_groups(FLEET_INVENTORY, max_gpus=4, max_types=2)
     jobs = [

@@ -258,23 +258,8 @@ def _replan_cluster(
         sp.set(path="resolve")
         if trace.enabled:
             metrics.counter("planner.replan_resolves").inc()
-        from .planner import SplitQuantPlanner
-
-        reduced_planner = SplitQuantPlanner(
-            planner.spec,
-            reduced,
-            planner.config,
-            cost_model=planner.cost_model,
-            omega_layers=planner.omega_layers,
-        )
-        result = reduced_planner.plan(workload)
-        if result is None:
-            raise InfeasibleError(
-                "no feasible plan on surviving devices "
-                f"{sorted(survivors)}"
-            )
         return replace(
-            result,
+            planner.replan_cold(workload, survivors),
             tier="incremental-resolve",
             tier_reason="degrade repair infeasible; re-solved on survivors",
         )

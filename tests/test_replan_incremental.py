@@ -170,26 +170,25 @@ def test_session_replan_passthrough():
         assert s._last_result is res
 
 
-def test_planner_pool_memo_keys_include_config():
-    """Exact and DP plans for the same (job, group) never collide."""
+def test_planner_pool_memo_keys_include_config(tmp_path, monkeypatch):
+    """Exact and DP plans for the same (job, group) never collide: pools
+    of the two tiers sharing one cache directory never serve each
+    other's entries, and each serves its own to a fresh pool."""
     from dataclasses import replace as dc_replace
 
     from repro.fleet import PlannerPool, make_job_queue
     from repro.fleet.allocator import GroupSpec
 
+    monkeypatch.delenv("SPLITQUANT_CACHE", raising=False)
+    monkeypatch.setenv("SPLITQUANT_CACHE_DIR", str(tmp_path))
     inv = {"V100-32G": 2, "T4-16G": 2}
-    cfg_exact = dc_replace(FAST, tier="exact")
-    cfg_dp = dc_replace(FAST, tier="dp")
-    pool_exact = PlannerPool(inv, config=cfg_exact)
-    pool_dp = PlannerPool(inv, config=cfg_dp)
-    assert pool_exact._config_key != pool_dp._config_key
     job = make_job_queue(n_jobs=1, seed=0)[0]
     group = GroupSpec(counts=(("V100-32G", 2),))
-    a = pool_exact.evaluate(job, group)
-    b = pool_dp.evaluate(job, group)
-    # In-memory memo keys carry the fingerprint.
-    for key in pool_exact._plans:
-        assert key[-1] == pool_exact._config_key
-    if a is not None and b is not None:
-        assert a.result.tier == "exact"
-        assert b.result.tier == "dp"
+    for i, tier in enumerate(("exact", "dp", "exact", "dp")):
+        pool = PlannerPool(inv, config=dc_replace(FAST, tier=tier))
+        a = pool.evaluate(job, group)
+        assert a is not None
+        assert a.result.tier == tier
+        # The first pool of each tier plans; the second reads its entry.
+        hit = i >= 2
+        assert (pool.evaluations, pool.cache_hits) == (int(not hit), int(hit))
