@@ -93,7 +93,7 @@ def _fleet_frontier():
     cases = []
     for wl in jobs:
         for g in groups:
-            cluster = g.to_cluster(f"fleet-{g.describe()}", "eth-800g")
+            cluster = g.to_cluster(f"fleet-{g.describe()}")
             plan = uniform_plan(
                 spec.name, spec.num_layers, _groups_of(cluster), 4, 8, 8
             )

@@ -92,7 +92,6 @@ def test_planner_scaling():
             "bound_time_s": round(s.bound_time_s, 4),
             "cum_solve_time_s": round(s.cum_solve_time_s, 4),
             "wall_time_s": round(s.wall_time_s, 4),
-            "parallelism": s.parallelism,
         },
     }
     OUT.write_text(json.dumps(record, indent=2) + "\n")

@@ -158,19 +158,18 @@ class Session:
         self,
         workload: BatchWorkload,
         *,
-        tier: Optional[str] = None,
-        objective: Optional[str] = None,
+        tier: str = "auto",
+        objective: str = "throughput",
         budget: Optional[float] = None,
     ) -> Optional[PlannerResult]:
         """Run the SplitQuant assigner; remembers the plan for
         :meth:`simulate` / :meth:`serve`.  ``None`` when nothing fits.
 
-        ``tier`` selects the planning tier for this call (``"exact"``,
-        ``"dp"`` or ``"auto"``); ``None`` defers to ``config.tier``.
-        ``objective`` (``"throughput"``, ``"energy"``, ``"cost"``) and
-        ``budget`` (a J/token or $/Mtoken ceiling for the latter two)
-        select the planning objective; ``None`` defers to the config.
-        See :meth:`repro.core.SplitQuantPlanner.plan`.
+        ``tier`` selects the planning tier (``"exact"``, ``"dp"`` or
+        ``"auto"``).  ``objective`` (``"throughput"``, ``"energy"``,
+        ``"cost"``) and ``budget`` (a J/token or $/Mtoken ceiling for the
+        latter two) select the planning objective.  See
+        :meth:`repro.core.SplitQuantPlanner.plan`.
         """
         with self._scope():
             result = self.planner.plan(
@@ -398,7 +397,6 @@ class Session:
         allocator: str = "beam",
         fleet_config=None,
         simulate: bool = True,
-        parallelism: int = 1,
         pool_gpus: int = 24,
         n_jobs: int = 8,
         objective: str = "throughput",
@@ -445,7 +443,6 @@ class Session:
                 inventory,
                 config=fleet_config,
                 allocator=allocator,
-                parallelism=parallelism,
                 objective=objective,
                 spot_types=spot_types,
                 price_book=price_book,
@@ -453,9 +450,7 @@ class Session:
             schedule = scheduler.schedule(jobs)
             if not simulate:
                 return schedule
-            return simulate_schedule(
-                schedule, price_book=scheduler.price_book
-            )
+            return simulate_schedule(schedule, price_book=scheduler.price_book)
 
     def fleet_stats(self, n_gpus: int = 10_000):
         """The seeded Fig. 1 fleet sample behind :meth:`schedule_fleet`.

@@ -65,11 +65,21 @@ from .search import (
 )
 
 __all__ = [
+    "AUTO_EXACT_MAX_DEVICES",
     "DPOutcome",
     "dp_search",
     "flow_relaxed_span",
     "segment_partition",
 ]
+
+#: Largest cluster (device count) the ``"auto"`` tier still plans exactly;
+#: it also picks the exact tier's ordering enumeration for the DP tier.
+AUTO_EXACT_MAX_DEVICES = 8
+#: Stage-count prefixes the DP tier tries per ordering (ranked by the
+#: flow relaxation).
+DP_PREFIX_CANDIDATES = 3
+#: Hill-climb polish iterations after the segment DP.
+DP_POLISH_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ def _prefix_depths(
 
     Depths shallower than the min-bits capacity floor are skipped; the
     survivors are scored with :func:`flow_relaxed_span` and the best
-    ``config.dp_prefix_candidates`` (always including the deepest: every
+    :data:`DP_PREFIX_CANDIDATES` (always including the deepest: every
     stage group, at most one per layer group) are solved exactly by the
     segment DP.
     """
@@ -193,7 +203,7 @@ def _prefix_depths(
         )
         scored.append((span, n))
     scored.sort()
-    depths = {n for _, n in scored[: config.dp_prefix_candidates]}
+    depths = {n for _, n in scored[:DP_PREFIX_CANDIDATES]}
     depths.add(max_depth)  # the full prefix is always a candidate
     return sorted(depths)
 
@@ -328,17 +338,16 @@ def solve_segment_dp(
         solve_time_s=0.0,
         status="dp",
     )
-    if config.dp_polish_iters > 0:
-        polished = bitwidth_transfer(
-            problem,
-            theta=theta,
-            quality_budget=quality_budget,
-            time_limit_s=config.time_limit_s,
-            max_iters=config.dp_polish_iters,
-            start=sol,
-        )
-        if polished is not None:
-            sol = replace(polished, status="dp")
+    polished = bitwidth_transfer(
+        problem,
+        theta=theta,
+        quality_budget=quality_budget,
+        time_limit_s=config.time_limit_s,
+        max_iters=DP_POLISH_ITERS,
+        start=sol,
+    )
+    if polished is not None:
+        sol = replace(polished, status="dp")
     return sol
 
 
@@ -362,7 +371,7 @@ def dp_search(
     t0 = time.perf_counter()
     cfg = config
     theta = 0.0 if cfg.quality_budget is not None else cfg.theta
-    small = len(cluster.devices) <= cfg.auto_exact_max_devices
+    small = len(cluster.devices) <= AUTO_EXACT_MAX_DEVICES
     orderings = (candidate_orderings if small else scalable_orderings)(
         cluster, enable_tp=cfg.enable_tp, max_orderings=cfg.max_orderings
     )
@@ -421,7 +430,6 @@ def dp_search(
         wall_time_s=time.perf_counter() - t0,
         cum_solve_time_s=cum_solve,
         bound_time_s=bound_time,
-        parallelism=1,
     )
     if trace.enabled:
         metrics.counter("planner.dp_searches").inc()

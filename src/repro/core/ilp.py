@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import threading
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -28,46 +27,29 @@ from scipy.sparse import csc_array, vstack
 from ..obs import metrics, trace
 from .costs import PlanningProblem
 
-#: Re-entrancy state for :func:`_silenced_stdout`.  The search engine may
-#: run several HiGHS solves concurrently; naive per-thread ``dup2`` juggling
-#: races (one thread can "restore" another thread's devnull as the real
-#: stdout and permanently swallow fd 1), so redirection is reference-counted
-#: under a lock: the first solver in redirects, the last one out restores.
-_silence_lock = threading.Lock()
-_silence_depth = 0
-_silence_saved_fd: Optional[int] = None
-_silence_devnull = None
-
 
 @contextlib.contextmanager
 def _silenced_stdout():
-    """Mute HiGHS's C-level debug chatter during a solve (thread-safe).
+    """Mute HiGHS's C-level debug chatter during a solve.
 
     Some HiGHS builds print internal diagnostics straight to fd 1, which
-    scipy's ``disp=False`` cannot suppress.
+    scipy's ``disp=False`` cannot suppress.  Solves run serially, so fd 1
+    is saved, pointed at ``/dev/null`` and restored around each one.
     """
-    global _silence_depth, _silence_saved_fd, _silence_devnull
-    with _silence_lock:
-        if _silence_depth == 0:
-            try:
-                _silence_saved_fd = os.dup(1)
-            except OSError:  # exotic environments without a real fd 1
-                _silence_saved_fd = None
-            if _silence_saved_fd is not None:
-                _silence_devnull = open(os.devnull, "wb")
-                os.dup2(_silence_devnull.fileno(), 1)
-        _silence_depth += 1
     try:
+        saved = os.dup(1)
+    except OSError:  # exotic environments without a real fd 1
+        saved = None
+    if saved is None:
+        yield
+        return
+    try:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), 1)
         yield
     finally:
-        with _silence_lock:
-            _silence_depth -= 1
-            if _silence_depth == 0 and _silence_saved_fd is not None:
-                os.dup2(_silence_saved_fd, 1)
-                os.close(_silence_saved_fd)
-                _silence_saved_fd = None
-                _silence_devnull.close()
-                _silence_devnull = None
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from ..quant.sensitivity import normalized_indicator_table
 from ..workloads.spec import BatchWorkload
 from .config import PlannerConfig
 from .costs import PlanningProblem, StageGroup
+from .dp import AUTO_EXACT_MAX_DEVICES, dp_search
 from .heuristic import bitwidth_transfer
 from .ilp import ILPSolution, solve_partition_ilp
 from .search import (
@@ -52,6 +53,24 @@ __all__ = [
     "SplitQuantPlanner",
     "solution_to_plan",
 ]
+
+
+def _check_objective(objective: str, budget: Optional[float]) -> None:
+    """Reject an unknown objective, or a budget that is not a positive
+    number or that comes without an energy or cost objective."""
+    if objective not in ("throughput", "energy", "cost"):
+        raise ValueError(
+            f"unknown objective {objective!r} "
+            "(expected 'throughput', 'energy' or 'cost')"
+        )
+    if budget is None:
+        return
+    if not budget > 0:  # also NaN
+        raise ValueError(f"budget must be positive, got {budget!r}")
+    if objective == "throughput":
+        raise ValueError(
+            "budget requires objective='energy' or objective='cost'"
+        )
 
 
 def _reduced_cluster(
@@ -432,23 +451,22 @@ class SplitQuantPlanner:
             winner = top[0] if best is None else best[0]
             return winner, len(scored) * batches, batches
 
-    def resolve_tier(self, tier: Optional[str] = None) -> Tuple[str, str]:
+    def resolve_tier(self, tier: str) -> Tuple[str, str]:
         """Resolve a requested tier to a concrete one, with a reason.
 
-        ``None`` defers to ``config.tier``; ``"auto"`` routes by instance
-        size: the exact tier up to ``config.auto_exact_max_devices``
-        devices, the scalable DP tier beyond.
+        ``"auto"`` routes by instance size: the exact tier up to
+        :data:`~repro.core.dp.AUTO_EXACT_MAX_DEVICES` devices, the
+        scalable DP tier beyond.
         """
-        requested = tier if tier is not None else self.config.tier
-        if requested not in ("auto", "exact", "dp"):
+        if tier not in ("auto", "exact", "dp"):
             raise ValueError(
-                f"unknown planner tier {requested!r} "
+                f"unknown planner tier {tier!r} "
                 "(expected 'auto', 'exact' or 'dp')"
             )
-        if requested != "auto":
-            return requested, "requested"
+        if tier != "auto":
+            return tier, "requested"
         n = len(self.cluster.devices)
-        limit = self.config.auto_exact_max_devices
+        limit = AUTO_EXACT_MAX_DEVICES
         if n <= limit:
             return "exact", f"auto: {n} devices <= {limit}"
         return "dp", f"auto: {n} devices > {limit}"
@@ -457,23 +475,23 @@ class SplitQuantPlanner:
         self,
         workload: BatchWorkload,
         *,
-        tier: Optional[str] = None,
-        objective: Optional[str] = None,
+        tier: str = "auto",
+        objective: str = "throughput",
         budget: Optional[float] = None,
     ) -> Optional[PlannerResult]:
         """Plan serving of ``workload``; ``None`` when nothing fits.
 
-        ``tier`` overrides ``config.tier`` for this call: ``"exact"``
-        routes through the
+        ``tier="exact"`` routes through the
         :class:`~repro.core.search.CandidateSearchEngine` (memoized
-        costs, admissible bound pruning, optional parallel solving;
-        bit-identical to the naive reference), ``"dp"`` through the
-        scalable segment-DP planner (:mod:`repro.core.dp`), ``"auto"``
-        picks by instance size.  :attr:`PlannerResult.tier` records the
-        resolved tier.
+        costs, admissible bound pruning; bit-identical to the naive
+        reference), ``"dp"`` through the scalable segment-DP planner
+        (:mod:`repro.core.dp`), ``"auto"`` picks by instance size.
+        :attr:`PlannerResult.tier` records the resolved tier.
 
-        ``objective`` / ``budget`` override ``config.objective`` /
-        ``config.budget`` for this call.  ``"energy"`` and ``"cost"``
+        ``objective`` is ``"throughput"``, ``"energy"`` or ``"cost"``;
+        ``budget`` is an optional positive ceiling for the latter two
+        (J/token, resp. $/Mtoken).  Both are checked before any search
+        runs (``ValueError``).  ``"energy"`` and ``"cost"``
         re-rank the ranked candidate frontier through the energy model
         (:mod:`repro.costmodel.energy`): with no budget they minimize
         J/token (resp. $/Mtoken); with a budget they maximize throughput
@@ -482,6 +500,7 @@ class SplitQuantPlanner:
         objective with no budget leaves the search untouched — the
         chosen plan is bit-identical to pre-energy planning.
         """
+        _check_objective(objective, budget)
         resolved, reason = self.resolve_tier(tier)
         dp = resolved == "dp"
         t0 = time.perf_counter()
@@ -495,8 +514,6 @@ class SplitQuantPlanner:
             gap_bound = None
             if dp:
                 # The scalable tier: segment DP + flow relaxation, no MILP.
-                from .dp import dp_search
-
                 outcome = dp_search(
                     self.spec,
                     self.cluster,
@@ -517,7 +534,7 @@ class SplitQuantPlanner:
                 )
                 # An energy/cost re-rank reads the whole leading frontier.
                 top_k = self.config.verify_top_k
-                if (objective or self.config.objective) in ("energy", "cost"):
+                if objective != "throughput":
                     top_k = max(top_k, OBJECTIVE_FRONTIER_K)
                 outcome = engine.search(workload, top_k=top_k)
             result = self._finish(
@@ -618,22 +635,11 @@ class SplitQuantPlanner:
         workload: BatchWorkload,
         t0: float,
         search: Optional[SearchStats] = None,
-        objective: Optional[str] = None,
+        objective: str = "throughput",
         budget: Optional[float] = None,
     ) -> Optional[PlannerResult]:
         """Shared tail of both search paths: verify, expand, report."""
         cfg = self.config
-        objective = cfg.objective if objective is None else objective
-        budget = cfg.budget if budget is None else budget
-        if objective not in ("throughput", "energy", "cost"):
-            raise ValueError(
-                f"unknown objective {objective!r} "
-                "(expected 'throughput', 'energy' or 'cost')"
-            )
-        if objective == "throughput" and budget is not None:
-            raise ValueError(
-                "budget requires objective='energy' or objective='cost'"
-            )
         if not ranked:
             return None
         predicted_energy: Optional[float] = None

@@ -1,4 +1,4 @@
-"""The candidate search engine: memoized, bound-pruned, parallel solving.
+"""The candidate search engine: memoized, bound-pruned, best-first solving.
 
 ``SplitQuantPlanner.plan()`` must enumerate device orderings x (eta, xi)
 micro-batch pairs x KV bitwidths and run an exact MILP (or the
@@ -7,7 +7,7 @@ budget (Table VI).  Done naively that is a serial quadruple loop that
 rebuilds every cost tensor from scratch and solves every candidate even
 when it provably cannot win — and planner wall-clock is the dominant cost
 of the whole Fig. 9-12 benchmark sweep.  This module is the fast path.
-Four layers:
+Three layers:
 
 1. **Memoized cost kernels** — unit layer costs depend only on
    ``(gpu, tp, bits, micro-batch, chunk/context, bit_kv)``, so identical
@@ -37,14 +37,7 @@ Four layers:
    head the heap on their Lagrangian bound, and the most promising
    candidate sets the incumbent first.
 
-3. **Parallel candidate solving** — solves fan out over a
-   ``concurrent.futures`` thread pool (``PlannerConfig.parallelism``,
-   default serial) while problem construction and bound evaluation stay
-   on the coordinating thread; the reduction sorts on
-   ``(score, enumeration index)`` so the chosen plan is bit-identical to
-   the serial search regardless of completion order.
-
-4. **Observability** — every candidate's fate (solved / pruned /
+3. **Observability** — every candidate's fate (solved / pruned /
    infeasible), its bound, cache hit rates and wall-vs-cumulative solve
    time are reported through :class:`SearchStats` /
    :class:`CandidateStat` and surfaced on ``PlannerResult``.
@@ -54,8 +47,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -126,7 +117,6 @@ class SearchStats:
     cum_solve_time_s: float
     #: Time spent computing bounds (analytic, Lagrangian and LP).
     bound_time_s: float
-    parallelism: int
     #: Incumbent scores seeded by the bulk frontier-scoring stage before
     #: any solve (heuristic mode only).
     seeded_incumbents: int = 0
@@ -495,21 +485,13 @@ class CandidateSearchEngine:
         """Run the search; the leading ``top_k`` ranked candidates are
         exactly those of the exhaustive search, so any re-rank over them
         is independent of pruning and solve order."""
-        with trace.span(
-            "search.run",
-            batch=workload.batch,
-            parallelism=self.config.parallelism,
-        ):
+        with trace.span("search.run", batch=workload.batch):
             return self._search(workload, top_k)
 
     def _search(self, workload: BatchWorkload, top_k: int) -> SearchOutcome:
         cfg = self.config
         t0 = time.perf_counter()
         theta_eff = 0.0 if cfg.quality_budget is not None else cfg.theta
-        bound_mode = cfg.bound
-        if bound_mode == "auto":
-            bound_mode = "analytic" if cfg.use_heuristic else "lp"
-        prune = cfg.prune and bound_mode != "none"
 
         with trace.span("search.enumerate") as sp:
             candidates, timings = enumerate_candidates(
@@ -526,16 +508,14 @@ class CandidateSearchEngine:
                 ),
             )
             sp.set(candidates=len(candidates))
-        bound_time = 0.0
         lp_bounds = 0
-        if prune:
-            tb = time.perf_counter()
-            with trace.span("search.bounds", candidates=len(candidates)):
-                for cand in candidates:
-                    cand.bound = analytic_lower_bound(
-                        cand.problem, theta_eff, cfg.quality_budget
-                    )
-            bound_time += time.perf_counter() - tb
+        tb = time.perf_counter()
+        with trace.span("search.bounds", candidates=len(candidates)):
+            for cand in candidates:
+                cand.bound = analytic_lower_bound(
+                    cand.problem, theta_eff, cfg.quality_budget
+                )
+        bound_time = time.perf_counter() - tb
 
         # The incumbent threshold is the k-th best *known* score per
         # candidate: solves record their exact final score, and the bulk
@@ -566,7 +546,7 @@ class CandidateSearchEngine:
         seeded = 0
         batches_run = 0
         frontier_scored = 0
-        if prune and cfg.use_heuristic and candidates:
+        if cfg.use_heuristic and candidates:
             tb = time.perf_counter()
             batches_run = 1
             frontier_scored = len(candidates)
@@ -607,7 +587,7 @@ class CandidateSearchEngine:
                 known[cand.index] = cand.score
 
         def solve(cand: _Candidate) -> Optional[ILPSolution]:
-            """Backend solve, traced (may run on a pool thread)."""
+            """Backend solve, traced."""
             if not trace.enabled:
                 return self.solve_one(cand.problem, cand.warm)
             with trace.span(
@@ -629,72 +609,55 @@ class CandidateSearchEngine:
             if trace.enabled:
                 metrics.counter("planner.candidates_pruned").inc()
 
-        # Best-first over (best known bound, enumeration index): a pop
-        # that still lacks its LP bound is tightened and pushed back, so
-        # a pop that is solved holds the smallest admissible bound left.
-        # Tightening climbs a ladder: the Lagrangian bound from the LP
-        # multipliers of already-LP'd siblings (same ordering and
-        # bit_kv, so the same row space) first, once, then the LP itself.
-        # Analytic keys never change and unpruned keys are all -inf, so
-        # those modes pop in (bound, index) resp. enumeration order.
+        # Best-first over (best known bound, enumeration index): with the
+        # exact ILP backend a pop that still lacks its LP bound is
+        # tightened and pushed back, so a pop that is solved holds the
+        # smallest admissible bound left.  Tightening climbs a ladder:
+        # the Lagrangian bound from the LP multipliers of already-LP'd
+        # siblings (same ordering and bit_kv, so the same row space)
+        # first, once, then the LP itself.  The heuristic backend keeps
+        # its analytic keys, so it pops in (bound, index) order.
         duals: Dict[int, List[np.ndarray]] = {}
         heap = [(c.bound, c.index) for c in candidates]
         heapq.heapify(heap)
-        pool_cm = (
-            ThreadPoolExecutor(max_workers=cfg.parallelism)
-            if cfg.parallelism > 1
-            else nullcontext()
-        )
-        batch: List[Tuple[_Candidate, Future]] = []
-        with pool_cm as pool:
-            while heap:
-                key, idx = heapq.heappop(heap)
-                cand = candidates[idx]
-                if prune:
-                    thr = threshold()
-                    slack = _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * abs(thr)
-                    if key == float("inf") or key > thr + slack:
-                        mark_pruned(cand)
-                        continue
-                    if bound_mode == "lp" and not cand.lp_done:
-                        tb = time.perf_counter()
-                        group = cand.prefix_index
-                        if group in duals and not cand.lagrangian_done:
-                            cand.lagrangian_done = True
-                            tight = lagrangian_bound(
-                                cand.problem,
-                                theta_eff,
-                                cfg.quality_budget,
-                                np.array(duals[group]),
-                            )
-                        else:
-                            cand.lp_done = True
-                            tight, y = solve_partition_lp_relaxation(
-                                cand.problem,
-                                theta=theta_eff,
-                                quality_budget=cfg.quality_budget,
-                                time_limit_s=cfg.time_limit_s,
-                            )
-                            lp_bounds += 1
-                            if y is not None:
-                                duals.setdefault(group, []).append(y)
-                        bound_time += time.perf_counter() - tb
-                        # None (no bound available) must never prune; an
-                        # infeasible LP (inf) prunes on the next pop.
-                        if tight is not None:
-                            cand.bound = max(cand.bound, tight)
-                        heapq.heappush(heap, (cand.bound, idx))
-                        continue
-                if pool is None:
-                    record(cand, solve(cand))
-                    continue
-                batch.append((cand, pool.submit(solve, cand)))
-                if len(batch) == cfg.parallelism:
-                    for c, fut in batch:
-                        record(c, fut.result())
-                    batch = []
-            for c, fut in batch:
-                record(c, fut.result())
+        while heap:
+            key, idx = heapq.heappop(heap)
+            cand = candidates[idx]
+            thr = threshold()
+            slack = _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * abs(thr)
+            if key == float("inf") or key > thr + slack:
+                mark_pruned(cand)
+                continue
+            if not cfg.use_heuristic and not cand.lp_done:
+                tb = time.perf_counter()
+                group = cand.prefix_index
+                if group in duals and not cand.lagrangian_done:
+                    cand.lagrangian_done = True
+                    tight = lagrangian_bound(
+                        cand.problem,
+                        theta_eff,
+                        cfg.quality_budget,
+                        np.array(duals[group]),
+                    )
+                else:
+                    cand.lp_done = True
+                    tight, y = solve_partition_lp_relaxation(
+                        cand.problem,
+                        theta=theta_eff,
+                        quality_budget=cfg.quality_budget,
+                        time_limit_s=cfg.time_limit_s,
+                    )
+                    lp_bounds += 1
+                    if y is not None:
+                        duals.setdefault(group, []).append(y)
+                bound_time += time.perf_counter() - tb
+                # None (no bound available) must never prune; an
+                # infeasible LP (inf) prunes on the next pop.
+                if tight is not None:
+                    cand.bound = max(cand.bound, tight)
+                heapq.heappush(heap, (cand.bound, idx))
+                continue
+            record(cand, solve(cand))
 
         # Deterministic reduction: a stable sort on (score, enumeration
         # index) reproduces the serial search's stable score sort exactly.
@@ -725,7 +688,6 @@ class CandidateSearchEngine:
                 c.sol.solve_time_s for c in candidates if c.sol is not None
             ),
             bound_time_s=bound_time,
-            parallelism=cfg.parallelism,
             seeded_incumbents=seeded,
             batches=batches_run,
             batched_plans_scored=frontier_scored,

@@ -8,9 +8,7 @@ Three layers:
   by all group evaluations (the fleet-level analogue of the planner's
   shared timing memo), the per-model indicator table is computed once,
   and ``plan()`` outcomes are memoized by (model, group, workload, SLO)
-  so repeated proposals are free.  ``evaluate_many`` fans candidate
-  groups out over a thread pool with a deterministic submission-order
-  reduction.
+  so repeated proposals are free.
 
 * :class:`GreedyAllocator` — the bin-packing baseline: jobs in deadline
   order, each takes the feasible group :func:`best_assignment` picks
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,6 +62,9 @@ MAX_GROUP_TYPES = 2
 #: besides its most frugal, greedy and (cost objective) cheapest picks.
 BEAM_WIDTH = 4
 BEAM_TOP_GROUPS = 3
+#: The link between the nodes of a materialized group (one node per GPU
+#: type): planning, scoring and simulation all see the same one.
+CROSS_NODE_LINK = "eth-800g"
 
 
 def group_rate_usd_hr(group: "GroupSpec", price_book: PriceBook) -> float:
@@ -96,11 +96,9 @@ class GroupSpec:
     def fits(self, inventory: Dict[str, int]) -> bool:
         return all(inventory.get(g, 0) >= n for g, n in self.counts)
 
-    def to_cluster(self, name: str, cross_node_link: str) -> ClusterSpec:
+    def to_cluster(self, name: str) -> ClusterSpec:
         """Materialize as a cluster (one node per GPU type, as Table III)."""
-        return make_cluster(
-            name, list(self.counts), cross_node_link=cross_node_link
-        )
+        return make_cluster(name, list(self.counts), cross_node_link=CROSS_NODE_LINK)
 
     def describe(self) -> str:
         return "+".join(f"{n}x{g}" for g, n in self.counts)
@@ -154,12 +152,10 @@ class Assignment:
     result: PlannerResult
     cluster: Optional[ClusterSpec] = None
 
-    def materialize_cluster(self, cross_node_link: str) -> ClusterSpec:
+    def materialize_cluster(self) -> ClusterSpec:
         if self.cluster is not None:
             return self.cluster
-        return self.group.to_cluster(
-            f"fleet-{self.job.job_id}", cross_node_link
-        )
+        return self.group.to_cluster(f"fleet-{self.job.job_id}")
 
     @property
     def batch_makespan_s(self) -> float:
@@ -304,22 +300,16 @@ class PlannerPool:
         self,
         inventory: Dict[str, int],
         config: PlannerConfig = PlannerConfig(),
-        cross_node_link: str = "eth-800g",
-        parallelism: int = 1,
     ) -> None:
         if not inventory or all(n <= 0 for n in inventory.values()):
             raise ValueError("inventory must contain at least one GPU")
         self.inventory = {g: n for g, n in inventory.items() if n > 0}
         self.config = config
-        self.cross_node_link = cross_node_link
-        self.parallelism = max(1, parallelism)
-        # What the persistent plan cache keys on beyond the memo key:
-        # the full config (exact and DP plans never collide), the link,
-        # and the types the shared cost model is fitted over.
+        # What the persistent plan cache keys on beyond the memo key: the
+        # full config and the types the shared cost model is fitted over.
         self._key_base = {
             "kind": "fleet_plan",
             "config": asdict(config),
-            "cross_node_link": cross_node_link,
             "inventory_types": sorted(self.inventory),
         }
         self._cost_models: Dict[Tuple[str, int], LatencyCostModel] = {}
@@ -479,33 +469,11 @@ class PlannerPool:
     def _evaluate_uncached(
         self, job: FleetJob, group: GroupSpec
     ) -> Optional[Assignment]:
-        cluster = group.to_cluster(
-            f"fleet-{job.model}-{group.describe()}", self.cross_node_link
-        )
+        cluster = group.to_cluster(f"fleet-{job.model}-{group.describe()}")
         result = self.planner(job, cluster).plan(job.workload)
         if result is None or result.predicted_latency_s <= 0:
             return None
         return Assignment(job=job, group=group, result=result)
-
-    def evaluate_many(
-        self, pairs: Sequence[Tuple[FleetJob, GroupSpec]]
-    ) -> List[Optional[Assignment]]:
-        """Evaluate candidate (job, group) pairs, possibly in parallel.
-
-        Results come back in submission order regardless of completion
-        order, so allocator decisions are deterministic for any
-        ``parallelism``.
-        """
-        if self.parallelism == 1 or len(pairs) <= 1:
-            return [self.evaluate(j, g) for j, g in pairs]
-        # Warm the shared memos serially first: cost-model fits and
-        # indicator tables are racy to build twice and cheap to prime.
-        for model in {j.model for j, _ in pairs}:
-            self._cost_model(model)
-            self._omega(model)
-        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            futures = [pool.submit(self.evaluate, j, g) for j, g in pairs]
-            return [f.result() for f in futures]
 
     def score_assignments(
         self, assignments: Sequence[Assignment]
@@ -534,7 +502,7 @@ class PlannerPool:
         cases = [
             PlanCase(
                 plan=a.result.plan,
-                cluster=a.materialize_cluster(self.cross_node_link),
+                cluster=a.materialize_cluster(),
                 spec=get_model(a.job.model),
                 workload=a.job.workload,
             )
@@ -633,7 +601,7 @@ class GreedyAllocator(_Allocator):
             # wave); fall back to anything that fits the total pool.
             for budget in (free, inventory):
                 candidates = [g for g in groups if g.fits(budget)]
-                evaluated = pool.evaluate_many([(job, g) for g in candidates])
+                evaluated = [pool.evaluate(job, g) for g in candidates]
                 feasible = [a for a in evaluated if a is not None]
                 if feasible:
                     break
@@ -662,7 +630,7 @@ class BeamAllocator(_Allocator):
         self, job: FleetJob, pool: PlannerPool, groups: Sequence[GroupSpec]
     ) -> List[Assignment]:
         """The job's candidate assignments: top-k by tokens/s + frugal."""
-        evaluated = pool.evaluate_many([(job, g) for g in groups])
+        evaluated = [pool.evaluate(job, g) for g in groups]
         feasible = [a for a in evaluated if a is not None]
         if not feasible:
             return []

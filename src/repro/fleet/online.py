@@ -161,28 +161,10 @@ class OnlineFleetResult:
         return max((r.wait_s for r in self.jobs), default=0.0)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe summary dict."""
-        return {
-            "kind": "online_fleet",
-            "inventory": dict(sorted(self.inventory.items())),
-            "makespan_s": self.makespan_s,
-            "total_tokens": self.total_tokens,
-            "throughput_tokens_s": self.throughput_tokens_s,
-            "mean_wait_s": self.mean_wait_s,
-            "dropped": list(self.dropped),
-            "jobs": [
-                {
-                    "job_id": r.job_id,
-                    "model": r.model,
-                    "group": [list(c) for c in r.group_counts],
-                    "arrival_s": r.arrival_s,
-                    "start_s": r.start_s,
-                    "end_s": r.end_s,
-                    "total_tokens": r.total_tokens,
-                }
-                for r in self.jobs
-            ],
-        }
+        """JSON-safe dict via :func:`repro.serialization.to_dict`."""
+        from ..serialization import to_dict
+
+        return to_dict(self)
 
     def describe(self) -> str:
         lines = [
@@ -216,8 +198,6 @@ class OnlineFleetScheduler:
         self,
         inventory: Dict[str, int],
         config: Optional[PlannerConfig] = None,
-        cross_node_link: str = "eth-800g",
-        parallelism: int = 1,
     ) -> None:
         if config is None:
             from .scheduler import default_fleet_config
@@ -225,12 +205,7 @@ class OnlineFleetScheduler:
             config = default_fleet_config()
         self.inventory = {g: n for g, n in inventory.items() if n > 0}
         self.free = dict(self.inventory)
-        self.pool = PlannerPool(
-            self.inventory,
-            config=config,
-            cross_node_link=cross_node_link,
-            parallelism=parallelism,
-        )
+        self.pool = PlannerPool(self.inventory, config=config)
         self._all_groups = enumerate_groups(self.inventory)
         #: Waiting jobs as (job, arrival time), FIFO by arrival.
         self.queue: List[Tuple[FleetJob, float]] = []
@@ -248,9 +223,7 @@ class OnlineFleetScheduler:
         """Planner-feasible assignments on budget-fitting groups, in
         group enumeration order (the tie-break order of ``_best_on``)."""
         candidates = [g for g in self._all_groups if g.fits(budget)]
-        if not candidates:
-            return []
-        evaluated = self.pool.evaluate_many([(job, g) for g in candidates])
+        evaluated = [self.pool.evaluate(job, g) for g in candidates]
         return [a for a in evaluated if a is not None]
 
     def _best_on(
@@ -324,8 +297,6 @@ def simulate_online_fleet(
     inventory: Dict[str, int],
     arrivals: Sequence[Union[JobArrival, Tuple[float, FleetJob]]],
     config: Optional[PlannerConfig] = None,
-    cross_node_link: str = "eth-800g",
-    parallelism: int = 1,
 ) -> OnlineFleetResult:
     """Replay an arrival stream of fleet jobs through the online scheduler.
 
@@ -336,11 +307,7 @@ def simulate_online_fleet(
     back to the planner's analytic prediction where scoring declines.
 
     Queue drains filter each waiting job's cached feasible assignments
-    instead of re-running the planner scan.  With ``parallelism > 1``
-    every (job, fitting-group) pair is evaluated across the planner
-    pool's workers *before* the serial replay, so the replay itself only
-    hits memoized results — the reduction stays in arrival order and the
-    outcome is bit-identical to a serial run.
+    instead of re-running the planner scan.
     """
     if not arrivals:
         raise ValueError("arrival stream is empty")
@@ -358,9 +325,7 @@ def simulate_online_fleet(
         jobs=len(stream),
         gpus=sum(inventory.values()),
     ) as sp:
-        result = _simulate_online_fleet(
-            inventory, stream, config, cross_node_link, parallelism
-        )
+        result = _simulate_online_fleet(inventory, stream, config)
         sp.set(
             served=len(result.jobs),
             dropped=len(result.dropped),
@@ -377,29 +342,8 @@ def _simulate_online_fleet(
     inventory: Dict[str, int],
     stream: List[JobArrival],
     config: Optional[PlannerConfig],
-    cross_node_link: str,
-    parallelism: int,
 ) -> OnlineFleetResult:
-    sched = OnlineFleetScheduler(
-        inventory,
-        config=config,
-        cross_node_link=cross_node_link,
-        parallelism=parallelism,
-    )
-    if parallelism > 1:
-        # Evaluate the whole (job, fitting-group) grid upfront: with a
-        # parallel pool the pairs fan out across workers, and the serial
-        # replay below only hits memoized results.  Evaluation order
-        # never affects decisions (results are keyed per pair), so this
-        # is bit-identical to the cold replay.
-        pairs = [
-            (ja.job, g)
-            for ja in stream
-            for g in sched._all_groups
-            if g.fits(sched.inventory)
-        ]
-        evaluated = sched.pool.evaluate_many(pairs)
-        sched.pool.score_assignments([a for a in evaluated if a is not None])
+    sched = OnlineFleetScheduler(inventory, config=config)
     loop = EventLoop()
     records: List[OnlineJobRecord] = []
     dropped: List[str] = []

@@ -159,8 +159,6 @@ class FleetScheduler:
         inventory: Union[Dict[str, int], FleetStats],
         config: Optional[PlannerConfig] = None,
         allocator: str = "beam",
-        cross_node_link: str = "eth-800g",
-        parallelism: int = 1,
         pool_gpus: int = 32,
         objective: str = "throughput",
         spot_types: Sequence[str] = (),
@@ -187,12 +185,7 @@ class FleetScheduler:
                 f"(expected one of {sorted(_ALLOCATORS)})"
             )
         self.allocator = _ALLOCATORS[allocator](objective, price_book)
-        self.pool = PlannerPool(
-            self.inventory,
-            config=config,
-            cross_node_link=cross_node_link,
-            parallelism=parallelism,
-        )
+        self.pool = PlannerPool(self.inventory, config=config)
 
     # -- scheduling ----------------------------------------------------
 
@@ -281,21 +274,14 @@ class FleetScheduler:
                 f"job {job_id!r} holds no {dead_gpu!r} "
                 f"(group {group.describe()})"
             )
-        with trace.span(
-            "fleet.reschedule", job=job_id, dead_gpu=dead_gpu
-        ) as sp:
+        with trace.span("fleet.reschedule", job=job_id, dead_gpu=dead_gpu) as sp:
             new_inventory = dict(schedule.inventory)
             new_inventory[dead_gpu] -= 1
             if new_inventory[dead_gpu] <= 0:
                 del new_inventory[dead_gpu]
             # A fresh pool: its cost models are fitted over the GPU
             # types that remain.
-            pool = PlannerPool(
-                new_inventory,
-                config=self.config,
-                cross_node_link=self.pool.cross_node_link,
-                parallelism=self.pool.parallelism,
-            )
+            pool = PlannerPool(new_inventory, config=self.config)
             # Cascade: other jobs keep their groups unless the shrunken
             # inventory can no longer ever host them concurrently with
             # itself (e.g. a 4xV100 group with 3 V100s left) — those are
@@ -382,7 +368,7 @@ class FleetScheduler:
         if not reduced_counts:
             return None
         job = assignment.job
-        cluster = assignment.materialize_cluster(self.pool.cross_node_link)
+        cluster = assignment.materialize_cluster()
         # The reclaimed device is the *last* device of the dead type
         # (deterministic choice; device ids are group-local).
         dead_id = max(
@@ -424,16 +410,10 @@ def compare_allocators(
     jobs: Sequence[FleetJob],
     inventory: Dict[str, int],
     config: Optional[PlannerConfig] = None,
-    parallelism: int = 1,
 ) -> Dict[str, FleetSchedule]:
     """Schedule the same queue with every registered allocator."""
     out: Dict[str, FleetSchedule] = {}
     for name in sorted(_ALLOCATORS):
-        sched = FleetScheduler(
-            inventory,
-            config=config,
-            allocator=name,
-            parallelism=parallelism,
-        )
+        sched = FleetScheduler(inventory, config=config, allocator=name)
         out[name] = sched.schedule(jobs)
     return out

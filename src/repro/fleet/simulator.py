@@ -192,17 +192,14 @@ class FleetSimResult:
 
 def simulate_schedule(
     schedule: FleetSchedule,
-    cross_node_link: str = "eth-800g",
-    check_memory: bool = True,
-    sim_backend: str = "auto",
     price_book: Optional[PriceBook] = None,
 ) -> FleetSimResult:
     """Simulate every scheduled job and compose the fleet timeline.
 
-    ``sim_backend`` selects the per-job pipeline simulator engine
-    (``"auto"`` takes the closed-form fast path whenever it is exact —
-    which, for fleet jobs' uniform batches, is always).  ``price_book``
-    prices the fleet's rental and electricity
+    Each job's plan is memory-checked and simulated on the cluster its
+    plan was made for (``sim_backend="auto"``: the closed-form fast path
+    whenever it is exact, which for fleet jobs' uniform batches is
+    always).  ``price_book`` prices the fleet's rental and electricity
     (:func:`repro.costmodel.energy.default_price_book` when ``None``) —
     GPU types listed in its ``spot_types`` bill at spot rates.
     """
@@ -211,9 +208,7 @@ def simulate_schedule(
         jobs=len(schedule.jobs),
         allocator=schedule.allocator,
     ) as sp:
-        result = _simulate_schedule(
-            schedule, cross_node_link, check_memory, sim_backend, price_book
-        )
+        result = _simulate_schedule(schedule, price_book)
         sp.set(makespan_s=round(result.makespan_s, 3))
         if trace.enabled:
             metrics.counter("fleet.simulations").inc()
@@ -221,22 +216,13 @@ def simulate_schedule(
         return result
 
 
-def _one_job_sim(
-    sj: ScheduledJob,
-    cross_node_link: str,
-    check_memory: bool,
-    sim_backend: str = "auto",
-) -> PipelineSimResult:
+def _one_job_sim(sj: ScheduledJob) -> PipelineSimResult:
     assignment = sj.assignment
-    cluster = assignment.materialize_cluster(cross_node_link)
-    spec = get_model(assignment.job.model)
     return simulate_plan(
         assignment.result.plan,
-        cluster,
-        spec,
+        assignment.materialize_cluster(),
+        get_model(assignment.job.model),
         assignment.job.workload,
-        check_memory=check_memory,
-        sim_backend=sim_backend,
     )
 
 
@@ -276,18 +262,11 @@ def _fleet_energy_cost(
 
 
 def _simulate_schedule(
-    schedule: FleetSchedule,
-    cross_node_link: str,
-    check_memory: bool,
-    sim_backend: str = "auto",
-    price_book: Optional[PriceBook] = None,
+    schedule: FleetSchedule, price_book: Optional[PriceBook]
 ) -> FleetSimResult:
     if price_book is None:
         price_book = default_price_book()
-    batch_sims = [
-        _one_job_sim(sj, cross_node_link, check_memory, sim_backend)
-        for sj in schedule.jobs
-    ]
+    batch_sims = [_one_job_sim(sj) for sj in schedule.jobs]
     assignments = [sj.assignment for sj in schedule.jobs]
     durations = [
         sj.job.num_batches * sim.makespan_s

@@ -65,6 +65,7 @@ _HEADERS: Dict[str, Tuple[Any, bool]] = {
     "GenerationResult": ("generation", True),
     "FleetSimResult": ("fleet_sim", True),
     "OnlineSimResult": ("online_sim", True),
+    "OnlineFleetResult": ("online_fleet", True),
 }
 
 _Enc = Callable[[Any], Any]

@@ -1,9 +1,9 @@
 """Exhaustive serial reference for the exact planner tier.
 
 The candidate loop the paper inherits from LLM-PQ (Fig. 6, step 2),
-written out with no timing memo, no bound pruning, no best-first order
-and no worker pool: every (KV bits, ordering, eta, xi) candidate gets
-its own ``build_problem`` and its own solve.  ``SplitQuantPlanner.plan``
+written out with no timing memo, no bound pruning and no best-first
+order: every (KV bits, ordering, eta, xi) candidate gets its own
+``build_problem`` and its own solve.  ``SplitQuantPlanner.plan``
 must return an identical plan (``tests/test_core_search.py``), so the
 pruning can only ever drop candidates this loop would also reject.
 Test-only: keep it here, out of ``src/``.
@@ -24,10 +24,14 @@ from repro.workloads import BatchWorkload
 
 
 def plan_reference(
-    planner: SplitQuantPlanner, workload: BatchWorkload
+    planner: SplitQuantPlanner,
+    workload: BatchWorkload,
+    objective: str = "throughput",
+    budget: Optional[float] = None,
 ) -> Optional[PlannerResult]:
     """The plan the exhaustive serial search picks, through the
-    planner's own solve and finish (verify, expand, report) steps."""
+    planner's own solve and finish (verify or objective re-rank, expand,
+    report) steps."""
     cfg = planner.config
     spec = planner.spec
     t0 = time.perf_counter()
@@ -88,4 +92,7 @@ def plan_reference(
                          eta, xi, bit_kv)
                     )
     candidates.sort(key=lambda c: c[0])  # stable: ties keep loop order
-    return planner._finish(candidates, stats, workload, t0, search=None)
+    return planner._finish(
+        candidates, stats, workload, t0, search=None, objective=objective,
+        budget=budget,
+    )

@@ -34,13 +34,13 @@ def test_auto_routes_small_to_exact_and_large_to_dp():
     small = SplitQuantPlanner(
         spec, make_cluster("s", [("V100-32G", 2)]), FAST
     )
-    assert small.resolve_tier(None) == ("exact", "auto: 2 devices <= 8")
+    assert small.resolve_tier("auto") == ("exact", "auto: 2 devices <= 8")
     big = SplitQuantPlanner(
         spec,
         make_cluster("b", [("V100-32G", 8), ("T4-16G", 4)]),
         FAST,
     )
-    tier, reason = big.resolve_tier(None)
+    tier, reason = big.resolve_tier("auto")
     assert tier == "dp" and "12 devices > 8" in reason
     assert big.resolve_tier("exact") == ("exact", "requested")
     with pytest.raises(ValueError, match="unknown planner tier"):
@@ -48,14 +48,11 @@ def test_auto_routes_small_to_exact_and_large_to_dp():
 
 
 def test_config_tier_validation():
-    with pytest.raises(ValueError, match="tier"):
-        PlannerConfig(tier="fast")
-    with pytest.raises(ValueError):
-        PlannerConfig(auto_exact_max_devices=0)
-    with pytest.raises(ValueError):
-        PlannerConfig(dp_prefix_candidates=0)
-    with pytest.raises(ValueError):
-        PlannerConfig(dp_polish_iters=-1)
+    planner = SplitQuantPlanner(
+        get_model("opt-13b"), make_cluster("s", [("V100-32G", 2)]), FAST
+    )
+    with pytest.raises(ValueError, match="unknown planner tier"):
+        planner.plan(WL, tier="fast")
 
 
 def test_result_provenance_fields():

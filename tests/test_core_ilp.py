@@ -153,3 +153,33 @@ def test_brute_force_guard():
 
     with pytest.raises((RuntimeError, AttributeError)):
         brute_force_solve(Fake(), max_states=100)
+
+
+def test_silenced_stdout_restores_fd1(tiny_problem, monkeypatch):
+    """fd 1 is muted during a solve and is the original file again after
+    a solve, after nested use, and after a solve that raises."""
+    import os
+
+    from repro.core import ilp
+
+    def fd1():
+        st = os.fstat(1)
+        return st.st_dev, st.st_ino
+
+    null = os.stat(os.devnull)
+    original = fd1()
+    assert solve_partition_ilp(tiny_problem, theta=10.0) is not None
+    assert fd1() == original
+    with ilp._silenced_stdout():
+        with ilp._silenced_stdout():
+            assert fd1() == (null.st_dev, null.st_ino)
+        assert fd1() == (null.st_dev, null.st_ino)
+    assert fd1() == original
+
+    def broken_milp(*args, **kwargs):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(ilp, "milp", broken_milp)
+    with pytest.raises(RuntimeError, match="solver crashed"):
+        solve_partition_ilp(tiny_problem, theta=10.0)
+    assert fd1() == original

@@ -147,8 +147,13 @@ def test_heterogeneous_partition_not_even(result, opt13b):
 def test_config_rejects_nan_and_out_of_range(field, bad):
     # NaN fails every ordered comparison, so a ``x < 0`` guard lets it
     # through; the checks must be phrased so NaN is rejected too.
+    from repro.core.planner import _check_objective
+
     with pytest.raises(ValueError, match=field):
-        PlannerConfig(**{field: bad})
+        if field == "budget":  # a per-call argument of plan()
+            _check_objective("energy", bad)
+        else:
+            PlannerConfig(**{field: bad})
 
 
 def test_config_accepts_zero_theta():

@@ -100,29 +100,6 @@ def test_engine_matches_naive_at_16bit_quality_match():
     _assert_same_plan(planner.plan(wl), plan_reference(planner, wl))
 
 
-def test_engine_parallel_matches_serial(opt13b, small_cluster,
-                                        cost_model_13b, small_workload):
-    base = SplitQuantPlanner(opt13b, small_cluster, FAST,
-                             cost_model=cost_model_13b)
-    # The theta objective, and an LP-bound config with a hard budget.
-    hard = dataclasses.replace(
-        FAST, bound="lp", quality_budget=base.uniform_quality(4),
-        microbatch_candidates=(2, 4, 8),
-    )
-    for cfg in (FAST, hard):
-        serial = SplitQuantPlanner(opt13b, small_cluster, cfg,
-                                   cost_model=cost_model_13b)
-        r_serial = serial.plan(small_workload)
-        for parallelism in (2, 4):
-            par_cfg = dataclasses.replace(cfg, parallelism=parallelism)
-            par = SplitQuantPlanner(opt13b, small_cluster, par_cfg,
-                                    cost_model=cost_model_13b)
-            r_par = par.plan(small_workload)
-            _assert_same_plan(r_par, r_serial)
-            assert r_par.search.parallelism == parallelism
-    assert r_serial.search.pruned > 0
-
-
 def test_best_first_solves_only_competitive_candidates(opt30b, cluster5):
     """Table-VI config (as in ``benchmarks/test_planner_scaling.py``):
     best-first on lazily tightened LP bounds solves a candidate only
@@ -150,20 +127,6 @@ def test_best_first_solves_only_competitive_candidates(opt30b, cluster5):
     limit = kth + _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * kth
     assert [st.bound_s for st in solved if st.bound_s > limit] == []
     _assert_same_plan(res, plan_reference(planner, wl))
-
-
-def test_engine_prune_off_matches(opt13b, small_cluster, cost_model_13b,
-                                  small_workload):
-    on = SplitQuantPlanner(opt13b, small_cluster, FAST,
-                           cost_model=cost_model_13b)
-    off_cfg = dataclasses.replace(FAST, prune=False)
-    off = SplitQuantPlanner(opt13b, small_cluster, off_cfg,
-                            cost_model=cost_model_13b)
-    r_on, r_off = on.plan(small_workload), off.plan(small_workload)
-    _assert_same_plan(r_on, r_off)
-    assert r_off.search.pruned == 0
-    assert r_off.search.solved == r_off.search.enumerated - \
-        r_off.search.infeasible
 
 
 # -- heuristic tier: one start protocol for plan() and plan_reference() --
@@ -498,7 +461,6 @@ def test_search_stats_surface_on_result(opt13b, small_cluster,
     assert s.cache_hits > 0  # repeated (eta, xi) shapes must hit the memo
     assert s.cache_misses > 0
     assert s.wall_time_s > 0
-    assert s.parallelism == 1
     statuses = {st.status for st in res.stats}
     assert statuses <= {"optimal", "pruned", "infeasible", "heuristic"} | {
         st.status for st in res.stats if st.status.startswith("status-")
@@ -527,13 +489,6 @@ def test_search_prunes_on_budget_config(opt13b, small_cluster,
     assert len(pruned_stats) == s.pruned
     assert all(st.bound_s > 0 for st in pruned_stats)
     _assert_same_plan(res, plan_reference(planner, small_workload))
-
-
-def test_config_validates_search_knobs():
-    with pytest.raises(ValueError, match="parallelism"):
-        PlannerConfig(parallelism=0)
-    with pytest.raises(ValueError, match="bound"):
-        PlannerConfig(bound="magic")
 
 
 def test_microbatch_given_capped_and_deduped():

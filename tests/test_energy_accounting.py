@@ -184,6 +184,52 @@ def test_online_result_carries_energy(cluster5, opt13b):
 
 
 # ---------------------------------------------------------------------------
+# Cross-layer invariant: every result's energy lies in the idle/peak envelope
+# ---------------------------------------------------------------------------
+
+
+def assert_in_envelope(energy_j, gpus, makespan_s):
+    """``sum(idle_watts) * M <= energy_j <= sum(peak_watts) * M`` over
+    ``gpus`` (one entry per GPU), up to float rounding of the sums."""
+    assert makespan_s > 0.0 and energy_j is not None
+    lo = sum(g.idle_watts for g in gpus) * makespan_s
+    hi = sum(g.peak_watts for g in gpus) * makespan_s
+    slack = 1e-12 * hi
+    assert lo - slack <= energy_j <= hi + slack, (lo, energy_j, hi)
+
+
+@pytest.mark.parametrize("cluster_name", ["small", "cluster5"])
+def test_energy_within_idle_peak_envelope(cluster_name, small_cluster,
+                                          cluster5, opt13b):
+    cluster = {"small": small_cluster, "cluster5": cluster5}[cluster_name]
+    gpu_of = {d.device_id: d.gpu for d in cluster.devices}
+    wl = BatchWorkload(batch=16, prompt_len=256, output_len=32)
+    trace = poisson_trace(rate_per_s=3.0, duration_s=10.0, seed=5,
+                          max_prompt_len=256, max_output_len=8)
+    plans = [
+        uniform_plan(opt13b.name, opt13b.num_layers, groups_of(cluster),
+                     bits, mb, mb)
+        for bits in (4, 8)
+        for mb in (4, 8)
+    ]
+    lanes = evaluate_plans(
+        [PlanCase(plan, cluster, opt13b, wl) for plan in plans]
+    )
+    for plan, lane in zip(plans, lanes):
+        gpus = [gpu_of[d] for st in plan.stages for d in st.device_ids]
+        for backend in ("event", "fast"):
+            res = simulate_plan(plan, cluster, opt13b, wl,
+                                check_memory=False, sim_backend=backend)
+            assert_in_envelope(res.energy_j, gpus, res.makespan_s)
+        assert_in_envelope(lane.energy_j, gpus, lane.makespan_s)
+        online = simulate_online(
+            plan, cluster, opt13b, trace,
+            config=OnlineConfig(chunk_tokens=512), check_memory=False,
+        )
+        assert_in_envelope(online.energy_j, gpus, online.makespan_s)
+
+
+# ---------------------------------------------------------------------------
 # Planner objectives
 # ---------------------------------------------------------------------------
 
@@ -264,15 +310,32 @@ def test_budget_with_throughput_rejected(objective_planner, small_workload):
         )
 
 
-def test_planner_config_validates_objective():
-    from repro.core import PlannerConfig
+def test_planner_config_validates_objective(objective_planner, small_workload,
+                                            monkeypatch):
+    """A bad per-call objective or budget raises before any search."""
+    from repro.core import dp
+    from repro.core.search import CandidateSearchEngine
 
-    with pytest.raises(ValueError):
-        PlannerConfig(objective="latency")
-    with pytest.raises(ValueError):
-        PlannerConfig(budget=-1.0)
-    cfg = PlannerConfig(objective="cost", budget=5.0)
-    assert cfg.objective == "cost"
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search ran before validation")
+
+    monkeypatch.setattr(CandidateSearchEngine, "search", forbidden)
+    monkeypatch.setattr(dp, "dp_search", forbidden)
+    monkeypatch.setattr("repro.core.planner.dp_search", forbidden)
+    bad = [
+        ("latency", None),
+        ("energy", float("nan")),
+        ("energy", -1.0),
+        ("cost", 0.0),
+        ("throughput", 1.0),
+    ]
+    for tier in ("exact", "dp"):
+        for objective, budget in bad:
+            with pytest.raises(ValueError):
+                objective_planner.plan(
+                    small_workload, tier=tier, objective=objective,
+                    budget=budget,
+                )
 
 
 def test_dp_tier_threads_objective(opt13b, small_cluster, cost_model_13b,
@@ -306,9 +369,10 @@ def frontier_planner(opt30b, cluster5):
 @pytest.mark.parametrize("objective", ["energy", "cost"])
 def test_objective_frontier_is_prune_invariant(frontier_planner, objective,
                                                monkeypatch):
-    import dataclasses
-
+    """The pruned search hands the objective re-rank the same leading
+    frontier, and so the same plan, as the exhaustive serial oracle."""
     from repro.core.planner import OBJECTIVE_FRONTIER_K, SplitQuantPlanner
+    from tests.planner_oracle import plan_reference
 
     wl = BatchWorkload(batch=64, prompt_len=512, output_len=128)
     frontiers = []
@@ -323,16 +387,8 @@ def test_objective_frontier_is_prune_invariant(frontier_planner, objective,
         return real(self, ranked, workload, objective, budget)
 
     monkeypatch.setattr(SplitQuantPlanner, "_select_by_objective", spy)
-    results = []
-    for prune in (True, False):
-        planner = SplitQuantPlanner(
-            frontier_planner.spec, frontier_planner.cluster,
-            dataclasses.replace(frontier_planner.config, prune=prune),
-            cost_model=frontier_planner.cost_model,
-            omega_layers=frontier_planner.omega_layers,
-        )
-        results.append(planner.plan(wl, objective=objective))
-    pruned, exhaustive = results
+    pruned = frontier_planner.plan(wl, objective=objective)
+    exhaustive = plan_reference(frontier_planner, wl, objective=objective)
     assert pruned.plan == exhaustive.plan
     k = OBJECTIVE_FRONTIER_K
     assert frontiers[0][:k] == frontiers[1][:k]
@@ -373,6 +429,16 @@ def test_fleet_result_carries_energy(fleet_setup):
         for rec in sim.jobs
     )
     assert sim.energy_j >= busy
+
+
+def test_fleet_energy_within_idle_peak_envelope(fleet_setup):
+    """Fleet joules: busy draw of every job plus idle draw of the rest
+    of the inventory, so the whole inventory bounds them."""
+    from repro.hardware.gpus import get_gpu
+
+    _, _, sim = fleet_setup
+    gpus = [get_gpu(g) for g, n in FLEET_INVENTORY.items() for _ in range(n)]
+    assert_in_envelope(sim.energy_j, gpus, sim.makespan_s)
 
 
 def test_fleet_spot_book_is_cheaper(fleet_setup):

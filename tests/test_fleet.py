@@ -164,18 +164,6 @@ def test_schedule_deterministic_under_seed():
     assert a.makespan_s == b.makespan_s
 
 
-def test_parallel_pool_matches_serial():
-    serial = FleetScheduler(
-        INVENTORY, allocator="beam", parallelism=1
-    ).schedule(small_queue())
-    parallel = FleetScheduler(
-        INVENTORY, allocator="beam", parallelism=4
-    ).schedule(small_queue())
-    assert [
-        (sj.job.job_id, sj.group.counts) for sj in serial.jobs
-    ] == [(sj.job.job_id, sj.group.counts) for sj in parallel.jobs]
-
-
 def test_beam_at_least_greedy_on_aggregate_throughput(schedules):
     greedy, beam = schedules["greedy"], schedules["beam"]
     assert len(beam.jobs) >= len(greedy.jobs)
@@ -267,7 +255,7 @@ def test_scheduled_groups_planner_feasible(seed, n_jobs, v100, t4):
 
     for sj in sched.jobs:
         assert sj.group.fits(inventory)
-        cluster = sj.assignment.materialize_cluster("eth-800g")
+        cluster = sj.assignment.materialize_cluster()
         check_plan_memory(
             sj.assignment.result.plan,
             cluster,

@@ -188,15 +188,3 @@ def test_queue_contention_indexed_vs_legacy(monkeypatch):
     # the index (not just the submit fast path).
     waits = {r.job_id: r.wait_s for r in indexed.jobs}
     assert waits["b"] > 0.0 and waits["c"] > 0.0
-
-
-def test_parallel_prewarm_invariance():
-    """Parallelism only changes *when* pairs are evaluated (prewarmed
-    across workers vs lazily in the replay), never what is decided —
-    the in-arrival-order reduction is bit-identical."""
-    arrivals = make_job_arrivals(n_jobs=5, seed=2,
-                                 mean_interarrival_s=45.0)
-    serial = simulate_online_fleet(INVENTORY, arrivals, parallelism=1)
-    par = simulate_online_fleet(INVENTORY, arrivals, parallelism=2)
-    assert par == serial
-    assert par.events_processed == serial.events_processed

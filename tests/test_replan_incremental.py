@@ -171,9 +171,10 @@ def test_session_replan_passthrough():
 
 
 def test_planner_pool_memo_keys_include_config(tmp_path, monkeypatch):
-    """Exact and DP plans for the same (job, group) never collide: pools
-    of the two tiers sharing one cache directory never serve each
-    other's entries, and each serves its own to a fresh pool."""
+    """MILP and heuristic plans for the same (job, group) never collide:
+    pools whose configs differ only in ``use_heuristic`` share one cache
+    directory, never serve each other's entries, and each serves its own
+    to a fresh pool."""
     from dataclasses import replace as dc_replace
 
     from repro.fleet import PlannerPool, make_job_queue
@@ -184,11 +185,13 @@ def test_planner_pool_memo_keys_include_config(tmp_path, monkeypatch):
     inv = {"V100-32G": 2, "T4-16G": 2}
     job = make_job_queue(n_jobs=1, seed=0)[0]
     group = GroupSpec(counts=(("V100-32G", 2),))
-    for i, tier in enumerate(("exact", "dp", "exact", "dp")):
-        pool = PlannerPool(inv, config=dc_replace(FAST, tier=tier))
+    plans = {}
+    for i, heuristic in enumerate((False, True, False, True)):
+        config = dc_replace(FAST, use_heuristic=heuristic)
+        pool = PlannerPool(inv, config=config)
         a = pool.evaluate(job, group)
         assert a is not None
-        assert a.result.tier == tier
-        # The first pool of each tier plans; the second reads its entry.
+        assert plans.setdefault(heuristic, a.result.stats) == a.result.stats
+        # The first pool of each config plans; the second reads its entry.
         hit = i >= 2
         assert (pool.evaluations, pool.cache_hits) == (int(not hit), int(hit))

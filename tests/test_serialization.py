@@ -263,6 +263,7 @@ def _examples():
     from repro.core import PlannerResult
     from repro.core.search import CandidateStat, SearchStats
     from repro.fleet import FleetSimResult
+    from repro.fleet.online import OnlineFleetResult, OnlineJobRecord
     from repro.fleet.simulator import JobSimRecord
     from repro.pipeline import OnlineSimResult, PipelineSimResult
     from repro.pipeline.events import FaultEvent
@@ -299,8 +300,8 @@ def _examples():
         enumerated=10, solved=7, pruned=3, infeasible=1, cache_hits=5,
         cache_misses=2, lp_bounds=4, warm_starts=1,
         mean_bound_tightness=third, wall_time_s=0.1 + 0.2,
-        cum_solve_time_s=1.0 / 7.0, bound_time_s=tiny, parallelism=2,
-        seeded_incumbents=1, batches=2, batched_plans_scored=6,
+        cum_solve_time_s=1.0 / 7.0, bound_time_s=tiny, seeded_incumbents=1,
+        batches=2, batched_plans_scored=6,
     )
     workload = BatchWorkload(
         batch=8, prompt_len=256, output_len=16, chunk_tokens=128,
@@ -365,6 +366,20 @@ def _examples():
             ),
             makespan_s=0.1 + 0.2, total_tokens=123, allocator="greedy",
             energy_j=third, cost_usd=tiny,
+        ),
+        "OnlineFleetResult": OnlineFleetResult(
+            inventory={"V100-32G": 2, "T4-16G": 3},
+            jobs=(
+                OnlineJobRecord(
+                    job_id="j0", model="opt-13b",
+                    group_counts=(("T4-16G", 2), ("V100-32G", 1)),
+                    arrival_s=tiny, start_s=third, end_s=0.1 + 0.2,
+                    total_tokens=123,
+                ),
+            ),
+            dropped=("j1",), makespan_s=0.1 + 0.2, total_tokens=123,
+            pool_stats={"evaluations": 4, "cache_hits": 2},
+            events_processed=5,
         ),
         "OnlineSimResult": OnlineSimResult(
             makespan_s=0.1 + 0.2, prefill_span_s=third, decode_span_s=tiny,
