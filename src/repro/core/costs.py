@@ -15,11 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..costmodel.latency import LatencyCostModel
-from ..costmodel.memory import (
-    MemoryCostModel,
-    activation_workspace_bytes,
-    embedding_memory_bytes,
-)
+from ..costmodel.memory import layer_memory_bytes, stage_overhead_bytes
 from ..hardware.cluster import ClusterSpec, Device
 from ..hardware.gpus import GPUSpec
 from ..hardware.interconnect import LinkSpec
@@ -223,17 +219,11 @@ def problem_invariants(
     group_sizes = group_layers(spec.num_layers, group_size)
     gs = np.array(group_sizes, dtype=float)
 
-    mem_model = MemoryCostModel(
-        spec=spec,
-        batch=workload.batch,
-        context=workload.context_len,
-        bit_kv=bit_kv,
-        chunk_tokens=workload.chunk_tokens,
-    )
     mem = np.zeros((len(group_sizes), len(bit_choices)))
     for k, b in enumerate(bit_choices):
-        per_layer = mem_model.layer_bytes(b)
-        mem[:, k] = gs * per_layer
+        mem[:, k] = gs * layer_memory_bytes(
+            spec, b, workload.batch, workload.context_len, bit_kv
+        )
 
     omega = group_indicator(omega_layers, group_sizes)
 
@@ -340,11 +330,11 @@ def build_problem(
     const_pre[-1] += roofline.lm_head_time(ordering[-1].gpu, spec, eta)
     const_dec[-1] += roofline.lm_head_time(ordering[-1].gpu, spec, xi)
 
-    ws = activation_workspace_bytes(spec, eta, min(chunk, workload.context_len))
-    capacity = invariants.cap_base - ws
-    capacity[0] -= embedding_memory_bytes(spec, eta)
-    if n_stages > 1:
-        capacity[-1] -= spec.lm_head_elements * L.FP16_BYTES
+    ctx_chunk = min(chunk, workload.context_len)
+    capacity = invariants.cap_base - [
+        stage_overhead_bytes(spec, j, n_stages, eta, ctx_chunk)
+        for j in range(n_stages)
+    ]
 
     comm_pre = np.zeros(max(n_stages - 1, 0))
     comm_dec = np.zeros(max(n_stages - 1, 0))

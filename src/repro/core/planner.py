@@ -17,14 +17,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..costmodel.latency import LatencyCostModel
-from ..costmodel.memory import (
-    MemoryCostModel,
-    activation_workspace_bytes,
-    embedding_memory_bytes,
-)
+from ..costmodel.memory import layer_memory_bytes, stage_overhead_bytes
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..models import layers as _L
 from ..obs import metrics, trace
 from ..plan import ExecutionPlan, InfeasibleError, StagePlan, degrade_plan
 from ..quant.sensitivity import normalized_indicator_table
@@ -133,13 +128,6 @@ def _degrade_execution_plan(
     from ..pipeline.simulator import check_plan_memory
     from ..simgpu.memory import OutOfMemoryError
 
-    mem = MemoryCostModel(
-        spec=spec,
-        batch=workload.batch,
-        context=workload.context_len,
-        bit_kv=plan.bit_kv,
-        chunk_tokens=workload.chunk_len,
-    )
     by_id = {d.device_id: d for d in cluster.devices}
     surviving = [d for d in surviving_device_ids if d in by_id]
     groups = [
@@ -151,19 +139,14 @@ def _degrade_execution_plan(
         raise InfeasibleError(
             f"no surviving stage groups (survivors={sorted(surviving)})"
         )
-    overhead = activation_workspace_bytes(
-        spec, plan.prefill_microbatch, min(workload.chunk_len, workload.context_len)
-    )
+    chunk = min(workload.chunk_len, workload.context_len)
     capacity: Dict[int, int] = {}
     for g_idx, g in enumerate(groups):
-        group_cap = sum(by_id[d].gpu.usable_mem_bytes for d in g.device_ids)
-        group_cap -= overhead
-        if g_idx == 0:
-            group_cap -= embedding_memory_bytes(
-                spec, plan.prefill_microbatch
-            )
-        if g_idx == len(groups) - 1 and len(groups) > 1:
-            group_cap -= spec.lm_head_elements * _L.FP16_BYTES
+        group_cap = sum(
+            by_id[d].gpu.usable_mem_bytes for d in g.device_ids
+        ) - stage_overhead_bytes(
+            spec, g_idx, len(groups), plan.prefill_microbatch, chunk
+        )
         # Spread the group's effective capacity over its devices so
         # degrade_plan's per-group sums reproduce it.
         per_dev, rem = divmod(max(group_cap, 0), len(g.device_ids))
@@ -173,7 +156,9 @@ def _degrade_execution_plan(
         plan,
         surviving,
         capacity_bytes=capacity,
-        layer_cost=lambda i, b: mem.layer_bytes(b),
+        layer_cost=lambda i, b: layer_memory_bytes(
+            spec, b, workload.batch, workload.context_len, plan.bit_kv
+        ),
     )
     try:
         check_plan_memory(new_plan, cluster, spec, workload)

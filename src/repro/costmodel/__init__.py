@@ -19,12 +19,7 @@ from .latency import (
     prefill_features,
     relative_errors,
 )
-from .memory import (
-    MemoryCostModel,
-    activation_workspace_bytes,
-    embedding_memory_bytes,
-    layer_memory_bytes,
-)
+from .memory import layer_memory_bytes, stage_overhead_bytes
 
 __all__ = [
     "DEFAULT_ELECTRICITY_USD_PER_KWH",
@@ -42,8 +37,6 @@ __all__ = [
     "fit_phase",
     "prefill_features",
     "relative_errors",
-    "MemoryCostModel",
-    "activation_workspace_bytes",
-    "embedding_memory_bytes",
     "layer_memory_bytes",
+    "stage_overhead_bytes",
 ]

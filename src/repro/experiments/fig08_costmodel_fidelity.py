@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..costmodel.latency import LatencyCostModel, relative_errors
-from ..costmodel.memory import MemoryCostModel
+from ..costmodel.memory import layer_memory_bytes
 from ..hardware.gpus import get_gpu
 from ..models.architectures import get_model
 from ..simgpu.profiler import Profiler
@@ -37,8 +37,9 @@ def _memory_errors(model_name: str, n_cases: int, seed: int) -> np.ndarray:
         batch = int(rng.choice([2, 4, 8]))
         gen = int(rng.integers(100, 201))
         bits = rng.choice(BITS, size=spec.num_layers)
-        mm = MemoryCostModel(spec=spec, batch=batch, context=prompt + gen)
-        predicted = sum(mm.layer_bytes(int(b)) for b in bits)
+        predicted = sum(
+            layer_memory_bytes(spec, int(b), batch, prompt + gen) for b in bits
+        )
         measured = prof.measure_memory(spec, [int(b) for b in bits], batch,
                                        prompt + gen)
         errs.append(abs(predicted - measured) / measured)

@@ -48,10 +48,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..costmodel.memory import (
-    activation_workspace_bytes,
-    embedding_memory_bytes,
-)
+from ..costmodel.memory import stage_overhead_bytes
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..models import layers as L
@@ -430,23 +427,17 @@ class _OnlineContext:
             for r in arrivals.requests
         )
 
-        # Static per-stage residency: weights + activation workspace (+
-        # the embeddings / LM head placement of check_plan_memory).  KV
-        # is the dynamic part the admission controller meters on top.
-        static: List[int] = []
-        for j, st in enumerate(plan.stages):
-            b = sum(
-                L.weight_storage_bytes(spec, bits) for bits in st.layer_bits
+        # Static per-stage residency: weights + the stage overhead of
+        # check_plan_memory.  KV is the dynamic part the admission
+        # controller meters on top.
+        self.static = [
+            sum(L.weight_storage_bytes(spec, bits) for bits in st.layer_bits)
+            + stage_overhead_bytes(
+                spec, j, self.n_stages, plan.prefill_microbatch,
+                self.ref_chunk,
             )
-            b += activation_workspace_bytes(
-                spec, plan.prefill_microbatch, self.ref_chunk
-            )
-            if j == 0:
-                b += embedding_memory_bytes(spec, plan.prefill_microbatch)
-            if j == self.last_stage and j != 0:
-                b += spec.lm_head_elements * L.FP16_BYTES
-            static.append(b)
-        self.static = static
+            for j, st in enumerate(plan.stages)
+        ]
 
         self.stage_mem0: Optional[Tuple[int, ...]] = None
         if config.admission == "none":
@@ -467,10 +458,10 @@ class _OnlineContext:
                 self.stage_mem0 = tuple(0 for _ in plan.stages)
         elif check_memory:
             for j, st in enumerate(plan.stages):
-                if static[j] > self.capacities[j]:
+                if self.static[j] > self.capacities[j]:
                     raise OutOfMemoryError(
                         f"stage{j}({st.gpu_name})",
-                        static[j],
+                        self.static[j],
                         self.capacities[j],
                     )
 

@@ -33,10 +33,9 @@ from typing import (
 
 import numpy as np
 
-from ..costmodel.memory import MemoryCostModel
-from ..hardware.cluster import ClusterSpec, Device
+from ..costmodel.memory import layer_memory_bytes, stage_overhead_bytes
+from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..models import layers as L
 from ..obs import DEFAULT_FRACTION_BUCKETS, metrics, trace
 from ..plan import ExecutionPlan
 from ..simgpu.memory import OutOfMemoryError
@@ -44,6 +43,7 @@ from ..workloads.arrivals import ArrivalTrace, Request
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .events import FaultEvent
 from .stage import TimingSource
+from .topology import stage_devices
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.faults import FaultPlan
@@ -170,29 +170,25 @@ def check_plan_memory(
     spec: ModelSpec,
     workload: BatchWorkload,
 ) -> Tuple[int, ...]:
-    """Per-stage predicted peak bytes; raises OutOfMemoryError on misfit."""
-    mem_model = MemoryCostModel(
-        spec=spec,
-        batch=workload.batch,
-        context=workload.context_len,
-        bit_kv=plan.bit_kv,
-        # Peak prefill activations cover one actual chunk, not the
-        # configured cap (keep consistent with the planner's capacity).
-        chunk_tokens=workload.chunk_len,
-    )
-    by_id: Dict[int, Device] = {d.device_id: d for d in cluster.devices}
+    """Per-stage predicted peak bytes; raises OutOfMemoryError on misfit.
+
+    Peak prefill activations cover one actual chunk, not the configured
+    cap (the planner's capacity rows use the same chunk).
+    """
+    chunk = min(workload.chunk_len, workload.context_len)
     usages: List[int] = []
-    for j, st in enumerate(plan.stages):
-        capacity = sum(by_id[d].gpu.usable_mem_bytes for d in st.device_ids)
-        need = mem_model.stage_bytes(
-            st.layer_bits,
-            microbatch=plan.prefill_microbatch,
-            with_embeddings=(j == 0),
+    for j, (st, devs) in enumerate(
+        zip(plan.stages, stage_devices(plan, cluster))
+    ):
+        capacity = sum(d.gpu.usable_mem_bytes for d in devs)
+        need = sum(
+            layer_memory_bytes(
+                spec, b, workload.batch, workload.context_len, plan.bit_kv
+            )
+            for b in st.layer_bits
+        ) + stage_overhead_bytes(
+            spec, j, plan.num_stages, plan.prefill_microbatch, chunk
         )
-        if j == len(plan.stages) - 1 and j != 0:
-            # LM head weights live with the last stage when it differs
-            # from the first (master postprocessing placement).
-            need += spec.lm_head_elements * L.FP16_BYTES
         if need > capacity:
             raise OutOfMemoryError(
                 f"stage{j}({st.gpu_name})", need, capacity

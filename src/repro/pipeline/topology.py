@@ -25,6 +25,7 @@ __all__ = [
     "FEEDBACK_BYTES_PER_REQ",
     "PipelineTopology",
     "microbatch_sizes",
+    "stage_devices",
 ]
 
 #: Bytes of sampled token ids fed back from LM head to the first stage.
@@ -47,6 +48,30 @@ def microbatch_sizes(total: int, micro: int) -> List[int]:
     if total % micro:
         sizes.append(total % micro)
     return sizes
+
+
+def stage_devices(
+    plan: ExecutionPlan, cluster: ClusterSpec
+) -> List[Tuple[Device, ...]]:
+    """Each stage's devices in ``cluster``.
+
+    Raises ``ValueError`` when the plan was made for another cluster: a
+    stage names a device id the cluster lacks, or a device whose GPU is
+    not the stage's ``gpu_name``.
+    """
+    by_id: Dict[int, Device] = {d.device_id: d for d in cluster.devices}
+    out = []
+    for j, st in enumerate(plan.stages):
+        devs = tuple(by_id.get(d) for d in st.device_ids)
+        for d, dev in zip(st.device_ids, devs):
+            if dev is None or dev.gpu.name != st.gpu_name:
+                found = "no such device" if dev is None else dev.gpu.name
+                raise ValueError(
+                    f"stage {j} expects a {st.gpu_name} as device {d}; "
+                    f"cluster {cluster.name!r} has {found}"
+                )
+        out.append(devs)
+    return out
 
 
 @dataclass
@@ -80,12 +105,12 @@ class PipelineTopology:
                 f"model has {spec.num_layers}"
             )
         timing = timing or RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
-        by_id: Dict[int, Device] = {d.device_id: d for d in cluster.devices}
+        heads = [devs[0] for devs in stage_devices(plan, cluster)]
         n_stages = plan.num_stages
         stage_models = [
             StageExecutionModel(
                 stage=st,
-                gpu=by_id[st.device_ids[0]].gpu,
+                gpu=heads[j].gpu,
                 spec=spec,
                 timing=timing,
                 is_first=(j == 0),
@@ -94,17 +119,11 @@ class PipelineTopology:
             for j, st in enumerate(plan.stages)
         ]
         fwd_links = [
-            cluster.link_between(
-                by_id[plan.stages[j].device_ids[0]],
-                by_id[plan.stages[j + 1].device_ids[0]],
-            )
+            cluster.link_between(heads[j], heads[j + 1])
             for j in range(n_stages - 1)
         ]
         feedback_link = (
-            cluster.link_between(
-                by_id[plan.stages[-1].device_ids[0]],
-                by_id[plan.stages[0].device_ids[0]],
-            )
+            cluster.link_between(heads[-1], heads[0])
             if n_stages > 1
             else None
         )
@@ -153,10 +172,7 @@ class PipelineTopology:
 
     def stage_capacities(self) -> Tuple[int, ...]:
         """Usable bytes per stage (TP groups pool their devices)."""
-        by_id: Dict[int, Device] = {
-            d.device_id: d for d in self.cluster.devices
-        }
         return tuple(
-            sum(by_id[d].gpu.usable_mem_bytes for d in st.device_ids)
-            for st in self.plan.stages
+            sum(d.gpu.usable_mem_bytes for d in devs)
+            for devs in stage_devices(self.plan, self.cluster)
         )

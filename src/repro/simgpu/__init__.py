@@ -1,6 +1,6 @@
-"""Simulated GPU testbed: roofline kernels, device memory, profiling."""
+"""Simulated GPU testbed: roofline kernels, OOM semantics, profiling."""
 
-from .memory import PAGE_BYTES, DeviceMemory, OutOfMemoryError
+from .memory import PAGE_BYTES, OutOfMemoryError
 from .profiler import LATENCY_NOISE_SIGMA, LatencySample, Profiler
 from .roofline import (
     KERNELS_PER_LAYER,
@@ -13,7 +13,6 @@ from .roofline import (
 
 __all__ = [
     "PAGE_BYTES",
-    "DeviceMemory",
     "OutOfMemoryError",
     "LATENCY_NOISE_SIGMA",
     "LatencySample",

@@ -1,22 +1,20 @@
-"""Simulated device memory: a tagged allocator with OOM semantics.
+"""Simulated device memory: the allocator page size and the OOM error.
 
-The runtime and pipeline simulator allocate model weights, KV cache and
-activation workspace through this allocator so that infeasible plans fail
-the same way they would on hardware — with an out-of-memory error naming
-the device and the allocation that pushed it over.
+Stage memory itself is predicted by :mod:`repro.costmodel.memory`;
+:func:`repro.pipeline.simulator.check_plan_memory` and the online
+admission pre-check raise :class:`OutOfMemoryError` when a stage's
+predicted peak exceeds its devices' usable bytes, naming the stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
-
-#: CUDA allocators hand out memory in pages; round allocations up.
+#: CUDA allocators hand out memory in pages; the profiler's "measured"
+#: allocations round up to them.
 PAGE_BYTES = 2 * 1024 * 1024
 
 
 class OutOfMemoryError(RuntimeError):
-    """Raised when an allocation exceeds the device's remaining capacity."""
+    """Raised when a stage's predicted peak exceeds its usable memory."""
 
     def __init__(self, device: str, requested: int, available: int):
         super().__init__(
@@ -26,63 +24,3 @@ class OutOfMemoryError(RuntimeError):
         self.device = device
         self.requested = requested
         self.available = available
-
-
-def _round_up(nbytes: int) -> int:
-    return -(-nbytes // PAGE_BYTES) * PAGE_BYTES
-
-
-@dataclass
-class DeviceMemory:
-    """Byte-accounted memory of one simulated device."""
-
-    name: str
-    capacity_bytes: int
-    _allocs: Dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(self._allocs.values())
-
-    @property
-    def available_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
-    def allocate(self, tag: str, nbytes: int) -> None:
-        """Reserve ``nbytes`` under ``tag`` (page-rounded); raises on OOM."""
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        if tag in self._allocs:
-            raise ValueError(f"tag {tag!r} already allocated on {self.name}")
-        rounded = _round_up(nbytes)
-        if rounded > self.available_bytes:
-            raise OutOfMemoryError(self.name, rounded, self.available_bytes)
-        self._allocs[tag] = rounded
-
-    def free(self, tag: str) -> int:
-        """Release the allocation under ``tag``; returns the bytes freed."""
-        try:
-            return self._allocs.pop(tag)
-        except KeyError:
-            raise KeyError(f"no allocation tagged {tag!r} on {self.name}") from None
-
-    def resize(self, tag: str, nbytes: int) -> None:
-        """Grow or shrink an existing allocation (KV cache growth)."""
-        if tag not in self._allocs:
-            raise KeyError(f"no allocation tagged {tag!r} on {self.name}")
-        old = self._allocs[tag]
-        rounded = _round_up(nbytes)
-        if rounded - old > self.available_bytes:
-            raise OutOfMemoryError(self.name, rounded - old, self.available_bytes)
-        self._allocs[tag] = rounded
-
-    def usage(self) -> Dict[str, int]:
-        """Snapshot of live allocations (tag -> bytes)."""
-        return dict(self._allocs)
-
-    def reset(self) -> None:
-        self._allocs.clear()

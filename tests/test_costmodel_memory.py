@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.costmodel import (
-    MemoryCostModel,
+from repro.costmodel import layer_memory_bytes, stage_overhead_bytes
+from repro.costmodel.memory import (
     activation_workspace_bytes,
     embedding_memory_bytes,
-    layer_memory_bytes,
 )
 from repro.models import kv_cache_bytes, weight_storage_bytes
+from repro.models.layers import FP16_BYTES
 
 
 def test_layer_memory_is_weights_plus_kv(opt13b):
@@ -47,31 +47,58 @@ def test_embedding_memory_includes_logits_workspace(opt13b):
     assert big - small == 63 * opt13b.vocab_size * 2
 
 
+def _stage_bytes(spec, bits, j, n_stages, microbatch=4, batch=8, ctx=600,
+                 chunk=536):
+    """A stage's peak as check_plan_memory sums it."""
+    return sum(
+        layer_memory_bytes(spec, b, batch, ctx) for b in bits
+    ) + stage_overhead_bytes(spec, j, n_stages, microbatch, chunk)
+
+
 def test_stage_bytes_sums_layers(opt13b):
-    mm = MemoryCostModel(spec=opt13b, batch=8, context=600)
-    one = mm.stage_bytes([4], microbatch=4)
-    three = mm.stage_bytes([4, 4, 4], microbatch=4)
-    assert three - one == 2 * mm.layer_bytes(4)
+    one = _stage_bytes(opt13b, [4], j=1, n_stages=3)
+    three = _stage_bytes(opt13b, [4, 4, 4], j=1, n_stages=3)
+    assert three - one == 2 * layer_memory_bytes(opt13b, 4, 8, 600)
 
 
-def test_stage_bytes_embedding_flag(opt13b):
-    mm = MemoryCostModel(spec=opt13b, batch=8, context=600)
-    plain = mm.stage_bytes([4], microbatch=4, with_embeddings=False)
-    emb = mm.stage_bytes([4], microbatch=4, with_embeddings=True)
-    assert emb - plain == embedding_memory_bytes(opt13b, 4)
+def test_stage_bytes_embedding_flag(opt13b, qwen7b):
+    for spec in (opt13b, qwen7b):
+        middle = stage_overhead_bytes(spec, 1, 3, 4, 600)
+        assert middle == activation_workspace_bytes(spec, 4, 600)
+        first = stage_overhead_bytes(spec, 0, 3, 4, 600)
+        assert first - middle == embedding_memory_bytes(spec, 4)
+        last = stage_overhead_bytes(spec, 2, 3, 4, 600)
+        assert last - middle == spec.lm_head_elements * FP16_BYTES
+        # A lone stage is first and last: M_emb already holds the head.
+        assert stage_overhead_bytes(spec, 0, 1, 4, 600) == first
+    assert qwen7b.lm_head_elements > 0
 
 
-def test_fits_constraint(opt13b):
-    mm = MemoryCostModel(spec=opt13b, batch=8, context=600)
-    need = mm.stage_bytes([8, 8], microbatch=4)
-    assert mm.fits([8, 8], 4, need)
-    assert not mm.fits([8, 8], 4, need - 1)
+def test_fits_constraint(opt13b, v100):
+    from repro.hardware import make_cluster
+    from repro.pipeline.simulator import check_plan_memory
+    from repro.plan import ExecutionPlan, StagePlan
+    from repro.simgpu import OutOfMemoryError
+    from repro.workloads import BatchWorkload
+
+    cluster = make_cluster("one-v100", [("V100-32G", 1)])
+    plan = ExecutionPlan(
+        opt13b.name,
+        (StagePlan((0,), "V100-32G", 0, (4,) * opt13b.num_layers),),
+        4, 4,
+    )
+    wl = BatchWorkload(batch=8, prompt_len=536, output_len=64)
+    need = _stage_bytes(opt13b, plan.bits_per_layer, 0, 1)
+    assert check_plan_memory(plan, cluster, opt13b, wl) == (need,)
+    assert need <= v100.usable_mem_bytes
+    big = BatchWorkload(batch=64, prompt_len=536, output_len=64)
+    with pytest.raises(OutOfMemoryError):
+        check_plan_memory(plan, cluster, opt13b, big)
 
 
 def test_kv_bitwidth_halves_reservation(opt13b):
-    full = MemoryCostModel(spec=opt13b, batch=8, context=600, bit_kv=16)
-    half = MemoryCostModel(spec=opt13b, batch=8, context=600, bit_kv=8)
-    dk = full.layer_bytes(16) - half.layer_bytes(16)
-    assert dk == kv_cache_bytes(opt13b, 8, 600, 16) - kv_cache_bytes(
+    full = layer_memory_bytes(opt13b, 16, 8, 600, bit_kv=16)
+    half = layer_memory_bytes(opt13b, 16, 8, 600, bit_kv=8)
+    assert full - half == kv_cache_bytes(opt13b, 8, 600, 16) - kv_cache_bytes(
         opt13b, 8, 600, 8
     )

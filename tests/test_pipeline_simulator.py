@@ -49,6 +49,37 @@ def test_layer_count_mismatch_rejected(small_cluster, opt13b, small_workload):
         simulate_plan(plan, small_cluster, opt13b, small_workload)
 
 
+def test_plan_for_another_cluster_rejected(opt13b, small_workload):
+    """A stage naming a device the cluster lacks, or a device of another
+    GPU model, is a ValueError on every simulator entry point."""
+    from repro import Session
+    from repro.baselines import plan_uniform_baseline
+    from repro.hardware import table_iii_cluster
+    from repro.pipeline import OnlineConfig, simulate_online
+    from repro.workloads import poisson_trace
+
+    c1, c5 = table_iii_cluster(1), table_iii_cluster(5)
+    plan5 = plan_uniform_baseline(opt13b, c5, small_workload).plan
+    plan1 = plan_uniform_baseline(opt13b, c1, small_workload).plan
+    trace = poisson_trace(2.0, 5.0, seed=0, max_prompt_len=128,
+                          max_output_len=16)
+    ghost = uniform_plan(opt13b.name, opt13b.num_layers,
+                         [((7,), "V100-32G")], 8, 4, 4)
+    for plan, cluster, match in ((plan5, c1, "'cluster-1' has V100-32G"),
+                                 (plan1, c5, "'cluster-5' has T4-16G"),
+                                 (ghost, c1, "has no such device")):
+        with pytest.raises(ValueError, match=match):
+            check_plan_memory(plan, cluster, opt13b, small_workload)
+        with pytest.raises(ValueError, match=match):
+            simulate_plan(plan, cluster, opt13b, small_workload,
+                          check_memory=False)
+        with pytest.raises(ValueError, match=match):
+            simulate_online(plan, cluster, opt13b, trace, OnlineConfig())
+    with pytest.raises(ValueError, match="'cluster-5' has T4-16G"):
+        Session("opt-13b", cluster=5).simulate(plan=plan1,
+                                               workload=small_workload)
+
+
 def test_oom_detected(small_cluster, opt30b, small_workload):
     """OPT-30B FP16 cannot fit a 16 GB T4 stage."""
     plan = uniform_plan(

@@ -1,94 +1,25 @@
-"""Tests for the simulated device-memory allocator."""
+"""Tests for the simulated out-of-memory error."""
 
 import pytest
 
-from repro.simgpu import PAGE_BYTES, DeviceMemory, OutOfMemoryError
+from repro.hardware import make_cluster
+from repro.pipeline.simulator import check_plan_memory
+from repro.plan import ExecutionPlan, StagePlan
+from repro.simgpu import OutOfMemoryError
+from repro.workloads import BatchWorkload
 
 
-@pytest.fixture
-def mem():
-    return DeviceMemory(name="gpu0", capacity_bytes=100 * PAGE_BYTES)
-
-
-def test_allocate_and_free(mem):
-    mem.allocate("weights", 10 * PAGE_BYTES)
-    assert mem.used_bytes == 10 * PAGE_BYTES
-    freed = mem.free("weights")
-    assert freed == 10 * PAGE_BYTES
-    assert mem.used_bytes == 0
-
-
-def test_page_rounding(mem):
-    mem.allocate("x", 1)
-    assert mem.used_bytes == PAGE_BYTES
-
-
-def test_oom_raises_with_details(mem):
-    mem.allocate("weights", 90 * PAGE_BYTES)
+def test_oom_raises_with_details(opt13b, t4):
+    cluster = make_cluster("one-t4", [("T4-16G", 1)])
+    plan = ExecutionPlan(
+        opt13b.name,
+        (StagePlan((0,), "T4-16G", 0, (16,) * opt13b.num_layers),),
+        4, 4,
+    )
+    wl = BatchWorkload(batch=8, prompt_len=256, output_len=32)
     with pytest.raises(OutOfMemoryError) as exc:
-        mem.allocate("kv", 20 * PAGE_BYTES)
-    assert exc.value.device == "gpu0"
-    assert exc.value.requested == 20 * PAGE_BYTES
-    assert "OOM on gpu0" in str(exc.value)
-
-
-def test_oom_leaves_state_unchanged(mem):
-    mem.allocate("a", 50 * PAGE_BYTES)
-    with pytest.raises(OutOfMemoryError):
-        mem.allocate("b", 60 * PAGE_BYTES)
-    assert mem.used_bytes == 50 * PAGE_BYTES
-    assert "b" not in mem.usage()
-
-
-def test_duplicate_tag_rejected(mem):
-    mem.allocate("kv", PAGE_BYTES)
-    with pytest.raises(ValueError):
-        mem.allocate("kv", PAGE_BYTES)
-
-
-def test_free_unknown_tag(mem):
-    with pytest.raises(KeyError):
-        mem.free("nope")
-
-
-def test_resize_grows_and_shrinks(mem):
-    mem.allocate("kv", 10 * PAGE_BYTES)
-    mem.resize("kv", 20 * PAGE_BYTES)
-    assert mem.used_bytes == 20 * PAGE_BYTES
-    mem.resize("kv", 5 * PAGE_BYTES)
-    assert mem.used_bytes == 5 * PAGE_BYTES
-
-
-def test_resize_oom(mem):
-    mem.allocate("kv", 10 * PAGE_BYTES)
-    mem.allocate("w", 80 * PAGE_BYTES)
-    with pytest.raises(OutOfMemoryError):
-        mem.resize("kv", 30 * PAGE_BYTES)
-
-
-def test_resize_unknown_tag(mem):
-    with pytest.raises(KeyError):
-        mem.resize("nope", PAGE_BYTES)
-
-
-def test_negative_allocation_rejected(mem):
-    with pytest.raises(ValueError):
-        mem.allocate("x", -1)
-
-
-def test_zero_capacity_rejected():
-    with pytest.raises(ValueError):
-        DeviceMemory(name="bad", capacity_bytes=0)
-
-
-def test_reset_clears_everything(mem):
-    mem.allocate("a", PAGE_BYTES)
-    mem.allocate("b", PAGE_BYTES)
-    mem.reset()
-    assert mem.used_bytes == 0
-    assert mem.usage() == {}
-
-
-def test_available_plus_used_is_capacity(mem):
-    mem.allocate("a", 33 * PAGE_BYTES)
-    assert mem.available_bytes + mem.used_bytes == mem.capacity_bytes
+        check_plan_memory(plan, cluster, opt13b, wl)
+    assert exc.value.device == "stage0(T4-16G)"
+    assert exc.value.available == t4.usable_mem_bytes
+    assert exc.value.requested > exc.value.available
+    assert "OOM on stage0(T4-16G)" in str(exc.value)
