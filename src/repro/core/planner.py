@@ -189,8 +189,8 @@ class PlannerResult:
     #: Search-engine observability (``None`` for the naive reference path).
     search: Optional[SearchStats] = None
     #: Provenance: which planning tier produced this result ("exact",
-    #: "dp", "incremental-repair", "incremental-resolve", ...), mirroring
-    #: the simulator's ``sim_backend`` / ``backend_reason`` pattern.
+    #: "dp", "incremental-repair", "incremental-resolve", ...) and why,
+    #: like the simulator's ``sim_backend`` provenance.
     tier: str = field(default="exact", compare=False)
     tier_reason: str = field(default="", compare=False)
     #: DP tier only: certified score / lower-bound ratio (>= 1) over the
@@ -345,7 +345,7 @@ class SplitQuantPlanner:
         sweep (bit-identical to per-plan simulation), which also stamps
         joules and dollars on each result.  If the sweep raises, each
         plan is simulated alone and the failures are dropped.  Returns
-        ``([(candidate, plan case, result)], batches)``, where
+        ``([(candidate, result)], batches)``, where
         ``batches`` is 1 when the batched sweep ran and 0 otherwise.
         """
         from ..pipeline.batchsim import PlanCase, evaluate_plans
@@ -372,9 +372,9 @@ class SplitQuantPlanner:
             results = evaluate_plans([pc for _, pc in cases])
         except (ValueError, RuntimeError):
             return self._simulate_each(cases), 0
-        return [(c, pc, r) for (c, pc), r in zip(cases, results)], 1
+        return [(c, r) for (c, _), r in zip(cases, results)], 1
 
-    def _simulate_each(self, cases) -> List[Tuple[Any, Any, Any]]:
+    def _simulate_each(self, cases) -> List[Tuple[Any, Any]]:
         """Per-plan simulation of ``(candidate, plan case)`` pairs,
         dropping the plans that fail."""
         from ..pipeline.simulator import simulate_plan
@@ -388,7 +388,7 @@ class SplitQuantPlanner:
                 )
             except (ValueError, RuntimeError):
                 continue
-            scored.append((cand, pc, res))
+            scored.append((cand, res))
         return scored
 
     def _verify_candidates(
@@ -399,41 +399,19 @@ class SplitQuantPlanner:
         A pure refinement of the analytic pipeline formula: it captures
         bubble/feedback effects the closed form approximates.  The
         frontier is scored by :meth:`_simulate_frontier` and the best
-        objective-(4) score wins, ties keeping the ranking's order.  The
-        discrete-event engine then re-simulates the winner as the
-        bit-exactness oracle; on a disagreement (counted) the frontier
-        is re-scored plan by plan.  Returns ``(winner, plans_scored,
-        batches)``; the counts are 0 unless the batched sweep ran.
+        objective-(4) score wins, ties keeping the ranking's order.
+        Returns ``(winner, plans_scored, batches)``; the counts are 0
+        unless the batched sweep ran.
         """
-        from ..pipeline.simulator import simulate_plan
-
-        def pick(scored):
-            best, best_score = None, float("inf")
-            for cand, pc, res in scored:
+        with trace.span("planner.verify", k=len(top)):
+            scored, batches = self._simulate_frontier(top, workload)
+            winner, best_score = top[0], float("inf")
+            for cand, res in scored:
                 score = candidate_score(
                     res.makespan_s, cand[1].quality, self.config
                 )
                 if score < best_score:
-                    best, best_score = (cand, pc, res), score
-            return best
-
-        with trace.span("planner.verify", k=len(top)):
-            scored, batches = self._simulate_frontier(top, workload)
-            best = pick(scored)
-            if best is not None and batches:
-                _, pc, res = best
-                oracle = simulate_plan(
-                    pc.plan, self.cluster, self.spec, workload,
-                    timing=pc.timing, check_memory=False,
-                    sim_backend="event",
-                )
-                if oracle != res:  # pragma: no cover - exactness guard
-                    if trace.enabled:
-                        metrics.counter("planner.verify_oracle_mismatch").inc()
-                    best = pick(
-                        self._simulate_each([(c, p) for c, p, _ in scored])
-                    )
-            winner = top[0] if best is None else best[0]
+                    winner, best_score = cand, score
             return winner, len(scored) * batches, batches
 
     def resolve_tier(self, tier: str) -> Tuple[str, str]:
@@ -699,7 +677,7 @@ class SplitQuantPlanner:
             metric = (
                 "joules_per_token" if objective == "energy" else "usd_per_mtoken"
             )
-            scored = [(c, res, getattr(res, metric)) for c, _, res in frontier]
+            scored = [(c, res, getattr(res, metric)) for c, res in frontier]
             pool = scored
             if budget is not None:
                 pool = [s for s in scored if s[2] <= budget]

@@ -35,18 +35,16 @@ cells are exact no-ops:
   are bit-exact identities, and ``-inf`` only ever enters arrival terms,
   never durations or finish times, so no NaNs can form.
 
-Eligibility is the same predicate ``sim_backend="auto"`` dispatch uses:
-all output lengths equal.  A uniform batch always qualifies, and an
-equal-lengths variable batch is scored on its worst-case uniform view.
-A frontier member that declines (variable batches with retiring
-requests) falls back to the event engine; the fallback is counted
-(``batchsim.fallback``) and the reason recorded on
-``PipelineSimResult.backend_reason``.
+A lane is any batch whose output lengths are all equal, the same
+predicate the per-plan dispatch uses: a uniform batch always, and an
+equal-lengths variable batch on its worst-case uniform view.  A member
+whose requests retire mid-decode runs through ``simulate_plan_variable``
+on its own, which replays it on the online fast driver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     List,
@@ -65,6 +63,7 @@ from ..plan import ExecutionPlan
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .fastsim import PlanTables, build_plan_tables, shared_default_timing
 from .stage import TimingSource
+from .topology import check_plan_model
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import PipelineSimResult
@@ -95,9 +94,8 @@ def evaluate_plans(
 
     Returns one :class:`PipelineSimResult` per case, in input order,
     bit-identical to calling ``simulate_plan`` (fast backend) on each
-    case individually.  Ineligible members (variable workloads with
-    retiring requests) fall back to the event engine with the decline
-    reason recorded on ``backend_reason``.
+    case individually.  Members whose requests retire mid-decode are
+    scored by ``simulate_plan_variable`` (default backend) one by one.
 
     ``check_memory=True`` replays the per-plan memory check in input
     order, so an infeasible member raises the same
@@ -108,7 +106,6 @@ def evaluate_plans(
     from ..costmodel.energy import plan_cost, plan_energy
     from .simulator import (
         PipelineSimResult,
-        _retiring_reason,
         check_plan_memory,
         simulate_plan_variable,
     )
@@ -121,28 +118,19 @@ def evaluate_plans(
         lanes: List[
             Tuple[int, PlanTables, Tuple[int, ...], PlanCase, BatchWorkload]
         ] = []
-        fallbacks = 0
         for i, case in enumerate(cases):
             plan, wl = case.plan, case.workload
             if isinstance(wl, VariableBatchWorkload):
-                reason = _retiring_reason(wl.output_lens)
-                if reason is not None:
-                    res = simulate_plan_variable(
+                if len(set(wl.output_lens)) > 1:
+                    results[i] = simulate_plan_variable(
                         plan, case.cluster, case.spec, wl,
                         timing=case.timing, check_memory=check_memory,
-                        sim_backend="event",
                     )
-                    results[i] = replace(res, backend_reason=reason)
-                    fallbacks += 1
                     continue
                 uniform = wl.planning_view("max")
             else:
                 uniform = wl
-            if plan.num_layers != case.spec.num_layers:
-                raise ValueError(
-                    f"plan covers {plan.num_layers} layers, model has "
-                    f"{case.spec.num_layers}"
-                )
+            check_plan_model(plan, case.spec)
             stage_mem = (
                 check_plan_memory(plan, case.cluster, case.spec, uniform)
                 if check_memory
@@ -189,12 +177,10 @@ def evaluate_plans(
                         case.plan, case.cluster, pre + dec, energy
                     ),
                 )
-        sp.set(batched=len(lanes), fallbacks=fallbacks)
+        sp.set(batched=len(lanes))
         if trace.enabled:
             metrics.counter("batchsim.batches").inc()
             metrics.counter("batchsim.plans").inc(n)
-            if fallbacks:
-                metrics.counter("batchsim.fallback").inc(fallbacks)
     return results  # type: ignore[return-value]
 
 

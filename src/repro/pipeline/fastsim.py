@@ -31,7 +31,8 @@ Eligibility: every batch whose requests all generate the same number of
 tokens — every ``simulate_plan`` call, and the equal-lengths case of
 ``simulate_plan_variable``, which runs :func:`_fast_simulate_plan` on
 its worst-case uniform view.  Variable-length decode with mid-flight
-retirement keeps the event-driven path.
+retirement runs on the online fast driver
+(:mod:`repro.pipeline.online_fast`) instead.
 
 Duration tables (per-stage chunk times, decode step series, link and
 feedback delays) are built once per ``(plan, cluster, workload, timing)``
@@ -507,10 +508,6 @@ def _fast_simulate_plan(
     results); ``workload`` is the batch's worst-case uniform view."""
     from .simulator import PipelineSimResult, check_plan_memory
 
-    if plan.num_layers != spec.num_layers:
-        raise ValueError(
-            f"plan covers {plan.num_layers} layers, model has {spec.num_layers}"
-        )
     timing = timing or RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
     stage_mem = (
         check_plan_memory(plan, cluster, spec, workload)

@@ -31,13 +31,15 @@ Two backends share this scheduler, selected by ``sim_backend``:
 * ``"auto"`` (default) — the fast backend: its replay argument has no
   side conditions, so every online run is eligible.
 
-The offline event backend is this driver's degenerate run: with every
-arrival at t=0 and admission disabled, one group replays the closed
-batch, so ``simulate_plan(sim_backend="event")`` is a thin adapter over
-``_simulate_online``, and the offline max-plus kernels are differential
-against it (``tests/test_fastsim.py``).  The fast/event equivalence
-across the full online grid (overload, shedding, ragged tails) is
-enforced by ``tests/test_online_fast.py``.
+The offline closed batch is this scheduler's degenerate run: with
+every arrival at t=0 and admission disabled, one group replays the
+batch.  The offline simulator runs a batch whose requests retire
+mid-decode that way on the fast driver, and every batch that way on
+the event driver under ``sim_backend="event"``; the offline max-plus
+kernels are differential against the latter (``tests/test_fastsim.py``,
+``tests/test_ragged_closed.py``).  The fast/event equivalence across
+the full online grid (overload, shedding, ragged tails) is enforced by
+``tests/test_online_fast.py``.
 """
 
 from __future__ import annotations
@@ -153,7 +155,6 @@ class OnlineSimResult:
     ttft_slo_s: Optional[float] = None
     #: Provenance only (excluded from equality), like the offline result.
     sim_backend: str = field(default="event", compare=False)
-    backend_reason: Optional[str] = field(default=None, compare=False)
     #: Joules / dollars for the run, computed by the same pure post-pass
     #: as the offline result (worst-case reference shapes), so the
     #: degenerate online run matches offline energy bit-for-bit.

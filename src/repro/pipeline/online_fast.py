@@ -43,8 +43,11 @@ energy post-pass) is the *shared* :class:`~repro.pipeline.online._OnlineState`
 accounting are identical by construction, not by re-implementation.
 
 Eligibility: every online run replays exactly (the argument above has
-no side conditions), so ``sim_backend="auto"`` always runs this driver.
-``tests/test_online_fast.py`` pins the full differential grid.
+no side conditions), so ``sim_backend="auto"`` always runs this driver,
+and so does the offline simulator for a closed batch whose requests
+retire mid-decode (every request at t=0, admission off).
+``tests/test_online_fast.py`` pins the full online differential grid,
+``tests/test_ragged_closed.py`` the ragged closed batches.
 """
 
 from __future__ import annotations

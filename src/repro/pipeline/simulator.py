@@ -5,12 +5,15 @@ chunked prefill micro-batches flow through the FIFO stage servers with
 asynchronous point-to-point communication, then decode proceeds token by
 token with the autoregressive feedback loop from the last stage's LM head
 back to the first stage's embedding.  Phases are sequential, matching the
-paper's offline latency model (objective (4)).  The ``"event"`` backend
-runs the batch as the degenerate online run (every request at t=0,
-admission off) on the one event driver, :mod:`repro.pipeline.online`;
-``"fast"`` is its bit-identical max-plus twin (:mod:`.fastsim`).  A
-uniform batch is the equal-lengths case of a variable-output batch, so
-both ``simulate_plan`` and ``simulate_plan_variable`` share one body.
+paper's offline latency model (objective (4)).  A uniform batch is the
+equal-lengths case of a variable-output batch, so ``simulate_plan`` and
+``simulate_plan_variable`` share one body.  It runs a batch with equal
+output lengths on the closed-form max-plus recurrence (:mod:`.fastsim`)
+and any other batch as the degenerate online run (every request at t=0,
+admission off) on the online fast driver (:mod:`.online_fast`).  The
+``"event"`` backend runs every batch on the per-job event driver of
+:mod:`repro.pipeline.online` instead: the bit-exactness oracle both fast
+paths are tested against.
 
 Per-stage memory is checked against the paper's memory cost model before
 anything runs; infeasible plans raise
@@ -43,7 +46,7 @@ from ..workloads.arrivals import ArrivalTrace, Request
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .events import FaultEvent
 from .stage import TimingSource
-from .topology import stage_devices
+from .topology import check_plan_model, stage_devices
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.faults import FaultPlan
@@ -76,9 +79,8 @@ class PipelineSimResult:
     #: ``"fast"``).  Provenance only: excluded from equality so the
     #: differential tests can assert fast == event directly.
     sim_backend: str = field(default="event", compare=False)
-    #: Why the fast path was declined when a dispatcher (``auto`` or the
-    #: batched evaluator) dropped this run to the event engine; ``None``
-    #: when no fallback happened.  Provenance only, like ``sim_backend``.
+    #: Always ``None``, as every batch has a fast path; the performance
+    #: ledger's ``pipeline.batchsim.fallback_frac`` ratio still reads it.
     backend_reason: Optional[str] = field(default=None, compare=False)
     #: Joules drawn by the plan's GPUs over the run
     #: (:func:`repro.costmodel.energy.plan_energy`); ``None`` when the
@@ -209,12 +211,11 @@ def simulate_plan(
     """Simulate serving ``workload`` under ``plan`` on ``cluster``.
 
     ``sim_backend`` selects the engine: ``"event"`` runs the
-    discrete-event oracle, ``"fast"`` the closed-form steady-state
-    recurrence (:mod:`repro.pipeline.fastsim`), and ``"auto"`` (default)
-    dispatches to the fast path whenever the run is eligible — which for
-    uniform fault-free batches is always.  The two backends produce
-    bit-equal results; :attr:`PipelineSimResult.sim_backend` records
-    which one ran.
+    discrete-event oracle, while ``"fast"`` and ``"auto"`` (default)
+    run the closed-form steady-state recurrence
+    (:mod:`repro.pipeline.fastsim`).  The two backends produce bit-equal
+    results; :attr:`PipelineSimResult.sim_backend` records which one
+    ran.
     """
     return _simulate(
         plan, cluster, spec, workload,
@@ -222,19 +223,6 @@ def simulate_plan(
         timing, check_memory, sim_backend,
         "sim.run", "sim.runs", output_len=workload.output_len,
     )
-
-
-def _retiring_reason(output_lens: Sequence[int]) -> Optional[str]:
-    """Why the fast path declines ``output_lens``, or ``None``.
-
-    With equal lengths every request retires after the final round, so
-    the schedule is the uniform one and the closed-form recurrence is
-    exact; unequal lengths retire requests mid-decode and keep the
-    event engine.
-    """
-    if len(set(output_lens)) == 1:
-        return None
-    return "variable output lengths (requests retire mid-decode)"
 
 
 def _simulate(
@@ -257,29 +245,22 @@ def _simulate(
     ``output_lens`` are the per-request output lengths.
     """
     _check_backend(sim_backend)
+    check_plan_model(plan, spec)
     with trace.span(
         span_name, stages=plan.num_stages, batch=workload.batch,
         **span_attrs,
     ) as sp:
         from .fastsim import _fast_simulate_plan
 
-        reason = _retiring_reason(output_lens)
-        if sim_backend == "fast" and reason is not None:
-            raise ValueError(
-                "fast backend requires uniform output lengths; "
-                "use sim_backend='event' for retiring requests"
-            )
-        if sim_backend != "event" and reason is None:
+        if sim_backend != "event" and len(set(output_lens)) == 1:
             result = _fast_simulate_plan(
                 plan, cluster, spec, workload, timing, check_memory
             )
         else:
-            result, _ = _event_simulate_plan(
+            result, _ = _simulate_closed_batch(
                 plan, cluster, spec, workload, output_lens, timing,
-                check_memory,
+                check_memory, sim_backend,
             )
-            if sim_backend == "auto":
-                result = replace(result, backend_reason=reason)
         result = attach_energy(result, plan, cluster, spec, workload)
         sp.set(events=result.events_processed)
         if trace.enabled:
@@ -292,7 +273,7 @@ def _simulate(
         return result
 
 
-def _event_simulate_plan(
+def _simulate_closed_batch(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
     spec: ModelSpec,
@@ -300,18 +281,23 @@ def _event_simulate_plan(
     output_lens: Sequence[int],
     timing: Optional[TimingSource],
     check_memory: bool,
+    sim_backend: str,
     record_jobs: bool = False,
 ) -> Tuple[PipelineSimResult, List["Server"]]:
-    """The discrete-event oracle: the batch as a degenerate online run.
+    """The batch as a degenerate online run.
 
-    Every request arrives at t=0 with admission off, so the online event
+    Every request arrives at t=0 with admission off, so the online
     driver forms one group and replays the closed batch, retiring
-    requests as their ``output_lens`` run out.  Memory is checked here,
-    on ``workload`` — the worst-case uniform view, whose KV reservation
-    the online driver does not see.  Also returns the stage servers,
-    with per-job records when ``record_jobs`` is set.
+    requests as their ``output_lens`` run out.  ``sim_backend="event"``
+    runs the per-job event driver; any other value its bit-identical
+    fast twin (:mod:`repro.pipeline.online_fast`).  Memory is checked
+    here, on ``workload`` — the worst-case uniform view, whose KV
+    reservation the online driver does not see.  Also returns the
+    event driver's stage servers, with per-job records when
+    ``record_jobs`` is set (none for the fast driver).
     """
     from .online import OnlineConfig, _simulate_online
+    from .online_fast import _fast_simulate_online
 
     stage_mem = (
         check_plan_memory(plan, cluster, spec, workload)
@@ -322,11 +308,16 @@ def _event_simulate_plan(
         Request(i, 0.0, workload.prompt_len, n)
         for i, n in enumerate(output_lens)
     ))
-    online, servers = _simulate_online(
-        plan, cluster, spec, arrivals,
-        OnlineConfig(chunk_tokens=workload.chunk_tokens, admission="none"),
-        timing, False, record_jobs,
-    )
+    config = OnlineConfig(chunk_tokens=workload.chunk_tokens, admission="none")
+    servers: List["Server"] = []
+    if sim_backend == "event":
+        online, servers = _simulate_online(
+            plan, cluster, spec, arrivals, config, timing, False, record_jobs
+        )
+    else:
+        online = _fast_simulate_online(
+            plan, cluster, spec, arrivals, config, timing, False
+        )
     # The phases of a closed batch never overlap: emit the fast path's
     # phase spans; their wall time stays on the enclosing run span.
     n_pre = -(-workload.batch // plan.prefill_microbatch)
@@ -350,6 +341,7 @@ def _event_simulate_plan(
         stage_busy_s=online.stage_busy_s,
         stage_memory_bytes=stage_mem,
         events_processed=online.events_processed,
+        sim_backend=online.sim_backend,
     )
     return result, servers
 
@@ -581,10 +573,11 @@ def simulate_plan_variable(
     worst-case uniform view, :meth:`VariableBatchWorkload.planning_view`
     ``("max")``.
 
-    A uniform batch is the equal-lengths case: ``sim_backend="auto"``
-    runs it on the closed-form fast path, exactly as ``simulate_plan``
-    would, and falls back to the event engine when requests retire
-    mid-decode; ``"fast"`` raises on such a batch.
+    A uniform batch is the equal-lengths case: ``"auto"`` and ``"fast"``
+    run it on the closed-form fast path, exactly as ``simulate_plan``
+    would, and a batch whose requests retire mid-decode on the online
+    fast driver over the closed trace.  Both report ``sim_backend ==
+    "fast"`` and equal ``sim_backend="event"`` bit for bit.
     """
     return _simulate(
         plan, cluster, spec, workload.planning_view("max"),

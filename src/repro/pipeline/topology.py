@@ -74,6 +74,19 @@ def stage_devices(
     return out
 
 
+def check_plan_model(plan: ExecutionPlan, spec: ModelSpec) -> None:
+    """Raise ``ValueError`` unless ``plan`` was made for model ``spec``."""
+    if plan.num_layers != spec.num_layers:
+        raise ValueError(
+            f"plan covers {plan.num_layers} layers, "
+            f"model has {spec.num_layers}"
+        )
+    if plan.model_name != spec.name:
+        raise ValueError(
+            f"plan is for model {plan.model_name!r}, not {spec.name!r}"
+        )
+
+
 @dataclass
 class PipelineTopology:
     """Stage models and links of one plan on one cluster.
@@ -99,11 +112,7 @@ class PipelineTopology:
         spec: ModelSpec,
         timing: Optional[TimingSource] = None,
     ) -> "PipelineTopology":
-        if plan.num_layers != spec.num_layers:
-            raise ValueError(
-                f"plan covers {plan.num_layers} layers, "
-                f"model has {spec.num_layers}"
-            )
+        check_plan_model(plan, spec)
         timing = timing or RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
         heads = [devs[0] for devs in stage_devices(plan, cluster)]
         n_stages = plan.num_stages

@@ -15,7 +15,7 @@ from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..plan import ExecutionPlan
 from ..workloads.spec import BatchWorkload
-from .simulator import PipelineSimResult, _event_simulate_plan, attach_energy
+from .simulator import PipelineSimResult, _simulate_closed_batch, attach_energy
 from .stage import TimingSource
 
 
@@ -58,10 +58,10 @@ def trace_plan(
     {chunk}`` for prefill and ``D{group}.{micro-batch}.{step}`` for
     decode, with one group (``0``) per closed batch.
     """
-    result, servers = _event_simulate_plan(
+    result, servers = _simulate_closed_batch(
         plan, cluster, spec, workload,
         (workload.output_len,) * workload.batch,
-        timing, check_memory, record_jobs=True,
+        timing, check_memory, "event", record_jobs=True,
     )
     return Timeline(
         stages=tuple((srv.name, tuple(srv.jobs)) for srv in servers),

@@ -123,6 +123,70 @@ def test_verify_top_k_does_not_break(opt13b, small_cluster, cost_model_13b,
     assert sim.throughput_tokens_s > 0
 
 
+def _online_demo_planner():
+    from repro.hardware import make_cluster
+    from repro.models import get_model
+    from repro.workloads import BatchWorkload
+
+    cluster = make_cluster("demo", [("A100-40G", 1), ("V100-32G", 1)])
+    planner = SplitQuantPlanner(get_model("opt-13b"), cluster)
+    wl = BatchWorkload(batch=16, prompt_len=512, output_len=32,
+                       chunk_tokens=512)
+    return planner, wl
+
+
+def _table_vi_planner():
+    from repro.hardware import table_iii_cluster
+    from repro.models import get_model
+    from repro.workloads import BatchWorkload
+
+    spec, cluster = get_model("opt-30b"), table_iii_cluster(5)
+    base = PlannerConfig(group_size=3, max_orderings=6,
+                         microbatch_candidates=(8, 16, 32),
+                         time_limit_s=30.0)
+    seed_planner = SplitQuantPlanner(spec, cluster, base)
+    planner = SplitQuantPlanner(
+        spec, cluster,
+        dataclasses.replace(
+            base, quality_budget=seed_planner.uniform_quality(4)
+        ),
+        cost_model=seed_planner.cost_model,
+        omega_layers=seed_planner.omega_layers,
+    )
+    return planner, BatchWorkload(batch=64, prompt_len=512, output_len=128)
+
+
+@pytest.mark.parametrize(
+    "make", [_online_demo_planner, _table_vi_planner],
+    ids=["online-demo", "table-vi"],
+)
+def test_verified_winner_matches_event_oracle(make):
+    """The verify step scores its frontier with the batched evaluator;
+    on the winner that score equals the discrete-event engine run with
+    the planner's own fitted timing, bit for bit."""
+    from repro.obs import Tracer, use_tracer
+    from repro.pipeline import CostModelTiming, PlanCase, evaluate_plans
+
+    planner, wl = make()
+    assert planner.config.verify_top_k == 3
+    tracer = Tracer(enabled=True)
+    with use_tracer(tracer):
+        res = planner.plan(wl)
+    (verify,) = [r for r in tracer.records if r["name"] == "planner.verify"]
+    assert verify["attrs"]["k"] > 1
+    spec, cluster, plan = planner.spec, planner.cluster, res.plan
+    timing = CostModelTiming(
+        cost_model=planner.cost_model_for_kv(plan.bit_kv), spec=spec
+    )
+    (lane,) = evaluate_plans([PlanCase(plan, cluster, spec, wl, timing)])
+    oracle = simulate_plan(plan, cluster, spec, wl, timing=timing,
+                           check_memory=False, sim_backend="event")
+    assert oracle.sim_backend == "event"
+    assert lane.makespan_s == oracle.makespan_s
+    assert lane.energy_j == oracle.energy_j
+    assert lane == oracle
+
+
 def test_heterogeneous_partition_not_even(result, opt13b):
     """On T4+V100 the planner should load the V100 with more layers."""
     layers = result.plan.layers_per_stage()

@@ -171,20 +171,26 @@ def test_variable_fixed_size_exact(small_cluster, opt13b):
     assert fa.total_tokens == wl.total_output_tokens
 
 
-def test_variable_retiring_uses_event(small_cluster, opt13b):
+def test_variable_retiring_uses_online_fast(small_cluster, opt13b):
+    """A retiring batch runs on the online fast driver under both fast
+    dispatches, bit-identical to the event oracle."""
     plan = uniform_plan(
         opt13b.name, opt13b.num_layers, groups_of(small_cluster), 8, 4, 4
     )
     wl = VariableBatchWorkload(
         prompt_len=256, output_lens=(8, 16, 24, 32, 8, 16, 24, 32)
     )
-    auto = simulate_plan_variable(plan, small_cluster, opt13b, wl)
-    assert auto.sim_backend == "event"
-    assert "retire" in auto.backend_reason
-    with pytest.raises(ValueError, match="uniform output lengths"):
-        simulate_plan_variable(
-            plan, small_cluster, opt13b, wl, sim_backend="fast"
+    ev = simulate_plan_variable(
+        plan, small_cluster, opt13b, wl, sim_backend="event"
+    )
+    for backend in ("auto", "fast"):
+        fa = simulate_plan_variable(
+            plan, small_cluster, opt13b, wl, sim_backend=backend
         )
+        assert fa.backend_reason is None
+        _assert_identical(ev, fa)
+        assert fa.energy_j == ev.energy_j
+    assert ev.total_tokens == wl.total_output_tokens
 
 
 # -- span parity: the phase spans are backend-independent ---------------
@@ -241,7 +247,7 @@ def test_retiring_batch_emits_phase_spans(small_cluster, opt13b):
     )
     assert [name for name, _ in spans] == ["sim.prefill", "sim.decode"]
     res = simulate_plan_variable(plan, small_cluster, opt13b, wl)
-    assert res.sim_backend == "event"
+    assert res.sim_backend == "fast"
     prefill, decode = (attrs for _, attrs in spans)
     assert decode["steps"] == 31
     assert prefill["events"] + decode["events"] == res.events_processed

@@ -42,7 +42,6 @@ def assert_bit_identical(event, fast):
     """Every compared and provenance-relevant field, exactly equal."""
     assert event.sim_backend == "event"
     assert fast.sim_backend == "fast"
-    assert fast.backend_reason is None
     assert event.makespan_s == fast.makespan_s
     assert event.prefill_span_s == fast.prefill_span_s
     assert event.decode_span_s == fast.decode_span_s
@@ -255,11 +254,9 @@ def test_dispatch_validation_and_eligibility():
     with pytest.raises(ValueError):
         simulate_online(plan, cluster, spec, trace, config=cfg,
                         sim_backend="bogus")
-    # Every online run is eligible; auto therefore runs fast with no
-    # fallback reason recorded.
+    # Every online run is eligible; auto therefore runs fast.
     auto = simulate_online(plan, cluster, spec, trace, config=cfg)
     assert auto.sim_backend == "fast"
-    assert auto.backend_reason is None
 
 
 def test_fast_backend_determinism():

@@ -44,7 +44,6 @@ def _assert_identical(offline, online):
     """Field-by-field exact equality of the shared result surface."""
     assert offline.sim_backend == "event"
     assert online.sim_backend == "event"
-    assert online.backend_reason is None
     assert offline.makespan_s == online.makespan_s
     assert offline.prefill_span_s == online.prefill_span_s
     assert offline.decode_span_s == online.decode_span_s
@@ -170,18 +169,14 @@ def test_provenance_excluded_from_equality(cluster5, opt13b):
         sim_backend="event",
     )
     assert res.sim_backend == "event"
-    assert res.backend_reason is None
-    relabeled = dataclasses.replace(
-        res, sim_backend="other", backend_reason="why-not"
-    )
-    assert relabeled == res  # provenance fields carry compare=False
+    relabeled = dataclasses.replace(res, sim_backend="other")
+    assert relabeled == res  # provenance carries compare=False
     # The default dispatch routes every eligible run to the fast path.
     auto = simulate_online(
         plan, cluster5, opt13b, closed_batch_trace(wl),
         config=OnlineConfig(chunk_tokens=512, admission="none"),
     )
     assert auto.sim_backend == "fast"
-    assert auto.backend_reason is None
     assert auto == res
 
 
@@ -334,7 +329,7 @@ def test_online_result_serialization_round_trip(cluster5, opt13b):
     d = res.to_dict()
     assert d == to_dict(res)
     assert d["kind"] == "online_sim"
-    assert "backend_reason" not in d  # omitted while unset
+    assert "backend_reason" not in d  # online runs never fall back
     text = json.dumps(d, sort_keys=True)
     back = from_dict(OnlineSimResult, json.loads(text))
     assert isinstance(back, OnlineSimResult)

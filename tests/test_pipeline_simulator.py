@@ -49,6 +49,35 @@ def test_layer_count_mismatch_rejected(small_cluster, opt13b, small_workload):
         simulate_plan(plan, small_cluster, opt13b, small_workload)
 
 
+def test_plan_for_another_model_rejected():
+    """A plan made for another model of the same depth is a ValueError
+    on every simulator entry point, not a run on the wrong bitwidths."""
+    from repro.baselines import plan_uniform_baseline
+    from repro.hardware import table_iii_cluster
+    from repro.models import get_model
+    from repro.pipeline import (
+        OnlineConfig,
+        PlanCase,
+        evaluate_plans,
+        simulate_online,
+    )
+    from repro.workloads import closed_batch_trace
+
+    opt30b, qwen = get_model("opt-30b"), get_model("qwen2.5-14b")
+    assert opt30b.num_layers == qwen.num_layers
+    cluster = table_iii_cluster(2)
+    wl = BatchWorkload(batch=8, prompt_len=256, output_len=32)
+    plan = plan_uniform_baseline(opt30b, cluster, wl).plan
+    match = "plan is for model 'opt-30b', not 'qwen2.5-14b'"
+    with pytest.raises(ValueError, match=match):
+        simulate_plan(plan, cluster, qwen, wl)
+    with pytest.raises(ValueError, match=match):
+        evaluate_plans([PlanCase(plan, cluster, qwen, wl)])
+    with pytest.raises(ValueError, match=match):
+        simulate_online(plan, cluster, qwen, closed_batch_trace(wl),
+                        OnlineConfig())
+
+
 def test_plan_for_another_cluster_rejected(opt13b, small_workload):
     """A stage naming a device the cluster lacks, or a device of another
     GPU model, is a ValueError on every simulator entry point."""

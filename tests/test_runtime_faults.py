@@ -358,14 +358,14 @@ def test_retired_busy_time_accounted_once(tiny_model, rng):
 # ---------------------------------------------------------------------------
 
 
-def make_plan(stage_devices, layer_bits_per_stage, mb=2):
+def make_plan(stage_devices, layer_bits_per_stage, mb=2, model_name="tiny"):
     stages = []
     start = 0
     for devs, lb in zip(stage_devices, layer_bits_per_stage):
         stages.append(StagePlan(tuple(devs), "T4-16G", start, tuple(lb)))
         start += len(lb)
     return ExecutionPlan(
-        model_name="tiny", stages=tuple(stages),
+        model_name=model_name, stages=tuple(stages),
         prefill_microbatch=mb, decode_microbatch=mb,
     )
 
@@ -443,6 +443,7 @@ def test_runtime_and_simulator_agree_on_plan_sequence(tiny_model, rng):
     sim_plan = make_plan(
         [(0,), (1,)],
         [(8,) * (spec.num_layers // 2), (8,) * (spec.num_layers // 2)],
+        model_name=spec.name,
     )
     wl = BatchWorkload(batch=4, prompt_len=64, output_len=6)
     deg = simulate_degraded(

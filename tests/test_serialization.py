@@ -389,7 +389,7 @@ def _examples():
             rejected_oom=0, unserved=1, groups_formed=3,
             ttft_s=(third, 0.5), tpot_s=(tiny, 0.25),
             latency_s=(0.1 + 0.2, 1.0), area_request_s=2.0 / 3.0,
-            ttft_slo_s=8.0, sim_backend="fast", backend_reason="slo",
+            ttft_slo_s=8.0, sim_backend="fast",
             energy_j=third, cost_usd=tiny,
         ),
     }
