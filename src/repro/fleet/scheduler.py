@@ -123,12 +123,6 @@ class FleetSchedule:
                 out[g] = out.get(g, 0.0) + n * hours
         return out
 
-    def deadline_violations(self) -> Tuple[str, ...]:
-        """Job ids finishing after their deadline class allows."""
-        return tuple(
-            sj.job.job_id for sj in self.jobs if sj.end_s > sj.job.deadline_s
-        )
-
     def describe(self) -> str:
         lines = [
             f"fleet schedule ({self.allocator}): "

@@ -93,6 +93,46 @@ class TestPhases:
         b = sess.simulate(plan=result.plan)
         assert a.makespan_s == b.makespan_s
 
+    def test_score_plans_matches_per_plan_simulation(self, planned_session):
+        """Uniform lanes equal per-plan ``simulate_plan``; a ragged lane
+        equals its event-oracle run."""
+        from repro.pipeline import simulate_plan, simulate_plan_variable
+        from repro.workloads.spec import VariableBatchWorkload
+
+        sess, result = planned_session
+        spec, cluster = sess.spec, sess.cluster
+        other = uniform_plan(
+            spec.name, spec.num_layers,
+            [((d.device_id,), d.gpu.name) for d in cluster.devices], 4, 2, 2,
+        )
+        scored = sess.score_plans([result, other])
+        for plan, res in zip((result.plan, other), scored):
+            per_plan = simulate_plan(plan, cluster, spec, WL,
+                                     check_memory=False)
+            assert res == per_plan
+            assert res.energy_j == per_plan.energy_j
+        ragged = VariableBatchWorkload(
+            prompt_len=WL.prompt_len, output_lens=(1, 16, 3, 9, 16, 2, 7, 12)
+        )
+        (res,) = sess.score_plans([result], workload=ragged)
+        oracle = simulate_plan_variable(
+            result.plan, cluster, spec, ragged, check_memory=False,
+            sim_backend="event",
+        )
+        assert res.sim_backend == "fast"
+        assert res.energy_j == oracle.energy_j
+        assert res == oracle
+
+    def test_fleet_stats_is_the_seeded_sample(self):
+        from repro.hardware.fleet import sample_fleet
+
+        sess = Session("opt-13b", cluster=1,
+                       config=PlannerConfig(seed=3))
+        stats = sess.fleet_stats(n_gpus=500)
+        assert stats == sample_fleet(n_gpus=500, seed=3)
+        assert stats != sample_fleet(n_gpus=500, seed=4)
+        assert stats.total == 500
+
     def test_simulate_with_fault_plan_degrades(self):
         spec = get_model("opt-13b")
         cluster = make_cluster(
