@@ -28,6 +28,25 @@ CASES: Tuple[Tuple[str, int], ...] = (
 
 STRATEGIES = ("group=2", "group=1", "heuristic")
 
+WORKLOAD = BatchWorkload(batch=32, prompt_len=512, output_len=100)
+
+
+def strategy_config(
+    strategy: str, time_limit_s: float = 60.0, max_orderings: int = 2
+) -> PlannerConfig:
+    """The planner configuration of one of :data:`STRATEGIES`."""
+    cfg = PlannerConfig(
+        group_size=2,
+        max_orderings=max_orderings,
+        microbatch_candidates=(8, 16),
+        time_limit_s=time_limit_s,
+    )
+    if strategy == "group=1":
+        return dataclasses.replace(cfg, group_size=1)
+    if strategy == "heuristic":
+        return dataclasses.replace(cfg, use_heuristic=True)
+    return cfg
+
 
 def run(
     time_limit_s: float = 60.0,
@@ -39,21 +58,11 @@ def run(
     for model_name, cluster_idx in CASES:
         spec = get_model(model_name)
         cluster = table_iii_cluster(cluster_idx)
-        wl = BatchWorkload(batch=32, prompt_len=512, output_len=100)
+        wl = WORKLOAD
         cm = cost_model_for(spec, cluster)
-        base_cfg = PlannerConfig(
-            group_size=2,
-            max_orderings=max_orderings,
-            microbatch_candidates=(8, 16),
-            time_limit_s=time_limit_s,
-        )
         tputs = {}
         for strategy in STRATEGIES:
-            cfg = base_cfg
-            if strategy == "group=1":
-                cfg = dataclasses.replace(cfg, group_size=1)
-            elif strategy == "heuristic":
-                cfg = dataclasses.replace(cfg, use_heuristic=True)
+            cfg = strategy_config(strategy, time_limit_s, max_orderings)
             planner = SplitQuantPlanner(spec, cluster, cfg, cost_model=cm)
             res = planner.plan(wl)
             tput = throughput_of(
