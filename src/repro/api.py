@@ -40,6 +40,7 @@ from .pipeline import (
     PipelineSimResult,
     simulate_online,
     simulate_plan,
+    simulate_plan_variable,
 )
 from .plan import ExecutionPlan, InfeasibleError
 from .quality import TinyLM, TinyLMConfig
@@ -211,7 +212,7 @@ class Session:
     def simulate(
         self,
         plan: Optional[Union[ExecutionPlan, PlannerResult]] = None,
-        workload: Optional[BatchWorkload] = None,
+        workload: Optional[Union[BatchWorkload, VariableBatchWorkload]] = None,
         check_memory: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         detection_overhead_s: float = 0.0,
@@ -221,11 +222,14 @@ class Session:
 
         ``sim_backend`` selects the engine: ``"event"`` forces the
         discrete-event loop, ``"fast"`` and ``"auto"`` the closed-form
-        steady-state recurrence (bit-identical results).  With
-        ``fault_plan`` the degraded-recovery mirror
-        (:func:`repro.pipeline.simulate_degraded`) runs instead and a
-        :class:`DegradedSimResult` is returned (``sim_backend`` does not
-        apply there: each segment runs on the default dispatch).
+        steady-state recurrence (bit-identical results).  A
+        :class:`~repro.workloads.spec.VariableBatchWorkload` runs on
+        :func:`repro.pipeline.simulate_plan_variable`, its requests
+        retiring as they finish.  With ``fault_plan`` the
+        degraded-recovery mirror (:func:`repro.pipeline.simulate_degraded`)
+        runs instead and a :class:`DegradedSimResult` is returned
+        (``sim_backend`` does not apply there: each segment runs on the
+        default dispatch); it takes a :class:`BatchWorkload` only.
         """
         ex_plan = self._resolve_plan(plan)
         wl = workload or self._last_workload
@@ -233,7 +237,18 @@ class Session:
             raise ValueError(
                 "no workload: pass one or call Session.plan() first"
             )
+        variable = isinstance(wl, VariableBatchWorkload)
+        if variable and fault_plan is not None:
+            raise ValueError(
+                "fault_plan needs a BatchWorkload: degraded simulation "
+                "does not run a VariableBatchWorkload"
+            )
         with self._scope():
+            if variable:
+                return simulate_plan_variable(
+                    ex_plan, self.cluster, self.spec, wl,
+                    check_memory=check_memory, sim_backend=sim_backend,
+                )
             if fault_plan is not None:
                 from .pipeline import simulate_degraded
 

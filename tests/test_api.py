@@ -123,6 +123,38 @@ class TestPhases:
         assert res.energy_j == oracle.energy_j
         assert res == oracle
 
+    def test_simulate_routes_variable_workload(self, planned_session):
+        """A ragged batch runs on ``simulate_plan_variable`` with the
+        caller's ``check_memory`` and ``sim_backend``; a fault plan,
+        which only the uniform degraded mirror runs, is refused."""
+        from repro.pipeline import simulate_plan_variable
+        from repro.workloads.spec import VariableBatchWorkload
+
+        sess, result = planned_session
+        ragged = VariableBatchWorkload(
+            prompt_len=WL.prompt_len, output_lens=(1, 16, 3, 9, 16, 2, 7, 12)
+        )
+        for backend in ("event", "fast"):
+            for check_memory in (False, True):
+                got = sess.simulate(
+                    plan=result, workload=ragged, check_memory=check_memory,
+                    sim_backend=backend,
+                )
+                want = simulate_plan_variable(
+                    result.plan, sess.cluster, sess.spec, ragged,
+                    check_memory=check_memory, sim_backend=backend,
+                )
+                assert got == want
+                assert got.energy_j == want.energy_j
+        assert sess.simulate(plan=result, workload=ragged) != sess.simulate(
+            plan=result, workload=ragged.planning_view("max")
+        )
+        with pytest.raises(ValueError, match="BatchWorkload"):
+            sess.simulate(
+                plan=result, workload=ragged,
+                fault_plan=FaultPlan.single_kill(stage=0, step=2),
+            )
+
     def test_fleet_stats_is_the_seeded_sample(self):
         from repro.hardware.fleet import sample_fleet
 
