@@ -23,8 +23,10 @@ Three layers:
 2. **Admissible lower-bound pruning** — before paying a solve, each
    candidate climbs a ladder of ever tighter, ever dearer bounds:
    analytic (multiple-choice-knapsack LP relaxations of the bit
-   assignment + pipeline structural terms, and ``inf`` when the budget
-   and the total memory cannot hold together) → Lagrangian (the closed
+   assignment + pipeline structural terms, among them a per-stage
+   water-filled bottleneck under the stages' memory caps, and ``inf``
+   when the budget and the total memory cannot hold together; no solver
+   call) → Lagrangian (the closed
    form of :func:`~repro.core.ilp.lagrangian_bound` on the LP
    multipliers of already-LP'd siblings with the same ordering and
    bit_kv) → the LP relaxation of the full MILP; the last two only with
@@ -35,7 +37,9 @@ Three layers:
    reaches the head before its LP takes the next rung and is pushed
    back at the tighter key, so the LP runs only for candidates that
    head the heap on their Lagrangian bound, and the most promising
-   candidate sets the incumbent first.
+   candidate sets the incumbent first.  On the Table-VI config the
+   ladder leaves 12 LPs and 2 MILPs for 54 candidates; the analytic
+   bound alone prunes 12 of them (2 without its water-filled term).
 
 3. **Observability** — every candidate's fate (solved / pruned /
    infeasible), its bound, cache hit rates and wall-vs-cumulative solve
@@ -211,6 +215,62 @@ def mckp_lp_min_cost(
     return lb if need <= 1e-9 * top else float("inf")
 
 
+def _water_level(
+    rate: np.ndarray, const: np.ndarray, cap: np.ndarray, layers: float
+) -> float:
+    """Least ``tau`` with ``sum_j min(cap_j, max(0, (tau - const_j) /
+    rate_j)) >= layers``: the least bottleneck time when ``layers``
+    layers are poured into stages where ``x`` layers take ``const_j +
+    rate_j * x`` and at most ``cap_j`` layers fit.
+
+    The fill is piecewise linear and nondecreasing in ``tau``, with
+    breakpoints at each stage's start ``const_j`` and full mark
+    ``const_j + rate_j * cap_j``; ``tau`` is interpolated on the segment
+    that crosses ``layers``.  A stage with ``rate_j == 0`` fills in one
+    step, which the interpolation can only undershoot.  Returns 0.0 when
+    all stages together hold fewer than ``layers`` layers.
+    """
+    cap = np.maximum(cap, 0.0)
+    width = rate * cap
+    points = np.sort(np.concatenate((const, const + width)))
+    rise = points[:, None] - const
+    frac = np.divide(rise, width, out=(rise >= 0).astype(float),
+                     where=width > 0)
+    fill = np.clip(frac, 0.0, 1.0) @ cap
+    if not fill[-1] >= layers:
+        return 0.0
+    i = int(np.argmax(fill >= layers))
+    if i == 0:
+        return float(points[0])
+    lo, hi = points[i - 1], points[i]
+    step = (layers - fill[i - 1]) / (fill[i] - fill[i - 1])
+    return float(min(lo + step * (hi - lo), hi))
+
+
+def _water_filled_bottlenecks(problem: PlanningProblem) -> Tuple[float, float]:
+    """Floors on the slowest stage's prefill and decode times.
+
+    Per layer, stage j costs at least its fastest bitwidth's time
+    ``r_j`` and holds at most ``cap_j`` layers at the smallest per-layer
+    memory.  At ``tau = max_j t[j]`` of any feasible assignment each
+    stage's layer count is at most both ``(tau - const_j) / r_j`` and
+    ``cap_j``, and the counts sum to the model's layers, so the
+    :func:`_water_level` of those layers is at most ``tau``.
+    """
+    sizes = np.asarray(problem.group_sizes, dtype=float)
+    layers = float(sizes.sum())
+    cap = problem.capacity / float((problem.mem.min(axis=1) / sizes).min())
+
+    def level(lat: np.ndarray, const: np.ndarray) -> float:
+        rate = (lat.min(axis=2) / sizes[:, None]).min(axis=0)
+        return _water_level(rate, const, cap, layers)
+
+    return (
+        level(problem.l_pre, problem.const_pre),
+        level(problem.l_dec, problem.const_dec),
+    )
+
+
 def analytic_lower_bound(
     problem: PlanningProblem,
     theta: float,
@@ -228,8 +288,11 @@ def analytic_lower_bound(
       each constrain how many groups can take their fastest bitwidth);
     * bottleneck terms via the max of the mean bound (max >= sum / stages),
       the per-stage "at least one group" bound, the pigeonhole bound
-      (some stage holds >= ceil(G/N) groups), and inter-stage
-      communication floors.
+      (some stage holds >= ceil(G/N) groups), the water-filled bound
+      (:func:`_water_filled_bottlenecks`: each stage at its fastest
+      per-layer time, holding no more layers than its memory can at the
+      smallest per-layer footprint), and inter-stage communication
+      floors.
 
     Every term lower-bounds the corresponding component of
     :meth:`PlanningProblem.latency_estimate` for *any* feasible
@@ -273,11 +336,14 @@ def analytic_lower_bound(
     m_heavy = -(-problem.n_groups // n_stages)
     heavy_pre = float(np.sort(problem.l_pre.min(axis=(1, 2)))[:m_heavy].sum())
     heavy_dec = float(np.sort(problem.l_dec.min(axis=(1, 2)))[:m_heavy].sum())
+    fill_pre, fill_dec = _water_filled_bottlenecks(problem)
     pre_b = max(
-        comm_pre_max, s_pre / n_stages, float(per_stage_pre.max()), heavy_pre
+        comm_pre_max, s_pre / n_stages, float(per_stage_pre.max()), heavy_pre,
+        fill_pre,
     )
     dec_b = max(
-        comm_dec_max, s_dec / n_stages, float(per_stage_dec.max()), heavy_dec
+        comm_dec_max, s_dec / n_stages, float(per_stage_dec.max()), heavy_dec,
+        fill_dec,
     )
     prefill = (
         s_pre

@@ -183,3 +183,130 @@ def test_silenced_stdout_restores_fd1(tiny_problem, monkeypatch):
     with pytest.raises(RuntimeError, match="solver crashed"):
         solve_partition_ilp(tiny_problem, theta=10.0)
     assert fd1() == original
+
+
+# -- the solver setting: latency MILPs skip HiGHS presolve ---------------
+
+
+def _presolved_milp(problem, theta, budget, latency_objective):
+    """``scipy.optimize.milp`` with HiGHS presolve on (its default) over
+    the very arrays the solver builds: (stage, bits) per group and the
+    objective."""
+    import numpy as np
+    from scipy.optimize import milp
+
+    from repro.core import ilp
+
+    c, constraints, integrality, bounds = ilp._build_milp(
+        problem, theta, budget, latency_objective
+    )
+    res = milp(c, constraints=constraints, integrality=integrality,
+               bounds=bounds, options={"mip_rel_gap": 1e-4})
+    G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
+    picks = [
+        np.unravel_index(int(np.argmax(z)), (N, K))
+        for z in res.x[: G * N * K].reshape(G, N * K)
+    ]
+    stages = tuple(int(j) for j, _ in picks)
+    bits = tuple(int(problem.bit_choices[k]) for _, k in picks)
+    return stages, bits, float(res.fun)
+
+
+@pytest.fixture(scope="module")
+def table6_solved_problems(opt30b, cluster5):
+    """The two candidates the Table-VI config solves exactly, recorded
+    from the planner's own MILP calls."""
+    import dataclasses
+
+    import repro.core.planner as planner_mod
+    from repro.core import PlannerConfig, SplitQuantPlanner
+
+    base = PlannerConfig(group_size=3, max_orderings=6,
+                         microbatch_candidates=(8, 16, 32), verify_top_k=1,
+                         time_limit_s=30.0)
+    seed_planner = SplitQuantPlanner(opt30b, cluster5, base)
+    cfg = dataclasses.replace(
+        base, quality_budget=seed_planner.uniform_quality(4)
+    )
+    planner = SplitQuantPlanner(
+        opt30b, cluster5, cfg, cost_model=seed_planner.cost_model,
+        omega_layers=seed_planner.omega_layers,
+    )
+    solved = []
+    real = planner_mod.solve_partition_ilp
+
+    def recording(problem, **kw):
+        solved.append(problem)
+        return real(problem, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner_mod, "solve_partition_ilp", recording)
+        assert planner.plan(
+            BatchWorkload(batch=64, prompt_len=512, output_len=128)
+        ) is not None
+    assert len(solved) == 2
+    return solved, cfg.quality_budget
+
+
+def _pin_cases(table6_solved_problems, opt13b, cost_model_13b,
+               small_cluster):
+    from tests.test_core_search import _fuzz_problems
+
+    table6, budget = table6_solved_problems
+    fuzz = _fuzz_problems(opt13b, cost_model_13b, small_cluster)
+    return (
+        [(p, 0.0, budget) for p in table6]
+        + [(p, 10.0, None) for p in fuzz]
+        + [(p, 0.0, 30.0) for p in fuzz]
+    )
+
+
+def _spy_presolve(monkeypatch):
+    """Record the ``presolve`` option of every MILP the solver runs."""
+    from repro.core import ilp
+
+    seen = []
+    real = ilp.milp
+
+    def spy(*args, options, **kwargs):
+        seen.append(options["presolve"])
+        return real(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(ilp, "milp", spy)
+    return seen
+
+
+def test_latency_milp_without_presolve_matches_presolved(
+    table6_solved_problems, opt13b, cost_model_13b, small_cluster,
+    monkeypatch,
+):
+    """Latency-objective MILPs run with HiGHS presolve off; they return
+    the assignment presolve-on HiGHS returns, at an objective within
+    the ``mip_rel_gap`` of 1e-4."""
+    seen = _spy_presolve(monkeypatch)
+    for problem, theta, budget in _pin_cases(
+        table6_solved_problems, opt13b, cost_model_13b, small_cluster
+    ):
+        sol = solve_partition_ilp(problem, theta=theta,
+                                  quality_budget=budget)
+        assert seen.pop() is False
+        stages, bits, fun = _presolved_milp(problem, theta, budget, True)
+        assert (sol.assign_stage, sol.assign_bits) == (stages, bits)
+        assert sol.objective == pytest.approx(fun, rel=1e-4)
+
+
+def test_adabits_milp_keeps_presolve(
+    table6_solved_problems, opt13b, cost_model_13b, small_cluster,
+    monkeypatch,
+):
+    """The quality-only MILP keeps HiGHS presolve: its result is the
+    presolve-on solve's exactly."""
+    seen = _spy_presolve(monkeypatch)
+    for problem, _, budget in _pin_cases(
+        table6_solved_problems, opt13b, cost_model_13b, small_cluster
+    ):
+        sol = solve_adabits(problem, quality_budget=budget)
+        assert seen.pop() is True
+        stages, bits, fun = _presolved_milp(problem, 1.0, budget, False)
+        assert (sol.assign_stage, sol.assign_bits) == (stages, bits)
+        assert sol.objective == fun

@@ -18,7 +18,12 @@ from repro.core import (
 from repro.core import ilp
 from repro.core.costs import build_problem
 from repro.core.enumeration import candidate_orderings
-from repro.core.search import _PRUNE_ABS_SLACK, _PRUNE_REL_SLACK
+from repro.core.search import (
+    _PRUNE_ABS_SLACK,
+    _PRUNE_REL_SLACK,
+    _water_filled_bottlenecks,
+    _water_level,
+)
 from repro.workloads import BatchWorkload
 from tests.golden_utils import HEURISTIC_WORKLOAD, heuristic_planners
 from tests.planner_oracle import plan_reference
@@ -174,7 +179,8 @@ def test_heuristic_tier_falls_back_to_milp(monkeypatch, opt13b, cluster5):
 # -- admissibility: bounds never exceed a solved candidate's score -------
 
 
-def _fuzz_problems(opt13b, cost_model_13b, small_cluster, n=4):
+def _fuzz_problems(opt13b, cost_model_13b, small_cluster, n=4,
+                   phase_blind=False):
     rng = np.random.default_rng(7)
     omega = np.abs(rng.normal(size=(opt13b.num_layers, 4)))
     omega = np.sort(omega, axis=1)[:, ::-1].copy()  # decreasing in bits
@@ -191,8 +197,48 @@ def _fuzz_problems(opt13b, cost_model_13b, small_cluster, n=4):
         problems.append(build_problem(
             opt13b, small_cluster, orderings[i % len(orderings)], wl,
             cost_model_13b, omega, eta, xi, (3, 4, 8, 16), group_size=8,
+            phase_blind=phase_blind,
         ))
     return problems
+
+
+@pytest.fixture(scope="module")
+def cluster5_problems(opt30b, cluster5, t4, v100):
+    """OPT-30B at B = 64 on cluster-5 orderings, half of them phase
+    blind: the V100 stage's memory caps the layers the water fill would
+    pour into it."""
+    from repro.costmodel.latency import LatencyCostModel
+    from repro.quant import normalized_indicator_table
+    from repro.simgpu import Profiler
+
+    bits = (3, 4, 8, 16)
+    cm = LatencyCostModel(opt30b)
+    cm.fit([t4, v100], bits, Profiler(seed=11))
+    omega = normalized_indicator_table(opt30b, bits)
+    wl = BatchWorkload(batch=64, prompt_len=512, output_len=32)
+    return [
+        build_problem(opt30b, cluster5, ordering, wl, cm, omega, 8, 8, bits,
+                      group_size=4, phase_blind=blind)
+        for ordering in candidate_orderings(cluster5, max_orderings=6)[1::2]
+        for blind in (False, True)
+    ]
+
+
+def _without_caps(problem):
+    """The same problem with room for any layer count on every stage."""
+    return dataclasses.replace(
+        problem, capacity=np.full(problem.n_stages, 1e30)
+    )
+
+
+def _stage_times(problem, stages, bits):
+    """Per-stage prefill and decode times of an assignment."""
+    t_pre, t_dec = problem.const_pre.copy(), problem.const_dec.copy()
+    for g, (j, b) in enumerate(zip(stages, bits)):
+        k = problem.bit_choices.index(b)
+        t_pre[j] += problem.l_pre[g, j, k]
+        t_dec[j] += problem.l_dec[g, j, k]
+    return t_pre, t_dec
 
 
 def _resolve_budget(problem, budget):
@@ -213,20 +259,115 @@ def _resolve_budget(problem, budget):
     (10.0, None), (0.0, 30.0), (0.0, "min"), (0.0, "above"), (0.0, "below"),
 ])
 def test_bounds_admissible_on_fuzzed_problems(opt13b, cost_model_13b,
-                                              small_cluster, theta, budget):
-    for problem in _fuzz_problems(opt13b, cost_model_13b, small_cluster):
+                                              small_cluster, cluster5_problems,
+                                              theta, budget):
+    """The analytic and LP bounds never exceed a solved score, and the
+    water-filled bottleneck floors never exceed the solution's slowest
+    stage, on small-cluster problems (also phase blind), cluster-5
+    problems and problems with a stage that holds nothing."""
+    problems = (
+        _fuzz_problems(opt13b, cost_model_13b, small_cluster)
+        + _fuzz_problems(opt13b, cost_model_13b, small_cluster, n=2,
+                         phase_blind=True)
+        + cluster5_problems
+    )
+    for capacity in (0.0, -1e9):
+        for problem in (problems[0], cluster5_problems[0]):
+            dead = problem.capacity.copy()
+            dead[-1] = capacity
+            problems.append(dataclasses.replace(problem, capacity=dead))
+    solved = 0
+    for problem in problems:
         budget = _resolve_budget(problem, budget)
+        analytic = analytic_lower_bound(problem, theta, budget)
+        assert not np.isnan(analytic)
         sol = solve_partition_ilp(problem, theta=theta,
                                   quality_budget=budget, time_limit_s=10.0)
         if sol is None:
             continue
+        solved += 1
         score = sol.latency_s + theta * sol.quality
-        analytic = analytic_lower_bound(problem, theta, budget)
         assert analytic <= score * (1 + 1e-6) + 1e-9, (analytic, score)
+        fills = _water_filled_bottlenecks(problem)
+        times_pre_dec = _stage_times(problem, sol.assign_stage,
+                                     sol.assign_bits)
+        for fill, times in zip(fills, times_pre_dec):
+            assert fill <= times.max() * (1 + 1e-9), (fill, times)
         lp, _ = solve_partition_lp_relaxation(problem, theta=theta,
                                               quality_budget=budget)
         assert lp is not None
         assert lp <= score * (1 + 1e-6) + 1e-9, (lp, score)
+    assert solved >= 4
+
+
+def test_cluster5_memory_caps_bind_the_water_fill(cluster5_problems):
+    """On every cluster-5 problem the prefill floor rises when the
+    stages' memory caps count (the fastest stages cannot take the
+    layers their speed would draw)."""
+    for problem in cluster5_problems:
+        capped, _ = _water_filled_bottlenecks(problem)
+        free, _ = _water_filled_bottlenecks(_without_caps(problem))
+        assert capped > free * (1 + 1e-6), (capped, free)
+
+
+def test_water_fill_below_every_feasible_bottleneck(opt13b, cost_model_13b,
+                                                   small_cluster):
+    """Exhaustively, on 6 groups (the last one short) x 2 stages x 2
+    bitwidths: each floor stays below the slowest stage of every
+    memory-feasible assignment, also where the caps bind."""
+    import itertools
+
+    from repro.quant import normalized_indicator_table
+    from tests.exhaustive_oracle import _compositions
+
+    bits = (4, 16)
+    wl = BatchWorkload(batch=16, prompt_len=512, output_len=32)
+    binding = 0
+    for ordering in candidate_orderings(small_cluster, max_orderings=2):
+        for blind in (False, True):
+            base = build_problem(
+                opt13b, small_cluster, ordering, wl, cost_model_13b,
+                normalized_indicator_table(opt13b, bits), 8, 8, bits,
+                group_size=7, phase_blind=blind,
+            )
+            for scale in (0.5, 0.6, 0.8, 1.0):
+                problem = _with_capacity(
+                    base, scale * float(base.mem[:, -1].sum())
+                )
+                fills = _water_filled_bottlenecks(problem)
+                free = _water_filled_bottlenecks(_without_caps(problem))
+                binding += fills[0] > free[0] or fills[1] > free[1]
+                best = [np.inf, np.inf]
+                for comp in _compositions(problem.n_groups, 2):
+                    stages = [j for j, n in enumerate(comp) for _ in range(n)]
+                    for picks in itertools.product(bits, repeat=len(stages)):
+                        if not problem.memory_ok(stages, picks):
+                            continue
+                        times = _stage_times(problem, stages, picks)
+                        for p, t in enumerate(times):
+                            best[p] = min(best[p], float(t.max()))
+                assert np.isfinite(best).all()
+                for fill, floor in zip(fills, best):
+                    assert fill <= floor * (1 + 1e-9), (fill, floor)
+    assert binding > 0
+
+
+def test_water_level_two_stages_by_hand():
+    """Stage 0: 1 s + 1 s per layer, 4 layers fit; stage 1: 2 s per
+    layer, 10 fit.  Uncapped, 8 layers level at 1.5 tau - 1 = 8, so
+    tau = 6 with 5 layers on stage 0; capped, stage 0 takes its 4 and
+    stage 1 the other 4 at tau = 8."""
+    rate, const = np.array([1.0, 2.0]), np.array([1.0, 0.0])
+    assert _water_level(rate, const, np.array([4.0, 10.0]), 8.0) == 8.0
+    assert _water_level(rate, const, np.array([9.0, 10.0]), 8.0) == 6.0
+    # A stage that holds nothing (zero or negative capacity) adds no
+    # room; too little room overall gives no floor.
+    for dead in (0.0, -3.0):
+        assert _water_level(
+            np.array([1.0, 2.0, 0.5]), np.array([1.0, 0.0, 0.0]),
+            np.array([4.0, 10.0, dead]), 8.0,
+        ) == 8.0
+    assert _water_level(rate, const, np.array([4.0, 3.0]), 8.0) == 0.0
 
 
 def test_analytic_bound_inf_not_nan_when_nothing_fits(opt30b, t4):
