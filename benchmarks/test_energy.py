@@ -1,6 +1,7 @@
 """Bench: energy/cost accounting parity and the Pareto headline numbers.
 
-Two contracts land in ``benchmarks/BENCH_energy.json``:
+Two contracts, with the measured record written to
+``benchmarks/BENCH_energy.json`` (a CI artifact, not tracked):
 
 * **Cross-backend parity** — joules and dollars are stamped by a pure
   post-pass over fields the engines already agree on, so the event,
@@ -10,9 +11,11 @@ Two contracts land in ``benchmarks/BENCH_energy.json``:
 * **Efficiency headlines** — J/token and $/Mtoken of the
   throughput-optimal plan on the Pareto configuration, plus the
   energy- and cost-objective plans' numbers.  These are deterministic
-  cost-model outputs (no wall-clock), so the committed record doubles
-  as a drift guard: ``scripts/check_bench_regression.py`` fails when a
-  fresh run's J/token or $/Mtoken rises above the committed ceiling.
+  cost-model outputs (no wall-clock), so the bench holds them under
+  fixed ceilings: 1.25x the 2.380937 J/token and 7.179481 $/Mtoken
+  the throughput plan scored when they were set.  The energy and cost
+  objectives must match or beat the throughput plan on their own
+  metric.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from repro.plan import uniform_plan
 from repro.workloads import BatchWorkload
 
 OUT = Path(__file__).resolve().parent / "BENCH_energy.json"
+
+#: Ceilings on the throughput-optimal plan's deterministic efficiency.
+MAX_J_PER_TOKEN = 2.97617
+MAX_USD_PER_MTOKEN = 8.97435
 
 #: The differential grid: (cluster index, bits, workload) cases every
 #: backend must score with bit-identical joules and dollars.
@@ -123,16 +130,19 @@ def test_energy_bench():
     assert parity["all_identical"], parity
 
     objectives = measure_objectives()
+    throughput = objectives["throughput"]
+    assert throughput["j_per_token"] <= MAX_J_PER_TOKEN, throughput
+    assert throughput["usd_per_mtoken"] <= MAX_USD_PER_MTOKEN, throughput
     # The energy objective can only improve J/token over the default,
     # and the cost objective can only improve $/Mtoken (same frontier,
     # re-ranked by the respective metric).
     assert (
         objectives["energy"]["j_per_token"]
-        <= objectives["throughput"]["j_per_token"] + 1e-9
+        <= throughput["j_per_token"] + 1e-9
     )
     assert (
         objectives["cost"]["usd_per_mtoken"]
-        <= objectives["throughput"]["usd_per_mtoken"] + 1e-9
+        <= throughput["usd_per_mtoken"] + 1e-9
     )
 
     record = {

@@ -4,7 +4,7 @@ The contract (DESIGN.md "Observability"): with no tracer installed,
 every hook in the hot paths costs one attribute check plus — at span
 sites — one no-op context manager.  This bench quantifies that on the
 Table-VI planning configuration (OPT-30B on Table III cluster 5, the
-same config ``test_planner_scaling.py`` measures):
+ledger's ``plan-table6`` workload):
 
 1. run the planner with tracing *enabled* to count how many hooks the
    workload actually hits (spans opened);
@@ -20,7 +20,8 @@ runs because the planner's run-to-run variance (thread scheduling,
 HiGHS) exceeds the effect being measured; the estimate is conservative
 (kwargs are built even for no-op spans) and machine-independent.
 
-Emits ``benchmarks/BENCH_obs.json`` with the measured record.
+Writes the measured record to ``benchmarks/BENCH_obs.json`` (a CI
+artifact, not tracked).
 """
 
 from __future__ import annotations

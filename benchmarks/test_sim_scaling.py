@@ -3,10 +3,11 @@
 Measures both pipeline-simulation backends on a fleet-scale
 configuration (OPT-30B on Table III cluster 7 — six stages — with a
 64-request batch decoding 256 tokens: ~12k heap events per event-driven
-run), asserts the fast path returns *bit-identical* results at >= 5x
-less wall-clock, and times the persistent result cache's effect on a
-cost-model fit (cold fit vs warm restore).  Emits
-``benchmarks/BENCH_sim.json`` with the measured record.
+run), asserts the fast path returns *bit-identical* results at
+>= 11.67x less wall-clock, and times the persistent result cache's
+effect on a cost-model fit (cold fit vs warm restore).  Writes the
+measured record to ``benchmarks/BENCH_sim.json`` (a CI artifact, not
+tracked).
 
 Memory checking is disabled for the timing loop: the bench measures
 engine speed, not feasibility (both backends share the identical
@@ -29,8 +30,9 @@ from repro.workloads import BatchWorkload
 
 OUT = Path(__file__).resolve().parent / "BENCH_sim.json"
 
-#: The fast path must beat the event loop by at least this factor.
-MIN_SPEEDUP = 5.0
+#: The fast path must beat the event loop by at least this factor:
+#: 0.75 x the 15.56x measured on a 2-vCPU host, and never below 5x.
+MIN_SPEEDUP = 11.67
 ROUNDS = 5
 
 

@@ -83,13 +83,6 @@ def fit_phase(samples: Sequence[LatencySample], phase: str) -> PhaseRegression:
     return PhaseRegression(phase=phase, coef=coef)
 
 
-@dataclass(frozen=True)
-class _Key:
-    gpu: str
-    bits: int
-    phase: str
-
-
 @dataclass
 class LatencyCostModel:
     """Per-layer latency predictor across devices, precisions and phases.

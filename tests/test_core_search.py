@@ -106,11 +106,11 @@ def test_engine_matches_naive_at_16bit_quality_match():
 
 
 def test_best_first_solves_only_competitive_candidates(opt30b, cluster5):
-    """Table-VI config (as in ``benchmarks/test_planner_scaling.py``):
-    best-first on lazily tightened LP bounds solves a candidate only
-    when its bound is within the prune slack of the k-th best score, so
-    no solve is spent on a candidate the winner's bound already rules
-    out."""
+    """Table-VI config: best-first on lazily tightened LP bounds solves
+    a candidate only when its bound is within the prune slack of the
+    k-th best score, so no solve is spent on a candidate the winner's
+    bound already rules out; the search prunes candidates and reuses
+    its memoized cost kernels."""
     base = PlannerConfig(group_size=3, max_orderings=6,
                          microbatch_candidates=(8, 16, 32), verify_top_k=1,
                          time_limit_s=30.0)
@@ -131,6 +131,8 @@ def test_best_first_solves_only_competitive_candidates(opt30b, cluster5):
     kth = sorted(st.latency_s for st in solved)[cfg.verify_top_k - 1]
     limit = kth + _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * kth
     assert [st.bound_s for st in solved if st.bound_s > limit] == []
+    assert res.search.pruned > 0
+    assert res.search.cache_hits > 0
     _assert_same_plan(res, plan_reference(planner, wl))
 
 
