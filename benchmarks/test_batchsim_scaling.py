@@ -13,7 +13,7 @@ Both timings start from cold evaluation caches (``clear_table_caches``
 runs inside the timed region), so the measured gap is the vectorized
 sweep, not warm-cache luck.  Results must be *bit-identical* to the
 per-plan loop.  The speedup is recorded, not gated: both paths share
-one stage-duration implementation and one component memo, so a ratio
+one stage-duration implementation and one duration memo, so a ratio
 would punish the per-plan path for getting faster and miss a slowdown
 that hits both.  The absolute wall time of the batched sweep on the
 planner frontier is the ledger's ``frontier-500`` workload, which CI

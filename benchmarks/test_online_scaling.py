@@ -11,9 +11,9 @@ the 7-GPU Table-III cluster serving OPT-30B:
   the stream (the regime where the event engine burns the most events
   per completed request).
 
-Both backends consume the same memoized duration tables
-(:class:`~repro.pipeline.online.OnlineTables`); caches are cleared once
-per backend and the best of ``ROUNDS`` is kept, so the first round pays
+Both backends read the same memoized durations (the shared
+:class:`~repro.pipeline.topology.PipelineTopology` memo); caches are
+cleared once per backend and the best of ``ROUNDS`` is kept, so the first round pays
 table construction and the best round measures the driver itself — the
 same thing either backend costs inside a warm serving loop.
 
@@ -35,7 +35,6 @@ from repro.hardware import table_iii_cluster
 from repro.models import get_model
 from repro.pipeline import (
     OnlineConfig,
-    clear_online_caches,
     clear_table_caches,
     simulate_online,
 )
@@ -92,7 +91,6 @@ def _measure_case(plan, cluster, spec, arrivals, config,
     """
 
     def wall(backend):
-        clear_online_caches()
         clear_table_caches()
         gc.collect()
         best, res = float("inf"), None

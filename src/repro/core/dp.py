@@ -21,9 +21,10 @@ partition / quantization / micro-batch problem in polynomial time:
    partition is a classic min-max contiguous-partition DP over layer
    groups (``O(stages * groups^2)``), memory-checked per stage.
 4. **Bit upgrades + polish** — per-stage greedy bit upgrades by quality
-   gain (the MCKP direction of :func:`greedy_adabits`) meet the quality
-   budget, then a capped :func:`bitwidth_transfer` hill climb polishes
-   partition boundaries and bitwidths against the true objective.
+   gain (:func:`~repro.core.heuristic.upgrade_bits`, the loop
+   :func:`greedy_adabits` runs) meet the quality budget, then a capped
+   :func:`bitwidth_transfer` hill climb polishes partition boundaries
+   and bitwidths against the true objective.
 
 No MILP solve happens anywhere on this path.  Every solved candidate also
 gets the admissible :func:`~repro.core.search.analytic_lower_bound`
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .enumeration import (
     microbatch_candidates,
     scalable_orderings,
 )
-from .heuristic import bitwidth_transfer
+from .heuristic import bitwidth_transfer, upgrade_bits
 from .ilp import ILPSolution
 from .search import (
     CandidateStat,
@@ -272,47 +273,6 @@ def segment_partition(
     return stage
 
 
-def _upgrade_bits(
-    problem: PlanningProblem,
-    stage: Sequence[int],
-    quality_budget: Optional[float],
-) -> Optional[List[int]]:
-    """Greedy per-stage bit upgrades by quality gain within memory slack.
-
-    The MCKP direction of :func:`greedy_adabits`, applied to the DP
-    partition: every group starts at min bits and the upgrade with the
-    best indicator reduction that still fits its stage is taken until no
-    upgrade fits.  ``None`` when the quality budget stays violated.
-    """
-    G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
-    kidx = [0] * G
-    for j in range(N):
-        gs = [g for g in range(G) if stage[g] == j]
-        slack = float(
-            problem.capacity[j] - sum(problem.mem[g, 0] for g in gs)
-        )
-        while True:
-            best_g, best_gain, best_cost = -1, 0.0, 0.0
-            for g in gs:
-                k = kidx[g]
-                if k + 1 >= K:
-                    continue
-                cost = problem.mem[g, k + 1] - problem.mem[g, k]
-                if cost > slack:
-                    continue
-                gain = problem.omega[g, k] - problem.omega[g, k + 1]
-                if gain > best_gain:
-                    best_g, best_gain, best_cost = g, gain, cost
-            if best_g < 0:
-                break
-            kidx[best_g] += 1
-            slack -= best_cost
-    quality = float(sum(problem.omega[g, kidx[g]] for g in range(G)))
-    if quality_budget is not None and quality > quality_budget + 1e-12:
-        return None
-    return kidx
-
-
 def solve_segment_dp(
     problem: PlanningProblem,
     theta: float,
@@ -323,8 +283,10 @@ def solve_segment_dp(
     stage = segment_partition(problem)
     if stage is None:
         return None
-    kidx = _upgrade_bits(problem, stage, quality_budget)
-    if kidx is None:
+    kidx = upgrade_bits(problem, stage, problem.capacity)
+    if quality_budget is not None and float(
+        sum(problem.omega[g, k] for g, k in enumerate(kidx))
+    ) > quality_budget + 1e-12:
         return None
     bits = tuple(problem.bit_choices[k] for k in kidx)
     latency = problem.latency_estimate(stage, bits)

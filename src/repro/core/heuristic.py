@@ -204,6 +204,46 @@ def _candidate_changes(
     return moves
 
 
+def upgrade_bits(
+    problem: PlanningProblem,
+    stage: Sequence[int],
+    capacity: Sequence[float],
+) -> List[int]:
+    """Greedy per-stage bit upgrades by quality gain within memory.
+
+    The MCKP direction of the *adabits* problem on a fixed partition:
+    every group starts at min bits, and per stage the upgrade with the
+    best indicator reduction that still fits ``capacity[j]`` is taken
+    until none fits.  Returns each group's bit index.
+    """
+    G, K = problem.n_groups, problem.n_bits
+    kidx = [0] * G
+    mem, omega = problem.mem.tolist(), problem.omega.tolist()
+    for j in range(problem.n_stages):
+        gs = [g for g in range(G) if stage[g] == j]
+        used = 0.0
+        for g in gs:  # left to right, not the compensated builtin sum
+            used += mem[g][0]
+        slack = float(capacity[j] - used)
+        while True:
+            best_g, best_gain, best_cost = -1, 0.0, 0.0
+            for g in gs:
+                k = kidx[g]
+                if k + 1 >= K:
+                    continue
+                cost = mem[g][k + 1] - mem[g][k]
+                if cost > slack:
+                    continue
+                gain = omega[g][k] - omega[g][k + 1]
+                if gain > best_gain:
+                    best_g, best_gain, best_cost = g, gain, cost
+            if best_g < 0:
+                break
+            kidx[best_g] += 1
+            slack -= best_cost
+    return kidx
+
+
 def greedy_adabits(
     problem: PlanningProblem,
     quality_budget: Optional[float] = None,
@@ -215,7 +255,7 @@ def greedy_adabits(
     never pays a branch-and-bound solve; the hill climb repairs any
     latency slack it leaves.
     """
-    G, N, K = problem.n_groups, problem.n_stages, problem.n_bits
+    G, N = problem.n_groups, problem.n_stages
     cap = np.maximum(problem.capacity, 0.0)
     if cap.sum() <= 0:
         return None
@@ -260,31 +300,7 @@ def greedy_adabits(
     stage: List[int] = []
     for j, c in enumerate(counts):
         stage.extend([j] * int(c))
-    kidx = [0] * G
-    mem, omega = problem.mem.tolist(), problem.omega.tolist()
-    # Upgrade bits greedily per stage by quality gain, within memory.
-    for j in range(N):
-        gs = [g for g in range(G) if stage[g] == j]
-        used = 0.0
-        for g in gs:  # left to right, not the compensated builtin sum
-            used += mem[g][0]
-        slack = float(cap[j] - used)
-        while True:
-            best_g, best_gain, best_cost = -1, 0.0, 0.0
-            for g in gs:
-                k = kidx[g]
-                if k + 1 >= K:
-                    continue
-                cost = mem[g][k + 1] - mem[g][k]
-                if cost > slack:
-                    continue
-                gain = omega[g][k] - omega[g][k + 1]
-                if gain > best_gain:
-                    best_g, best_gain, best_cost = g, gain, cost
-            if best_g < 0:
-                break
-            kidx[best_g] += 1
-            slack -= best_cost
+    kidx = upgrade_bits(problem, stage, cap)
     bits = tuple(problem.bit_choices[k] for k in kidx)
     quality = problem.quality_sum(bits)
     if quality_budget is not None and quality > quality_budget + 1e-12:

@@ -336,17 +336,15 @@ class SplitQuantPlanner:
 
     def _simulate_frontier(
         self, top, workload: BatchWorkload
-    ) -> Tuple[List[Tuple[Any, Any, Any]], int]:
+    ) -> List[Tuple[Any, Any]]:
         """Expand ranked candidates to plans and simulate them, batched.
 
         Timing comes from the fitted cost model (never the testbed
         truth).  Candidates that do not expand are skipped; the rest are
         scored in one :func:`~repro.pipeline.batchsim.evaluate_plans`
         sweep (bit-identical to per-plan simulation), which also stamps
-        joules and dollars on each result.  If the sweep raises, each
-        plan is simulated alone and the failures are dropped.  Returns
-        ``([(candidate, result)], batches)``, where
-        ``batches`` is 1 when the batched sweep ran and 0 otherwise.
+        joules and dollars on each result.  Returns
+        ``[(candidate, result)]``, empty when no candidate expands.
         """
         from ..pipeline.batchsim import PlanCase, evaluate_plans
         from ..pipeline.stage import CostModelTiming
@@ -366,30 +364,8 @@ class SplitQuantPlanner:
             cases.append(
                 (cand, PlanCase(plan, self.cluster, self.spec, workload, timing))
             )
-        if not cases:
-            return [], 0
-        try:
-            results = evaluate_plans([pc for _, pc in cases])
-        except (ValueError, RuntimeError):
-            return self._simulate_each(cases), 0
-        return [(c, r) for (c, _), r in zip(cases, results)], 1
-
-    def _simulate_each(self, cases) -> List[Tuple[Any, Any]]:
-        """Per-plan simulation of ``(candidate, plan case)`` pairs,
-        dropping the plans that fail."""
-        from ..pipeline.simulator import simulate_plan
-
-        scored = []
-        for cand, pc in cases:
-            try:
-                res = simulate_plan(
-                    pc.plan, pc.cluster, pc.spec, pc.workload,
-                    timing=pc.timing, check_memory=False,
-                )
-            except (ValueError, RuntimeError):
-                continue
-            scored.append((cand, res))
-        return scored
+        results = evaluate_plans([pc for _, pc in cases])
+        return [(c, r) for (c, _), r in zip(cases, results)]
 
     def _verify_candidates(
         self, top, workload: BatchWorkload
@@ -400,11 +376,11 @@ class SplitQuantPlanner:
         bubble/feedback effects the closed form approximates.  The
         frontier is scored by :meth:`_simulate_frontier` and the best
         objective-(4) score wins, ties keeping the ranking's order.
-        Returns ``(winner, plans_scored, batches)``; the counts are 0
-        unless the batched sweep ran.
+        Returns ``(winner, plans_scored, batches)``; ``batches`` is 1
+        when the batched sweep ran and 0 when no candidate expanded.
         """
         with trace.span("planner.verify", k=len(top)):
-            scored, batches = self._simulate_frontier(top, workload)
+            scored = self._simulate_frontier(top, workload)
             winner, best_score = top[0], float("inf")
             for cand, res in scored:
                 score = candidate_score(
@@ -412,7 +388,7 @@ class SplitQuantPlanner:
                 )
                 if score < best_score:
                     winner, best_score = cand, score
-            return winner, len(scored) * batches, batches
+            return winner, len(scored), int(bool(scored))
 
     def resolve_tier(self, tier: str) -> Tuple[str, str]:
         """Resolve a requested tier to a concrete one, with a reason.
@@ -669,7 +645,7 @@ class SplitQuantPlanner:
         with trace.span(
             "planner.objective_rerank", objective=objective, k=len(top)
         ):
-            frontier, _ = self._simulate_frontier(top, workload)
+            frontier = self._simulate_frontier(top, workload)
             if not frontier:
                 raise InfeasibleError(
                     f"objective={objective!r}: no expandable candidates"

@@ -7,8 +7,6 @@ from .online import (
     ADMISSION_POLICIES,
     OnlineConfig,
     OnlineSimResult,
-    OnlineTables,
-    clear_online_caches,
     online_tables,
     simulate_online,
 )
@@ -38,12 +36,10 @@ __all__ = [
     "DegradedSimResult",
     "OnlineConfig",
     "OnlineSimResult",
-    "OnlineTables",
     "PipelineSimResult",
     "PipelineTopology",
     "SIM_BACKENDS",
     "check_plan_memory",
-    "clear_online_caches",
     "microbatch_sizes",
     "online_tables",
     "simulate_online",

@@ -35,10 +35,12 @@ retirement runs on the online fast driver
 (:mod:`repro.pipeline.online_fast`) instead.
 
 Duration tables (per-stage chunk times, decode step series, link and
-feedback delays) are built once per ``(plan, cluster, workload, timing)``
-by :func:`build_plan_tables` and memoized, so repeat evaluations of the
-same plan — and the cross-plan batched evaluator in
-:mod:`repro.pipeline.batchsim` — pay the table cost once.
+feedback delays) come from the shared topology memo
+(:func:`~repro.pipeline.topology.shared_topology`), which also keeps the
+per-phase bundles :func:`build_plan_tables` assembles, so repeat
+evaluations of the same plan — and the cross-plan batched evaluator in
+:mod:`repro.pipeline.batchsim` — pay the table cost once, and identical
+stages of different plans share their durations.
 """
 
 from __future__ import annotations
@@ -53,13 +55,14 @@ from ..models.architectures import ModelSpec
 from ..obs import trace
 from ..plan import ExecutionPlan
 from ..workloads.spec import BatchWorkload
-from .stage import (
-    MemoizedTiming,
-    RooflineTiming,
-    StageExecutionModel,
-    TimingSource,
+from . import topology
+from .stage import MemoizedTiming, RooflineTiming, TimingSource
+from .topology import (
+    _BUNDLES_MAX,
+    _bounded_put,
+    microbatch_sizes,
+    shared_topology,
 )
-from .topology import PipelineTopology, microbatch_sizes
 
 __all__ = [
     "PlanTables",
@@ -119,48 +122,20 @@ class PlanTables:
         return self.dec_arr
 
 
-# Bounded memo of built tables, keyed by (plan, cluster, workload,
-# timing token).  Values keep a reference to the timing object so
-# id-based tokens can never alias a collected object.
-_TABLE_CACHE: Dict[Any, Tuple[TimingSource, PlanTables]] = {}
-_TABLE_CACHE_MAX = 256
-
-# Cross-plan component memo: per-stage prefill chunk times and decode
-# series depend only on (timing, spec, layer bits, TP degree, GPU spec,
-# position, micro-batch, lengths) — not the rest of the plan — so
-# structurally identical stages recur heavily across a candidate
-# frontier, whether it is scored per plan or batched.
-_COMPONENT_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
-_COMPONENT_CACHE_MAX = 4096
-
 # Default-timing memo for the batched evaluator: one MemoizedTiming per
 # (model, KV bitwidth) so unit layer costs are computed once per fleet,
 # not once per plan.  Returns the very floats RooflineTiming would, so
 # results stay bit-identical to the uncached default.  Its entries key
-# on the whole GPUSpec, like the component memo.
+# on the whole GPUSpec, like the stage-duration memo.
 _DEFAULT_MEMOS: Dict[Tuple[ModelSpec, int], MemoizedTiming] = {}
-
-# Shared-build sub-memos: topologies keyed by the plan's *stages*
-# (micro-batch variants of one partition share one), and whole
-# prefill/decode bundles keyed by exactly what each side depends on —
-# decode ignores prefill chunking and vice versa, so chunk- and
-# micro-batch-variant frontiers reuse wholesale.
-_CONTEXT_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
-_CONTEXT_CACHE_MAX = 1024
-_PREFILL_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
-_PREFILL_CACHE_MAX = 1024
-_DECODE_CACHE: Dict[Any, Tuple[TimingSource, Any]] = {}
-_DECODE_CACHE_MAX = 1024
 
 
 def clear_table_caches() -> None:
-    """Drop all fastsim memos (benchmarks use this for cold timings)."""
-    _TABLE_CACHE.clear()
-    _COMPONENT_CACHE.clear()
+    """Drop every simulator memo (benchmarks use this for cold timings)."""
     _DEFAULT_MEMOS.clear()
-    _CONTEXT_CACHE.clear()
-    _PREFILL_CACHE.clear()
-    _DECODE_CACHE.clear()
+    topology._TOPOLOGIES.clear()
+    topology._STRUCTURE_IDS.clear()
+    topology._DURATIONS.clear()
 
 
 def shared_default_timing(spec: ModelSpec, bit_kv: int) -> TimingSource:
@@ -174,76 +149,6 @@ def shared_default_timing(spec: ModelSpec, bit_kv: int) -> TimingSource:
     return memo
 
 
-def _timing_token(timing: TimingSource) -> Any:
-    """A hashable stand-in for ``timing`` in cache keys.
-
-    Value-hashable sources (the frozen timing dataclasses) key by value
-    so equal configurations share entries; everything else keys by
-    object identity, with the object itself kept alive in the cache
-    entry so the id cannot be recycled while the entry exists.
-    """
-    try:
-        hash(timing)
-    except TypeError:
-        return ("timing-id", id(timing))
-    return timing
-
-
-def _bounded_put(cache: Dict, limit: int, key: Any, value: Any) -> None:
-    if len(cache) >= limit:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-
-
-def _stage_key(sm: StageExecutionModel) -> Tuple[Any, ...]:
-    """What a stage's timing actually depends on.
-
-    Device ids and the stage's position in the layer range don't enter
-    any per-stage time, so keying on (bitwidths, TP degree, GPU spec,
-    boundary flags) lets structurally identical stages share across
-    different clusters and layer offsets — e.g. every 10-layer INT4 T4
-    stage in a fleet sweep, wherever it sits.  The key holds the whole
-    :class:`GPUSpec`, not its name: a ``GPUSpec.replace`` copy keeps the
-    name but not the timing.
-    """
-    return (
-        sm.spec, sm.stage.layer_bits, sm.stage.tp_degree, sm.gpu,
-        sm.is_first, sm.is_last,
-    )
-
-
-def _prefill_chunk_time(
-    sm: StageExecutionModel, size: int, chunk: int, token: Any
-) -> float:
-    key = ("p", token, _stage_key(sm), size, chunk)
-    hit = _COMPONENT_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    val = sm.prefill_chunk_time(size, chunk)
-    _bounded_put(
-        _COMPONENT_CACHE, _COMPONENT_CACHE_MAX, key, (sm.timing, val)
-    )
-    return val
-
-
-def _decode_series(
-    sm: StageExecutionModel,
-    size: int,
-    prompt_len: int,
-    n_out: int,
-    token: Any,
-) -> List[float]:
-    key = ("d", token, _stage_key(sm), size, prompt_len, n_out)
-    hit = _COMPONENT_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    val = sm.decode_time_series(size, prompt_len, n_out)
-    _bounded_put(
-        _COMPONENT_CACHE, _COMPONENT_CACHE_MAX, key, (sm.timing, val)
-    )
-    return val
-
-
 def build_plan_tables(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
@@ -253,41 +158,23 @@ def build_plan_tables(
 ) -> PlanTables:
     """Build (or fetch) the duration tables for one plan evaluation.
 
-    Per-stage chunk times and decode series are also memoized across
-    *different* plans sharing structurally identical stages, and whole
-    prefill / decode bundles across plans that differ only on the other
-    phase — the main table-cost lever on a frontier.
+    The prefill and decode bundles are memoized on the shared topology,
+    each keyed by exactly what its phase depends on — decode ignores
+    prefill chunking and vice versa, so chunk- and micro-batch-variant
+    frontiers reuse them wholesale.
     """
-    token = _timing_token(timing)
-    key = (plan, cluster, workload, token)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-
-    ctx_key = (plan.stages, cluster, spec, token)
-    ctx_hit = _CONTEXT_CACHE.get(ctx_key)
-    if ctx_hit is not None:
-        topo = ctx_hit[1]
-    else:
-        topo = PipelineTopology.build(plan, cluster, spec, timing)
-        _bounded_put(
-            _CONTEXT_CACHE, _CONTEXT_CACHE_MAX, ctx_key, (timing, topo)
-        )
-    # A shared topology may come from a micro-batch variant of this plan:
-    # only its stage models and links are read, never ``topo.plan``.
-    stage_models = topo.stage_models
-    n_stages = len(stage_models)
+    topo = shared_topology(plan, cluster, spec, timing)
+    n_stages = topo.num_stages
+    bundles = topo.bundles
 
     # -- prefill ---------------------------------------------------------
     chunk = workload.chunk_len
     pre_key = (
-        plan.stages, plan.prefill_microbatch, cluster, spec, token,
-        workload.batch, workload.prompt_len, chunk,
+        "p", plan.prefill_microbatch, workload.batch, workload.prompt_len,
+        chunk,
     )
-    pre_hit = _PREFILL_CACHE.get(pre_key)
-    if pre_hit is not None:
-        n_mb, kappa, n_pre, pre_dur, pre_comm = pre_hit[1]
-    else:
+    pre = bundles.get(pre_key)
+    if pre is None:
         pre_sizes = microbatch_sizes(workload.batch, plan.prefill_microbatch)
         kappa = workload.kappa
         # Uniform micro-batching yields at most two distinct sizes, so the
@@ -300,13 +187,10 @@ def build_plan_tables(
         )
         pre_dur = [
             np.asarray(
-                [
-                    _prefill_chunk_time(sm, s, chunk, token)
-                    for s in uniq_pre
-                ],
+                [topo.prefill_time(j, s, chunk) for s in uniq_pre],
                 dtype=np.float64,
             )[idx]
-            for sm in stage_models
+            for j in range(n_stages)
         ]
         pre_comm = [
             np.asarray(
@@ -316,62 +200,44 @@ def build_plan_tables(
             for j in range(n_stages - 1)
         ]
         n_mb = len(pre_sizes)
-        n_pre = n_mb * kappa
-        _bounded_put(
-            _PREFILL_CACHE, _PREFILL_CACHE_MAX, pre_key,
-            (timing, (n_mb, kappa, n_pre, pre_dur, pre_comm)),
-        )
+        pre = (n_mb, kappa, n_mb * kappa, pre_dur, pre_comm)
+        _bounded_put(bundles, _BUNDLES_MAX, pre_key, pre)
+    n_mb, kappa, n_pre, pre_dur, pre_comm = pre
 
     # -- decode ----------------------------------------------------------
     n_out = workload.output_len
     decode_steps = n_out - 1
-    n_dec = 0
-    series_jm: List[List[List[float]]] = []
-    comm_jm: List[List[float]] = []
-    fb_m: List[float] = []
-    dec_arr: Optional[np.ndarray] = None
+    dec: Tuple[Any, ...] = (0, [], [], [], None)
     if decode_steps > 0:
         dec_key = (
-            plan.stages, plan.decode_microbatch, cluster, spec, token,
-            workload.batch, workload.prompt_len, n_out,
+            "d", plan.decode_microbatch, workload.batch,
+            workload.prompt_len, n_out,
         )
-        dec_hit = _DECODE_CACHE.get(dec_key)
-        if dec_hit is not None:
-            n_dec, series_jm, comm_jm, fb_m, dec_arr = dec_hit[1]
-        else:
+        dec = bundles.get(dec_key)
+        if dec is None:
             dec_sizes = microbatch_sizes(
                 workload.batch, plan.decode_microbatch
             )
-            dec_series: Dict[Tuple[int, int], List[float]] = {}
-            for size in set(dec_sizes):
-                for j, sm in enumerate(stage_models):
-                    dec_series[(j, size)] = _decode_series(
-                        sm, size, workload.prompt_len, n_out, token
-                    )
-            dec_comm: Dict[Tuple[int, int], float] = {}
-            for size in set(dec_sizes):
-                for j in range(n_stages - 1):
-                    dec_comm[(j, size)] = topo.decode_comm(j, size)
-            fb_delay = {
-                size: topo.feedback_delay(size) for size in set(dec_sizes)
-            }
-            n_dec = len(dec_sizes)
             series_jm = [
-                [dec_series[(j, size)] for size in dec_sizes]
+                [
+                    topo.decode_series(j, size, workload.prompt_len, n_out)
+                    for size in dec_sizes
+                ]
                 for j in range(n_stages)
             ]
             comm_jm = [
-                [dec_comm[(j, size)] for size in dec_sizes]
+                [topo.decode_comm(j, size) for size in dec_sizes]
                 for j in range(n_stages - 1)
             ]
-            fb_m = [fb_delay[size] for size in dec_sizes]
-            dec_arr = np.asarray(series_jm, dtype=np.float64)
-            _bounded_put(
-                _DECODE_CACHE, _DECODE_CACHE_MAX, dec_key,
-                (timing, (n_dec, series_jm, comm_jm, fb_m, dec_arr)),
+            fb_m = [topo.feedback_delay(size) for size in dec_sizes]
+            dec = (
+                len(dec_sizes), series_jm, comm_jm, fb_m,
+                np.asarray(series_jm, dtype=np.float64),
             )
+            _bounded_put(bundles, _BUNDLES_MAX, dec_key, dec)
+    n_dec, series_jm, comm_jm, fb_m, dec_arr = dec
 
-    tables = PlanTables(
+    return PlanTables(
         n_stages=n_stages,
         n_mb=n_mb,
         kappa=kappa,
@@ -387,8 +253,6 @@ def build_plan_tables(
         fb_m=fb_m,
         dec_arr=dec_arr,
     )
-    _bounded_put(_TABLE_CACHE, _TABLE_CACHE_MAX, key, (timing, tables))
-    return tables
 
 
 def _fast_core(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,17 +60,14 @@ from ..simgpu.memory import OutOfMemoryError
 from ..workloads.arrivals import ArrivalTrace, Request
 from ..workloads.spec import BatchWorkload
 from .events import EventLoop, Server
-from .fastsim import _bounded_put, _stage_key, _timing_token
 from .simulator import _check_backend, check_plan_memory
 from .stage import RooflineTiming, TimingSource
-from .topology import PipelineTopology, microbatch_sizes
+from .topology import PipelineTopology, microbatch_sizes, shared_topology
 
 __all__ = [
     "ADMISSION_POLICIES",
     "OnlineConfig",
     "OnlineSimResult",
-    "OnlineTables",
-    "clear_online_caches",
     "online_tables",
     "simulate_online",
 ]
@@ -257,127 +254,19 @@ def _chunk_len_of(prompt_len: int, chunk_tokens: int) -> int:
     return -(-prompt_len // kappa)
 
 
-# ---------------------------------------------------------------------------
-# Memoized duration tables, shared by both backends.
-# ---------------------------------------------------------------------------
-
-
-class OnlineTables:
-    """Memoized online duration lookups over one pipeline topology.
-
-    Every quantity the online drivers need — per-stage prefill chunk
-    times, link delays, decode step series keyed by (group size, padded
-    prompt, max output), and the last-to-first feedback delay — is a
-    pure function of the topology, so one bundle per
-    ``(plan, cluster, spec, timing)`` serves every run, every refill
-    point, and both backends.  The event driver previously rebuilt these
-    dicts per run; sharing the bundle makes repeat traces (benchmarks,
-    fleets, differential tests) pay each lookup once.
-
-    Prefill and decode misses are filled straight from the stage model
-    (:class:`~repro.pipeline.stage.StageExecutionModel`, the duration
-    implementation every simulator shares) and keyed by stage structure,
-    so identical stages share one entry.
-    """
-
-    __slots__ = (
-        "topo", "_struct", "_pre_time", "_pre_comm", "_dec_series",
-        "_dec_comm", "_feedback",
-    )
-
-    def __init__(self, topo: PipelineTopology):
-        self.topo = topo
-        # Stage index -> first stage with the same structure.
-        first: Dict[Tuple[Any, ...], int] = {}
-        self._struct = tuple(
-            first.setdefault(_stage_key(sm), j)
-            for j, sm in enumerate(topo.stage_models)
-        )
-        self._pre_time: Dict[Tuple[int, int, int], float] = {}
-        self._pre_comm: Dict[Tuple[int, int, int], float] = {}
-        self._dec_series: Dict[Tuple[int, int, int, int], List[float]] = {}
-        self._dec_comm: Dict[Tuple[int, int], float] = {}
-        self._feedback: Dict[int, float] = {}
-
-    def pre_time(self, j: int, size: int, chunk_len: int) -> float:
-        key = (self._struct[j], size, chunk_len)
-        t = self._pre_time.get(key)
-        if t is None:
-            sm = self.topo.stage_models[j]
-            t = self._pre_time[key] = sm.prefill_chunk_time(size, chunk_len)
-        return t
-
-    def pre_comm(self, j: int, size: int, chunk_len: int) -> float:
-        key = (j, size, chunk_len)
-        t = self._pre_comm.get(key)
-        if t is None:
-            t = self._pre_comm[key] = self.topo.prefill_comm(
-                j, size, chunk_len
-            )
-        return t
-
-    def dec_series(
-        self, j: int, size: int, pad: int, max_n: int
-    ) -> List[float]:
-        key = (self._struct[j], size, pad, max_n)
-        series = self._dec_series.get(key)
-        if series is None:
-            sm = self.topo.stage_models[j]
-            series = self._dec_series[key] = sm.decode_time_series(
-                size, pad, max_n
-            )
-        return series
-
-    def dec_step(
-        self, j: int, size: int, pad: int, max_n: int, t: int
-    ) -> float:
-        return self.dec_series(j, size, pad, max_n)[t - 1]
-
-    def dec_comm(self, j: int, size: int) -> float:
-        key = (j, size)
-        t = self._dec_comm.get(key)
-        if t is None:
-            t = self._dec_comm[key] = self.topo.decode_comm(j, size)
-        return t
-
-    def feedback(self, size: int) -> float:
-        t = self._feedback.get(size)
-        if t is None:
-            t = self._feedback[size] = self.topo.feedback_delay(size)
-        return t
-
-
-_ONLINE_TABLE_CACHE: Dict[Any, Tuple[TimingSource, OnlineTables]] = {}
-_ONLINE_TABLE_CACHE_MAX = 64
-
-
 def online_tables(
     plan: ExecutionPlan,
     cluster: ClusterSpec,
     spec: ModelSpec,
     timing: TimingSource,
-) -> OnlineTables:
-    """The memoized :class:`OnlineTables` for this configuration.
+) -> PipelineTopology:
+    """The memoized duration tables of this configuration.
 
-    Value-hashable timings (the frozen dataclasses, including the
-    default roofline) key by value, so repeat runs with the same plan
-    hit the same bundle across simulator calls.
+    Both backends read every duration through the shared topology memo
+    (:func:`~repro.pipeline.topology.shared_topology`), so repeat runs
+    of the same plan pay each lookup once across simulator calls.
     """
-    key = (plan, cluster, spec, _timing_token(timing))
-    hit = _ONLINE_TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
-    topo = PipelineTopology.build(plan, cluster, spec, timing)
-    tables = OnlineTables(topo)
-    _bounded_put(
-        _ONLINE_TABLE_CACHE, _ONLINE_TABLE_CACHE_MAX, key, (timing, tables)
-    )
-    return tables
-
-
-def clear_online_caches() -> None:
-    """Drop the online duration-table memo (benchmarks use this)."""
-    _ONLINE_TABLE_CACHE.clear()
+    return shared_topology(plan, cluster, spec, timing)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +277,13 @@ def clear_online_caches() -> None:
 class _OnlineContext:
     """Immutable inputs of one online run, shared by both backends.
 
-    Bundles the topology/duration tables, the static per-stage memory
+    Bundles the memoized topology, the static per-stage memory
     residency, and the admission pre-checks so the event and fast
     drivers build their worlds from the same bytes.
     """
 
     __slots__ = (
-        "plan", "cluster", "spec", "config", "tables", "topo", "n_stages",
+        "plan", "cluster", "spec", "config", "topo", "n_stages",
         "last_stage", "capacities", "layers_per_stage", "max_output",
         "ref_chunk", "static", "stage_mem0",
     )
@@ -415,8 +304,7 @@ class _OnlineContext:
         self.config = config
         if timing is None:
             timing = RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
-        self.tables = online_tables(plan, cluster, spec, timing)
-        self.topo = self.tables.topo
+        self.topo = online_tables(plan, cluster, spec, timing)
         self.n_stages = self.topo.num_stages
         self.last_stage = self.n_stages - 1
         self.capacities = self.topo.stage_capacities()
@@ -810,15 +698,15 @@ def _simulate_online(
     ctx = _OnlineContext(
         plan, cluster, spec, arrivals, config, timing, check_memory
     )
-    tables = ctx.tables
+    topo = ctx.topo
     last_stage = ctx.last_stage
-    pre_time = tables.pre_time
-    pre_comm = tables.pre_comm
-    dec_step = tables.dec_step
-    dec_comm = tables.dec_comm
+    pre_time = topo.prefill_time
+    pre_comm = topo.prefill_comm
+    dec_series = topo.decode_series
+    dec_comm = topo.decode_comm
 
     loop = EventLoop()
-    servers = ctx.topo.make_servers(loop, record_jobs)
+    servers = topo.make_servers(loop, record_jobs)
     submit_at = [s.submit for s in servers]
 
     state = _OnlineState(ctx)
@@ -891,7 +779,7 @@ def _simulate_online(
                     return
                 nxt = active(t + 1)
                 if nxt > 0:
-                    fb = tables.feedback(nxt)
+                    fb = topo.feedback_delay(nxt)
                     submit_dec(0, t + 1, nxt, finish + fb)
                 retired = [r for r in sl if r.output_len == t + 1]
                 if retired:
@@ -900,7 +788,7 @@ def _simulate_online(
                     try_schedule(finish)
 
             submit_at[j](
-                dec_step(j, size, g.pad, g.max_output, t), done,
+                dec_series(j, size, g.pad, g.max_output)[t - 1], done,
                 not_before=ready, label=f"D{g.gid}.{m}.{t}",
             )
 

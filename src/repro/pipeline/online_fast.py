@@ -110,14 +110,14 @@ def _fast_simulate_online(
     ctx = _OnlineContext(
         plan, cluster, spec, arrivals, config, timing, check_memory
     )
-    tables = ctx.tables
+    topo = ctx.topo
     n_stages = ctx.n_stages
     stages_1 = range(1, n_stages)
-    pre_time = tables.pre_time
-    pre_comm = tables.pre_comm
-    dec_series = tables.dec_series
-    dec_comm = tables.dec_comm
-    feedback = tables.feedback
+    pre_time = topo.prefill_time
+    pre_comm = topo.prefill_comm
+    dec_series = topo.decode_series
+    dec_comm = topo.decode_comm
+    feedback = topo.feedback_delay
     xi = plan.decode_microbatch
     mb_pre = plan.prefill_microbatch
 

@@ -1,28 +1,43 @@
-"""The stage-duration model and the online tables against the per-layer
+"""The stage-duration model and its memo against the per-layer
 reference.
 
 ``StageExecutionModel`` is the one stage-duration implementation every
 simulator shares: one timing lookup per distinct layer bitwidth, then an
-in-order layer sum.  ``OnlineTables`` fills its misses from it and keys
-them by stage structure, so identical stages share one entry.  The
+in-order layer sum.  ``PipelineTopology`` memoizes its results in one
+module dict keyed by interned stage structure, so identical stages —
+of one plan or of plans on different clusters — share one entry.  The
 event == fast differentials cannot catch an error in either — every
 backend reads the same durations — so these tests pin both directly to
 ``tests/stage_oracle.py``, the literal one-call-per-layer sum, with
-``==`` on raw floats.
+``==`` on raw floats, and pin what the memo's key may and may not
+share.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
-from repro.hardware import table_iii_cluster
+from repro.hardware import make_cluster, table_iii_cluster
 from repro.models import get_model
-from repro.pipeline import CostModelTiming, OnlineTables, RooflineTiming
+from repro.pipeline import (
+    CostModelTiming,
+    OnlineConfig,
+    PlanCase,
+    RooflineTiming,
+    clear_table_caches,
+    evaluate_plans,
+    fastsim,
+    simulate_online,
+    simulate_plan,
+    topology,
+)
 from repro.pipeline.stage import StageExecutionModel
-from repro.pipeline.topology import PipelineTopology
+from repro.pipeline.topology import shared_topology
 from repro.plan import ExecutionPlan, StagePlan, uniform_plan
+from repro.workloads import ArrivalTrace, BatchWorkload, Request
 from tests import stage_oracle
 
 #: Nine layers with repeated, interleaved bitwidths: long enough that a
@@ -116,23 +131,37 @@ def _plans(spec, cluster):
     }
 
 
+def _topology(plan, cluster, spec):
+    return shared_topology(
+        plan, cluster, spec, RooflineTiming(spec=spec, bit_kv=plan.bit_kv)
+    )
+
+
+def _entries(topo):
+    """The memo's (prefill, decode) entries for ``topo``'s structures."""
+    sids = set(topo.struct_ids)
+    keys = [k for k in topology._DURATIONS if k[0] in sids]
+    return (
+        sum(1 for k in keys if len(k) == 3),
+        sum(1 for k in keys if len(k) == 4),
+    )
+
+
 @pytest.mark.parametrize("name", ["uniform", "bits", "tp"])
 def test_tables_equal_topology_per_stage(name, opt30b_spec, cluster7):
+    clear_table_caches()
     plan = _plans(opt30b_spec, cluster7)[name]
-    topo = PipelineTopology.build(plan, cluster7, opt30b_spec)
-    tables = OnlineTables(topo)
-    # Every stage is queried on one bundle, so a key that merged two
+    topo = _topology(plan, cluster7, opt30b_spec)
+    # Every stage is queried through one memo, so a key that merged two
     # different structures would hand the later stage a wrong entry.
     for size, (pad, max_n) in itertools.product((1, 8), ((256, 9), (64, 40))):
         for j in range(topo.num_stages):
             sm = topo.stage_models[j]
-            assert tables.pre_time(j, size, CHUNK_LEN) == (
+            assert topo.prefill_time(j, size, CHUNK_LEN) == (
                 stage_oracle.prefill_chunk_time(sm, size, CHUNK_LEN)
             )
             ref = stage_oracle.decode_time_series(sm, size, pad, max_n)
-            assert tables.dec_series(j, size, pad, max_n) == ref
-            for t in (1, max_n - 1):
-                assert tables.dec_step(j, size, pad, max_n, t) == ref[t - 1]
+            assert topo.decode_series(j, size, pad, max_n) == ref
 
 
 @pytest.mark.parametrize("name, j, k", [
@@ -145,17 +174,119 @@ def test_structures_that_differ_get_their_own_entry(
     name, j, k, opt30b_spec, cluster7
 ):
     plan = _plans(opt30b_spec, cluster7)[name]
-    tables = OnlineTables(PipelineTopology.build(plan, cluster7, opt30b_spec))
-    assert tables.pre_time(j, 8, CHUNK_LEN) != tables.pre_time(k, 8, CHUNK_LEN)
-    assert tables.dec_series(j, 8, 256, 9) != tables.dec_series(k, 8, 256, 9)
+    topo = _topology(plan, cluster7, opt30b_spec)
+    assert topo.struct_ids[j] != topo.struct_ids[k]
+    assert topo.prefill_time(j, 8, CHUNK_LEN) != (
+        topo.prefill_time(k, 8, CHUNK_LEN)
+    )
+    assert topo.decode_series(j, 8, 256, 9) != (
+        topo.decode_series(k, 8, 256, 9)
+    )
 
 
 def test_identical_stages_share_one_entry(opt30b_spec, cluster7):
+    clear_table_caches()
     plan = _plans(opt30b_spec, cluster7)["uniform"]
-    tables = OnlineTables(PipelineTopology.build(plan, cluster7, opt30b_spec))
+    topo = _topology(plan, cluster7, opt30b_spec)
     for j in range(plan.num_stages):
-        tables.pre_time(j, 8, CHUNK_LEN)
-        tables.dec_series(j, 8, 256, 9)
+        topo.prefill_time(j, 8, CHUNK_LEN)
+        topo.decode_series(j, 8, 256, 9)
     # First T4, middle T4 (x3), middle V100, last V100: 4 structures.
-    assert len(tables._pre_time) == 4
-    assert len(tables._dec_series) == 4
+    assert len(set(topo.struct_ids)) == 4
+    assert _entries(topo) == (4, 4)
+
+
+def _count_stage_calls(monkeypatch):
+    calls = {"prefill": 0, "decode": 0}
+    prefill = StageExecutionModel.prefill_chunk_time
+    decode = StageExecutionModel.decode_time_series
+
+    def counted_prefill(self, *args):
+        calls["prefill"] += 1
+        return prefill(self, *args)
+
+    def counted_decode(self, *args):
+        calls["decode"] += 1
+        return decode(self, *args)
+
+    monkeypatch.setattr(
+        StageExecutionModel, "prefill_chunk_time", counted_prefill
+    )
+    monkeypatch.setattr(
+        StageExecutionModel, "decode_time_series", counted_decode
+    )
+    return calls
+
+
+def test_clusters_sharing_a_structure_compute_it_once(
+    monkeypatch, opt30b_spec, cluster7
+):
+    # The same GPUs behind a slower cross-node link: other link delays,
+    # the same stage structures.
+    slow7 = make_cluster(
+        "cluster-7-slow", [("T4-16G", 4), ("V100-32G", 2)],
+        cross_node_link="eth-100g",
+    )
+    plan = _plans(opt30b_spec, cluster7)["uniform"]
+    clear_table_caches()
+    calls = _count_stage_calls(monkeypatch)
+    fast = _topology(plan, cluster7, opt30b_spec)
+    slow = _topology(plan, slow7, opt30b_spec)
+    assert slow is not fast
+    assert slow.struct_ids == fast.struct_ids
+    for topo in (fast, slow):
+        for j in range(plan.num_stages):
+            topo.prefill_time(j, 8, CHUNK_LEN)
+            topo.decode_series(j, 8, 256, 9)
+    assert calls == {"prefill": 4, "decode": 4}
+    assert fast.prefill_comm(3, 8, CHUNK_LEN) < (
+        slow.prefill_comm(3, 8, CHUNK_LEN)
+    )
+
+
+def _small_workload():
+    return BatchWorkload(batch=8, prompt_len=256, output_len=9)
+
+
+def _all_at_zero(workload):
+    return ArrivalTrace(tuple(
+        Request(i, 0.0, workload.prompt_len, workload.output_len)
+        for i in range(workload.batch)
+    ))
+
+
+def test_clear_table_caches_leaves_nothing_memoized(opt30b_spec, cluster7):
+    plan = _plans(opt30b_spec, cluster7)["uniform"]
+    wl = _small_workload()
+    simulate_plan(plan, cluster7, opt30b_spec, wl, check_memory=False)
+    evaluate_plans([PlanCase(plan, cluster7, opt30b_spec, wl)])
+    simulate_online(
+        plan, cluster7, opt30b_spec, _all_at_zero(wl), check_memory=False
+    )
+    memos = (
+        fastsim._DEFAULT_MEMOS, topology._TOPOLOGIES,
+        topology._STRUCTURE_IDS, topology._DURATIONS,
+    )
+    assert all(memos)
+    clear_table_caches()
+    assert not any(memos)
+
+
+def test_wrong_model_name_raises_after_a_warm_cache(opt30b_spec, cluster7):
+    plan = _plans(opt30b_spec, cluster7)["uniform"]
+    wl = _small_workload()
+    arrivals = _all_at_zero(wl)
+    config = OnlineConfig(chunk_tokens=CHUNK_LEN)
+    # Warm every memo on the right plan: the memo keys hold the stages,
+    # not the model name, so a hit must not skip the model check.
+    simulate_plan(plan, cluster7, opt30b_spec, wl)
+    evaluate_plans([PlanCase(plan, cluster7, opt30b_spec, wl)])
+    simulate_online(plan, cluster7, opt30b_spec, arrivals, config)
+    wrong = dataclasses.replace(plan, model_name="opt-13b")
+    assert wrong.stages == plan.stages
+    with pytest.raises(ValueError, match="opt-13b"):
+        simulate_plan(wrong, cluster7, opt30b_spec, wl)
+    with pytest.raises(ValueError, match="opt-13b"):
+        simulate_online(wrong, cluster7, opt30b_spec, arrivals, config)
+    with pytest.raises(ValueError, match="opt-13b"):
+        evaluate_plans([PlanCase(wrong, cluster7, opt30b_spec, wl)])
