@@ -3,11 +3,14 @@
 Measures both pipeline-simulation backends on a fleet-scale
 configuration (OPT-30B on Table III cluster 7 — six stages — with a
 64-request batch decoding 256 tokens: ~12k heap events per event-driven
-run), asserts the fast path returns *bit-identical* results at
->= 11.67x less wall-clock, and times the persistent result cache's
-effect on a cost-model fit (cold fit vs warm restore).  Writes the
-measured record to ``benchmarks/BENCH_sim.json`` (a CI artifact, not
-tracked).
+run), and asserts the fast path returns *bit-identical* results at
+>= 11.67x less CPU time.  Writes the measured record to
+``benchmarks/BENCH_sim.json`` (a CI artifact, not tracked).
+
+The two backends run in interleaved rounds, each timed with the
+process's CPU clock, and the ratio compares each backend's fastest
+round: a busy neighbour on a shared host slows whichever round it
+lands on, not one backend's whole measurement.
 
 Memory checking is disabled for the timing loop: the bench measures
 engine speed, not feasibility (both backends share the identical
@@ -17,8 +20,6 @@ engine speed, not feasibility (both backends share the identical
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -33,7 +34,7 @@ OUT = Path(__file__).resolve().parent / "BENCH_sim.json"
 #: The fast path must beat the event loop by at least this factor:
 #: 0.75 x the 15.56x measured on a 2-vCPU host, and never below 5x.
 MIN_SPEEDUP = 11.67
-ROUNDS = 5
+ROUNDS = 21
 
 
 def _fleet_scale_config():
@@ -53,13 +54,15 @@ def _fleet_scale_config():
     return spec, cluster, plan, workload
 
 
-def _wall(fn, rounds: int = ROUNDS) -> float:
-    """Best-of-``rounds`` wall-clock of one call (seconds)."""
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+def _cpu_best(*fns):
+    """Fastest CPU time (seconds) of each of ``fns`` over ``ROUNDS``
+    interleaved rounds."""
+    best = [float("inf")] * len(fns)
+    for _ in range(ROUNDS):
+        for i, fn in enumerate(fns):
+            t0 = time.process_time()
+            fn()
+            best[i] = min(best[i], time.process_time() - t0)
     return best
 
 
@@ -83,40 +86,12 @@ def test_sim_scaling():
     assert ev.events_processed == fa.events_processed
     assert ev.events_processed > 10_000  # fleet-scale, not a toy
 
-    event_wall_s = _wall(run_event)
-    fast_wall_s = _wall(run_fast)
-    speedup = event_wall_s / fast_wall_s
+    event_cpu_s, fast_cpu_s = _cpu_best(run_event, run_fast)
+    speedup = event_cpu_s / fast_cpu_s
     assert speedup >= MIN_SPEEDUP, (
         f"fast backend only {speedup:.1f}x faster "
-        f"(need >= {MIN_SPEEDUP}x): event {event_wall_s * 1e3:.2f}ms "
-        f"vs fast {fast_wall_s * 1e3:.2f}ms"
-    )
-
-    # -- persistent cache: cold cost-model fit vs warm restore ----------
-    from repro.experiments.common import _cost_model_cached
-
-    saved = os.environ.get("SPLITQUANT_CACHE_DIR")
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["SPLITQUANT_CACHE_DIR"] = tmp
-        try:
-            _cost_model_cached.cache_clear()
-            t0 = time.perf_counter()
-            cold = _cost_model_cached("opt-30b", ("T4-16G", "V100-32G"))
-            cold_s = time.perf_counter() - t0
-            _cost_model_cached.cache_clear()
-            t0 = time.perf_counter()
-            warm = _cost_model_cached("opt-30b", ("T4-16G", "V100-32G"))
-            warm_s = time.perf_counter() - t0
-            _cost_model_cached.cache_clear()
-        finally:
-            if saved is None:
-                os.environ.pop("SPLITQUANT_CACHE_DIR", None)
-            else:
-                os.environ["SPLITQUANT_CACHE_DIR"] = saved
-    assert cold.fitted_keys() == warm.fitted_keys()
-    assert warm_s < cold_s, (
-        f"warm cache restore ({warm_s:.3f}s) not faster than "
-        f"cold fit ({cold_s:.3f}s)"
+        f"(need >= {MIN_SPEEDUP}x): event {event_cpu_s * 1e3:.2f}ms "
+        f"vs fast {fast_cpu_s * 1e3:.2f}ms"
     )
 
     record = {
@@ -131,15 +106,11 @@ def test_sim_scaling():
         },
         "stages": plan.num_stages,
         "events_per_run": ev.events_processed,
-        "event_wall_s": round(event_wall_s, 5),
-        "fast_wall_s": round(fast_wall_s, 5),
+        "rounds": ROUNDS,
+        "event_cpu_s": round(event_cpu_s, 5),
+        "fast_cpu_s": round(fast_cpu_s, 5),
         "speedup": round(speedup, 2),
         "results_identical": ev == fa,
-        "cache": {
-            "cost_model_cold_fit_s": round(cold_s, 4),
-            "cost_model_warm_restore_s": round(warm_s, 4),
-            "warm_speedup": round(cold_s / warm_s, 2),
-        },
     }
     OUT.write_text(json.dumps(record, indent=2) + "\n")
     print()

@@ -1,7 +1,7 @@
 """Persistent content-addressed result cache.
 
-Expensive derived artifacts — profiler grids, fitted cost-model
-coefficients, fleet plan evaluations — are pure functions of their
+Fleet plan evaluations (:class:`repro.fleet.allocator.PlannerPool`'s
+``fleet_plan`` namespace) are expensive pure functions of their
 inputs.  This module gives them a zero-dependency on-disk memo: values
 are stored as JSON files named by the SHA-256 of a canonical
 serialization of *everything* the computation depends on (model spec,

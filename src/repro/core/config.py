@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..plan import KV_BITS
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -52,8 +54,11 @@ class PlannerConfig:
     def __post_init__(self):
         if not self.bit_choices:
             raise ValueError("need at least one bitwidth choice")
-        if sorted(self.bit_choices) != list(self.bit_choices):
-            raise ValueError("bit_choices must be sorted ascending")
+        if sorted(set(self.bit_choices)) != list(self.bit_choices):
+            raise ValueError("bit_choices must be strictly ascending")
+        for kv in (self.bit_kv, *(self.kv_bit_choices or ())):
+            if kv not in KV_BITS:
+                raise ValueError(f"bit_kv must be one of {KV_BITS}, got {kv}")
         if not self.theta >= 0:
             raise ValueError("theta must be non-negative")
         # inf (no cap) and negative budgets (infeasible) keep their

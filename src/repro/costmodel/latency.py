@@ -105,7 +105,11 @@ class LatencyCostModel:
         prefill_grid: Tuple[Sequence[int], Sequence[int]] = PREFILL_GRID,
         decode_grid: Tuple[Sequence[int], Sequence[int]] = DECODE_GRID,
     ) -> "LatencyCostModel":
-        """Profile calibration grids and fit every (gpu, bits, phase)."""
+        """Profile calibration grids and fit every (gpu, bits, phase).
+
+        Refitting a fitted entry raises: the simulators memoize durations
+        per cost model, so a refit in place would serve stale timings.
+        """
         profiler = profiler or Profiler(seed=0)
         for gpu in gpus:
             for bits in bit_choices:
@@ -113,18 +117,13 @@ class LatencyCostModel:
                     ("prefill", prefill_grid),
                     ("decode", decode_grid),
                 ):
+                    key = (gpu.name, bits, phase)
+                    if key in self._models:
+                        raise ValueError(f"{key} is already fitted")
                     samples = profiler.profile_grid(
-                        gpu,
-                        self.spec,
-                        bits,
-                        phase,
-                        batches=batches,
-                        seqs=seqs,
-                        bit_kv=self.bit_kv,
+                        gpu, self.spec, bits, phase, batches, seqs, self.bit_kv
                     )
-                    self._models[(gpu.name, bits, phase)] = fit_phase(
-                        samples, phase
-                    )
+                    self._models[key] = fit_phase(samples, phase)
         return self
 
     def _get(self, gpu: GPUSpec, bits: int, phase: str) -> PhaseRegression:
@@ -147,39 +146,6 @@ class LatencyCostModel:
 
     def fitted_keys(self) -> List[Tuple[str, int, str]]:
         return sorted(self._models)
-
-    def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot of the fitted coefficients.
-
-        Floats are emitted at full precision (``repr`` round-trips
-        float64 exactly), so ``from_state_dict(spec, state_dict())``
-        reproduces predictions bit-for-bit — the contract the persistent
-        result cache relies on.
-        """
-        return {
-            "spec": self.spec.name,
-            "bit_kv": self.bit_kv,
-            "models": [
-                [gpu, bits, phase, [float(c) for c in reg.coef]]
-                for (gpu, bits, phase), reg in sorted(self._models.items())
-            ],
-        }
-
-    @classmethod
-    def from_state_dict(
-        cls, spec: ModelSpec, state: Dict[str, object]
-    ) -> "LatencyCostModel":
-        """Rebuild a fitted model from :meth:`state_dict` output."""
-        if state.get("spec") != spec.name:
-            raise ValueError(
-                f"state fitted for {state.get('spec')!r}, not {spec.name!r}"
-            )
-        cm = cls(spec=spec, bit_kv=int(state.get("bit_kv", 16)))
-        for gpu, bits, phase, coef in state["models"]:  # type: ignore[index]
-            cm._models[(str(gpu), int(bits), str(phase))] = PhaseRegression(
-                phase=str(phase), coef=np.asarray(coef, dtype=np.float64)
-            )
-        return cm
 
 
 def relative_errors(

@@ -28,44 +28,11 @@ BITS = (3, 4, 8, 16)
 
 @lru_cache(maxsize=64)
 def _cost_model_cached(model_name: str, gpu_names: Tuple[str, ...]) -> LatencyCostModel:
-    """Fit (or restore from the persistent cache) one cost model.
-
-    Two cache layers: this ``lru_cache`` memoizes within the process; the
-    :mod:`repro.cache` store persists the fitted coefficients across
-    processes, which is what makes warmed-cache experiment reruns fast —
-    the fit dominates experiment setup time.
-    """
-    import dataclasses as _dc
-
-    from ..cache import MISS, cache_key, code_version_salt, default_cache
-    from ..costmodel.latency import DECODE_GRID, PREFILL_GRID
+    """Fit one cost model, memoized within the process."""
     from ..hardware.gpus import get_gpu
 
-    spec = get_model(model_name)
-    gpus = [get_gpu(n) for n in gpu_names]
-    cache = default_cache()
-    key = None
-    if cache is not None:
-        key = cache_key(
-            {
-                "kind": "cost_model_fit",
-                "salt": code_version_salt(),
-                "model": _dc.asdict(spec),
-                "gpus": [_dc.asdict(g) for g in gpus],
-                "bits": BITS,
-                "prefill_grid": PREFILL_GRID,
-                "decode_grid": DECODE_GRID,
-                "seed": 0,
-            }
-        )
-        hit = cache.get("cost_model_fit", key)
-        if hit is not MISS:
-            return LatencyCostModel.from_state_dict(spec, hit)
-    cm = LatencyCostModel(spec)
-    cm.fit(gpus, BITS)
-    if cache is not None:
-        cache.put("cost_model_fit", key, cm.state_dict())
-    return cm
+    cm = LatencyCostModel(get_model(model_name))
+    return cm.fit([get_gpu(n) for n in gpu_names], BITS)
 
 
 def cost_model_for(spec: ModelSpec, cluster: ClusterSpec) -> LatencyCostModel:

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+#: KV-cache bitwidths a plan, a planner or the TinyLM runtime may store at.
+KV_BITS: Tuple[int, ...] = (4, 8, 16)
+
 
 class InfeasibleError(RuntimeError):
     """No execution plan satisfies the constraints (memory/quality/devices).
@@ -84,6 +87,8 @@ class ExecutionPlan:
             raise ValueError("plan needs at least one stage")
         if self.prefill_microbatch <= 0 or self.decode_microbatch <= 0:
             raise ValueError("micro-batch sizes must be positive")
+        if self.bit_kv not in KV_BITS:
+            raise ValueError(f"bit_kv must be one of {KV_BITS}, got {self.bit_kv}")
         expect = 0
         for st in self.stages:
             if st.layer_start != expect:

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..plan import KV_BITS
 from ..quant.gptq import gptq_quantize
 from ..quant.indicator import OperatorStats, operator_stats_from_arrays
 from ..quant.schemes import QuantConfig, quantize_dequantize
@@ -46,8 +47,8 @@ class TinyLMConfig:
     def __post_init__(self):
         if self.hidden % self.heads:
             raise ValueError("hidden must be divisible by heads")
-        if self.kv_bits not in (4, 8, 16):
-            raise ValueError("kv_bits must be 4, 8 or 16")
+        if self.kv_bits not in KV_BITS:
+            raise ValueError(f"kv_bits must be one of {KV_BITS}")
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:

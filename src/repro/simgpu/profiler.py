@@ -10,7 +10,7 @@ reading the ground truth back.
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence
 
@@ -24,6 +24,8 @@ from .roofline import layer_time
 
 #: Relative std-dev of simulated latency measurements.
 LATENCY_NOISE_SIGMA = 0.03
+#: Noisy timings per measurement; a measurement reports their median.
+REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,21 @@ class LatencySample:
 
 @dataclass
 class Profiler:
-    """Measurement front-end over the roofline simulator."""
+    """Measurement front-end over the roofline simulator (one seeded
+    noise stream, :data:`REPEATS` lognormal variates per measurement)."""
 
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
-    #: Lognormal variates drawn so far — the RNG stream position.  Part of
-    #: the persistent-cache key so a cache hit can *burn* the same number
-    #: of draws and leave the stream exactly where a recompute would have.
-    _draws: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
+
+    def _median_noise(self, points: int) -> np.ndarray:
+        """Median multiplicative noise of ``points`` measurements."""
+        noise = self._rng.lognormal(
+            mean=0.0, sigma=LATENCY_NOISE_SIGMA, size=(points, REPEATS)
+        )
+        return np.sort(noise, axis=1)[:, REPEATS // 2]
 
     def measure_layer(
         self,
@@ -60,15 +66,10 @@ class Profiler:
         batch: int,
         seq: int,
         bit_kv: int = 16,
-        repeats: int = 3,
     ) -> float:
-        """Median of ``repeats`` noisy timings of one layer execution."""
+        """Median of :data:`REPEATS` noisy timings of one layer execution."""
         truth = layer_time(gpu, spec, bits, phase, batch, seq, bit_kv)
-        noise = self._rng.lognormal(
-            mean=0.0, sigma=LATENCY_NOISE_SIGMA, size=repeats
-        )
-        self._draws += repeats
-        return float(truth * np.median(noise))
+        return float(truth * self._median_noise(1)[0])
 
     def measure_memory(
         self,
@@ -104,67 +105,16 @@ class Profiler:
     ) -> List[LatencySample]:
         """Calibration payload: measure a (batch x seq) grid for one config.
 
-        For decode, ``seqs`` are past context lengths.
-
-        Grids are memoized in the persistent result cache
-        (:mod:`repro.cache`): the key covers the full device/model specs,
-        the grid, the noise seed *and* the RNG stream position, so cached
-        replies are bit-identical to recomputation — including the state
-        the generator is left in (a hit burns the same number of noise
-        variates a recompute would have drawn).
+        For decode, ``seqs`` are past context lengths.  The grid's noise
+        is drawn in one call; the samples equal :meth:`measure_layer` over
+        the grid in batch-major order.
         """
-        from ..cache import MISS, cache_key, code_version_salt, default_cache
-
-        batches = tuple(batches)
-        seqs = tuple(seqs)
-        cache = default_cache()
-        key = None
-        if cache is not None:
-            key = cache_key(
-                {
-                    "kind": "profile_grid",
-                    "salt": code_version_salt(),
-                    "gpu": dataclasses.asdict(gpu),
-                    "model": dataclasses.asdict(spec),
-                    "bits": bits,
-                    "phase": phase,
-                    "batches": batches,
-                    "seqs": seqs,
-                    "bit_kv": bit_kv,
-                    "seed": self.seed,
-                    "rng_draws": self._draws,
-                }
+        points = list(itertools.product(batches, seqs))
+        noise = self._median_noise(len(points))
+        return [
+            LatencySample(
+                phase, bits, v, s,
+                float(layer_time(gpu, spec, bits, phase, v, s, bit_kv) * m),
             )
-            hit = cache.get("profiler_grid", key)
-            if hit is not MISS:
-                draws = int(hit["draws"])
-                if draws > 0:
-                    # Batched fills consume the PCG64 stream exactly like
-                    # the equivalent sequence of per-measurement draws.
-                    self._rng.lognormal(
-                        mean=0.0, sigma=LATENCY_NOISE_SIGMA, size=draws
-                    )
-                    self._draws += draws
-                return [
-                    LatencySample(p, b, v, s, t)
-                    for p, b, v, s, t in hit["samples"]
-                ]
-        draws_before = self._draws
-        samples: List[LatencySample] = []
-        for v in batches:
-            for s in seqs:
-                t = self.measure_layer(gpu, spec, bits, phase, v, s, bit_kv)
-                samples.append(LatencySample(phase, bits, v, s, t))
-        if cache is not None:
-            cache.put(
-                "profiler_grid",
-                key,
-                {
-                    "draws": self._draws - draws_before,
-                    "samples": [
-                        [s.phase, s.bits, s.batch, s.seq, s.time_s]
-                        for s in samples
-                    ],
-                },
-            )
-        return samples
+            for (v, s), m in zip(points, noise)
+        ]

@@ -109,72 +109,6 @@ def test_default_cache_env(tmp_path, monkeypatch):
 
 # -- consumers -----------------------------------------------------------
 
-def test_profiler_grid_warm_bit_identity(tmp_path, monkeypatch):
-    """A warm profile_grid returns identical samples AND leaves the RNG
-    stream exactly where a recompute would have."""
-    monkeypatch.setenv("SPLITQUANT_CACHE_DIR", str(tmp_path))
-    from repro.hardware import get_gpu
-    from repro.models import get_model
-    from repro.simgpu import Profiler
-
-    gpu, spec = get_gpu("V100"), get_model("opt-13b")
-    p_cold = Profiler(seed=5)
-    cold = p_cold.profile_grid(gpu, spec, 4, "decode", (1, 4), (64, 256))
-    after_cold = p_cold.measure_layer(gpu, spec, 4, "decode", 2, 128)
-
-    p_warm = Profiler(seed=5)
-    warm = p_warm.profile_grid(gpu, spec, 4, "decode", (1, 4), (64, 256))
-    after_warm = p_warm.measure_layer(gpu, spec, 4, "decode", 2, 128)
-
-    assert cold == warm
-    assert after_cold == after_warm  # RNG stream position preserved
-
-
-def test_cost_model_warm_bit_identity(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPLITQUANT_CACHE_DIR", str(tmp_path))
-    from repro.experiments.common import _cost_model_cached
-    from repro.hardware import get_gpu
-
-    _cost_model_cached.cache_clear()
-    cm_cold = _cost_model_cached("opt-13b", ("T4-16G", "V100-32G"))
-    _cost_model_cached.cache_clear()
-    cm_warm = _cost_model_cached("opt-13b", ("T4-16G", "V100-32G"))
-    _cost_model_cached.cache_clear()
-
-    gpu = get_gpu("T4")
-    assert cm_cold.fitted_keys() == cm_warm.fitted_keys()
-    for bits in (3, 4, 8, 16):
-        for b, s in ((1, 64), (19, 777), (256, 2048)):
-            assert cm_cold.prefill_time(gpu, bits, b, s) == \
-                cm_warm.prefill_time(gpu, bits, b, s)
-            assert cm_cold.decode_time(gpu, bits, b, s) == \
-                cm_warm.decode_time(gpu, bits, b, s)
-
-
-def test_cost_model_state_dict_round_trip(cost_model_13b, opt13b, t4):
-    from repro.costmodel.latency import LatencyCostModel
-
-    state = cost_model_13b.state_dict()
-    restored = LatencyCostModel.from_state_dict(opt13b, state)
-    # JSON round-trip in between (what the cache actually does).
-    rejson = LatencyCostModel.from_state_dict(
-        opt13b, json.loads(json.dumps(state))
-    )
-    for cm in (restored, rejson):
-        assert cm.fitted_keys() == cost_model_13b.fitted_keys()
-        assert cm.prefill_time(t4, 4, 8, 512) == \
-            cost_model_13b.prefill_time(t4, 4, 8, 512)
-        assert cm.decode_time(t4, 8, 16, 1024) == \
-            cost_model_13b.decode_time(t4, 8, 16, 1024)
-
-
-def test_state_dict_wrong_model_rejected(cost_model_13b, opt30b):
-    from repro.costmodel.latency import LatencyCostModel
-
-    with pytest.raises(ValueError, match="fitted for"):
-        LatencyCostModel.from_state_dict(opt30b, cost_model_13b.state_dict())
-
-
 def test_planner_pool_persistent_across_pools(tmp_path, monkeypatch):
     monkeypatch.setenv("SPLITQUANT_CACHE_DIR", str(tmp_path))
     from repro.core import PlannerConfig

@@ -220,5 +220,19 @@ def test_config_rejects_nan_and_out_of_range(field, bad):
             PlannerConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [0, 3, 7, -4])
+def test_config_rejects_bad_kv_bits(bad):
+    with pytest.raises(ValueError, match="bit_kv"):
+        PlannerConfig(bit_kv=bad)
+    with pytest.raises(ValueError, match="bit_kv"):
+        PlannerConfig(kv_bit_choices=(8, bad))
+
+
+def test_config_rejects_repeated_bit_choices():
+    # A repeated bitwidth would refit a fitted cost-model entry.
+    with pytest.raises(ValueError, match="bit_choices"):
+        PlannerConfig(bit_choices=(4, 4))
+
+
 def test_config_accepts_zero_theta():
     assert PlannerConfig(theta=0.0).theta == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.costmodel import (
+    LatencyCostModel,
     decode_features,
     fit_phase,
     prefill_features,
@@ -35,6 +36,25 @@ def test_fitted_keys(cost_model_13b, t4, v100):
 def test_missing_key_raises(cost_model_13b, opt13b, a100):
     with pytest.raises(KeyError, match="no fitted model"):
         cost_model_13b.prefill_time(a100, 16, 4, 128)
+
+
+def test_refit_of_fitted_entry_rejected(opt13b, t4, v100):
+    """A fitted entry never changes: the simulators memoize durations
+    per cost model, so a refit in place would serve stale timings."""
+    cm = LatencyCostModel(opt13b).fit([t4], (4,), Profiler(seed=0))
+    before = cm.prefill_time(t4, 4, 8, 512)
+    with pytest.raises(ValueError, match="already fitted"):
+        cm.fit([t4], (4,), Profiler(seed=1))
+    assert cm.prefill_time(t4, 4, 8, 512) == before
+    # A new GPU (or bitwidth) still fits into the fitted model.
+    cm.fit([v100], (4,), Profiler(seed=1))
+    cm.fit([t4], (8,), Profiler(seed=1))
+    assert cm.fitted_keys() == sorted(
+        (g.name, b, ph)
+        for g, b in ((t4, 4), (v100, 4), (t4, 8))
+        for ph in ("prefill", "decode")
+    )
+    assert cm.prefill_time(t4, 4, 8, 512) == before
 
 
 def test_in_grid_accuracy(cost_model_13b, opt13b, v100):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.plan import ExecutionPlan, StagePlan, uniform_plan
+from repro.plan import KV_BITS, ExecutionPlan, StagePlan, uniform_plan
+from repro.serialization import dumps_plan, loads_plan
 
 
 def make_plan():
@@ -84,6 +85,18 @@ def test_bad_microbatch_rejected():
             prefill_microbatch=0,
             decode_microbatch=1,
         )
+
+
+@pytest.mark.parametrize("bad", [0, 3, 7, -4])
+def test_bad_bit_kv_rejected(bad):
+    """A KV bitwidth outside KV_BITS would price the cache at a wrong
+    (at -4, negative) size; the constructor and the loader refuse it."""
+    stages = (StagePlan((0,), "T4-16G", 0, (8,)),)
+    with pytest.raises(ValueError, match="bit_kv"):
+        ExecutionPlan("m", stages, 1, 1, bit_kv=bad)
+    text = dumps_plan(ExecutionPlan("m", stages, 1, 1, bit_kv=KV_BITS[0]))
+    with pytest.raises(ValueError, match="bit_kv"):
+        loads_plan(text.replace(f'"bit_kv": {KV_BITS[0]}', f'"bit_kv": {bad}'))
 
 
 def test_uniform_plan_even_split():

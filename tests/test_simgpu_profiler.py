@@ -1,9 +1,11 @@
 """Tests for the noisy measurement front-end."""
 
 import numpy as np
+import pytest
 
 from repro.models import kv_cache_bytes, weight_storage_bytes
 from repro.simgpu import LatencySample, Profiler, layer_time
+from repro.simgpu.profiler import LATENCY_NOISE_SIGMA
 
 
 def test_measurements_near_truth(opt13b, v100):
@@ -39,6 +41,36 @@ def test_profile_grid_covers_cartesian(opt13b, t4):
         (1, 64), (1, 128), (1, 256), (2, 64), (2, 128), (2, 256)
     }
     assert all(isinstance(s, LatencySample) and s.time_s > 0 for s in samples)
+
+
+@pytest.mark.parametrize("phase", ["prefill", "decode"])
+@pytest.mark.parametrize("bit_kv", [8, 16])
+def test_profile_grid_equals_measure_layer_loop(opt13b, t4, phase, bit_kv):
+    """The grid draws its noise in one call, yet returns the per-point
+    measurements draw for draw and leaves the stream where they do; each
+    measurement is the roofline time times the median of three draws."""
+    batches, seqs = (1, 4, 32), (64, 256, 2048)
+    grid, loop = Profiler(seed=5), Profiler(seed=5)
+    ref = np.random.default_rng(5)
+    samples = grid.profile_grid(t4, opt13b, 4, phase, batches, seqs, bit_kv)
+    points = [(4, v, s) for v in batches for s in seqs] + [(8, 2, 128)]
+    measured = [
+        loop.measure_layer(t4, opt13b, b, phase, v, s, bit_kv)
+        for b, v, s in points
+    ]
+    assert measured == [
+        float(
+            layer_time(t4, opt13b, b, phase, v, s, bit_kv)
+            * np.median(ref.lognormal(0.0, LATENCY_NOISE_SIGMA, 3))
+        )
+        for b, v, s in points
+    ]
+    assert samples == [
+        LatencySample(phase, b, v, s, t)
+        for (b, v, s), t in zip(points[:-1], measured)
+    ]
+    after = grid.measure_layer(t4, opt13b, 8, phase, 2, 128, bit_kv)
+    assert after == measured[-1]
 
 
 def test_measure_memory_close_to_ideal(opt13b):
