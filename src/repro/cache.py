@@ -1,8 +1,8 @@
 """Persistent content-addressed result cache.
 
-Fleet plan evaluations (:class:`repro.fleet.allocator.PlannerPool`'s
-``fleet_plan`` namespace) are expensive pure functions of their
-inputs.  This module gives them a zero-dependency on-disk memo: values
+Fleet plan evaluations and per-job latency-floor tables
+(:class:`repro.fleet.allocator.PlannerPool`'s ``fleet_plan`` namespace)
+are expensive pure functions of their inputs.  This module gives them a zero-dependency on-disk memo: values
 are stored as JSON files named by the SHA-256 of a canonical
 serialization of *everything* the computation depends on (model spec,
 GPU specs, workload, seed, and a code-version salt derived from the

@@ -30,9 +30,11 @@ from .dp import AUTO_EXACT_MAX_DEVICES, dp_search
 from .heuristic import bitwidth_transfer
 from .ilp import ILPSolution, solve_partition_ilp
 from .search import (
+    _PRUNE_REL_SLACK,
     CandidateSearchEngine,
     CandidateStat,
     SearchStats,
+    analytic_lower_bound,
     candidate_score,
 )
 
@@ -410,6 +412,40 @@ class SplitQuantPlanner:
             return "exact", f"auto: {n} devices <= {limit}"
         return "dp", f"auto: {n} devices > {limit}"
 
+    def _engine(self) -> CandidateSearchEngine:
+        return CandidateSearchEngine(
+            self.spec,
+            self.cluster,
+            self.config,
+            self.omega_layers,
+            self.cost_model_for_kv,
+            self._solve_one,
+        )
+
+    def latency_floor(self, workload: BatchWorkload) -> float:
+        """An admissible floor on ``plan(workload).predicted_latency_s``.
+
+        The least :func:`~repro.core.search.analytic_lower_bound` (at
+        ``theta=0``, under the config's quality budget) over the grid the
+        exact tier searches, less the search's relative pruning slack: a
+        bound can meet a plan's latency exactly and land an ulp above it.
+        Every result's predicted latency is the analytic latency of one
+        feasible candidate assignment, so no plan comes in below it.
+        ``inf`` when every candidate's bound is ``inf``: the search then
+        prunes them all and :meth:`plan` returns ``None``.  ``0.0`` (no
+        information) when ``"auto"`` routes to the DP tier.  The fleet
+        allocator plans groups best-first under it.
+        """
+        if self.resolve_tier("auto")[0] == "dp":
+            return 0.0
+        candidates, _ = self._engine().candidates(workload)
+        budget = self.config.quality_budget
+        bound = min(
+            (analytic_lower_bound(c.problem, 0.0, budget) for c in candidates),
+            default=float("inf"),
+        )
+        return bound * (1.0 - _PRUNE_REL_SLACK)
+
     def plan(
         self,
         workload: BatchWorkload,
@@ -463,19 +499,11 @@ class SplitQuantPlanner:
                 )
                 gap_bound = outcome.gap_bound
             else:
-                engine = CandidateSearchEngine(
-                    self.spec,
-                    self.cluster,
-                    self.config,
-                    self.omega_layers,
-                    self.cost_model_for_kv,
-                    self._solve_one,
-                )
                 # An energy/cost re-rank reads the whole leading frontier.
                 top_k = self.config.verify_top_k
                 if objective != "throughput":
                     top_k = max(top_k, OBJECTIVE_FRONTIER_K)
-                outcome = engine.search(workload, top_k=top_k)
+                outcome = self._engine().search(workload, top_k=top_k)
             result = self._finish(
                 outcome.ranked,
                 outcome.stats,

@@ -547,6 +547,26 @@ class CandidateSearchEngine:
         [PlanningProblem, Optional[ILPSolution]], Optional[ILPSolution]
     ]
 
+    def candidates(
+        self, workload: BatchWorkload
+    ) -> Tuple[List[_Candidate], List[MemoizedTiming]]:
+        """The exact tier's candidate grid for ``workload``: every KV
+        bitwidth x pruned device ordering x (eta, xi) pair."""
+        cfg = self.config
+        return enumerate_candidates(
+            self.spec,
+            self.cluster,
+            cfg,
+            self.omega_layers,
+            self.cost_model_for_kv,
+            workload,
+            candidate_orderings(
+                self.cluster,
+                enable_tp=cfg.enable_tp,
+                max_orderings=cfg.max_orderings,
+            ),
+        )
+
     def search(self, workload: BatchWorkload, top_k: int) -> SearchOutcome:
         """Run the search; the leading ``top_k`` ranked candidates are
         exactly those of the exhaustive search, so any re-rank over them
@@ -560,19 +580,7 @@ class CandidateSearchEngine:
         theta_eff = 0.0 if cfg.quality_budget is not None else cfg.theta
 
         with trace.span("search.enumerate") as sp:
-            candidates, timings = enumerate_candidates(
-                self.spec,
-                self.cluster,
-                cfg,
-                self.omega_layers,
-                self.cost_model_for_kv,
-                workload,
-                candidate_orderings(
-                    self.cluster,
-                    enable_tp=cfg.enable_tp,
-                    max_orderings=cfg.max_orderings,
-                ),
-            )
+            candidates, timings = self.candidates(workload)
             sp.set(candidates=len(candidates))
         lp_bounds = 0
         tb = time.perf_counter()
@@ -609,15 +617,18 @@ class CandidateSearchEngine:
         # while incumbents tighten before the first solve instead of
         # trickling in with solve order.  Each start stays on its
         # candidate for the backend solve, so none is computed twice.
+        # A candidate whose analytic bound is already ``inf`` is pruned at
+        # its first pop and gets no start.
         seeded = 0
         batches_run = 0
-        frontier_scored = 0
-        if cfg.use_heuristic and candidates:
+        live: List[_Candidate] = []
+        if cfg.use_heuristic:
+            live = [c for c in candidates if c.bound != float("inf")]
+        if live:
             tb = time.perf_counter()
             batches_run = 1
-            frontier_scored = len(candidates)
-            with trace.span("search.batch_score", plans=len(candidates)) as sp:
-                for cand in candidates:
+            with trace.span("search.batch_score", plans=len(live)) as sp:
+                for cand in live:
                     cand.warm = warm = adabits_start(
                         cand.problem, cfg.quality_budget, cfg.time_limit_s
                     )
@@ -723,6 +734,11 @@ class CandidateSearchEngine:
                     cand.bound = max(cand.bound, tight)
                 heapq.heappush(heap, (cand.bound, idx))
                 continue
+            if cfg.use_heuristic and cand.warm is None:
+                # The heuristic backend would rebuild this same failed
+                # start (the greedy, then the adabits MILP) and give up.
+                record(cand, None)
+                continue
             record(cand, solve(cand))
 
         # Deterministic reduction: a stable sort on (score, enumeration
@@ -745,7 +761,7 @@ class CandidateSearchEngine:
             cache_hits=sum(t.hits for t in timings),
             cache_misses=sum(t.misses for t in timings),
             lp_bounds=lp_bounds,
-            warm_starts=frontier_scored,
+            warm_starts=len(live),
             mean_bound_tightness=(
                 float(np.mean(tightness)) if tightness else 0.0
             ),
@@ -756,7 +772,7 @@ class CandidateSearchEngine:
             bound_time_s=bound_time,
             seeded_incumbents=seeded,
             batches=batches_run,
-            batched_plans_scored=frontier_scored,
+            batched_plans_scored=len(live),
         )
         if trace.enabled:
             search_stats.publish_metrics()

@@ -8,13 +8,18 @@ Three layers:
   by all group evaluations (the fleet-level analogue of the planner's
   shared timing memo), the per-model indicator table is computed once,
   and ``plan()`` outcomes are memoized by (model, group, workload, SLO)
-  so repeated proposals are free.
+  so repeated proposals are free.  :meth:`PlannerPool.best_on` makes
+  the :func:`best_assignment` pick best-first, as the candidate search
+  does: each group's :meth:`~repro.core.planner.SplitQuantPlanner.latency_floor`
+  caps the metric any plan there can reach, and only groups whose cap
+  reaches the best metric found are planned.
 
 * :class:`GreedyAllocator` — the bin-packing baseline: jobs in deadline
   order, each takes the feasible group :func:`best_assignment` picks
   (best predicted tokens/s *per GPU*, or per rental $/hr under the cost
   objective) among those that fit the uncommitted inventory (falling
-  back to any group that fits the total pool, i.e. a later wave).
+  back to any group that fits the total pool, i.e. a later wave),
+  through :meth:`PlannerPool.best_on`.
 
 * :class:`BeamAllocator` — beam search with lookahead: partial
   assignment states are scored by the fleet makespan a deterministic
@@ -72,11 +77,15 @@ def group_rate_usd_hr(group: "GroupSpec", price_book: PriceBook) -> float:
     return sum(n * price_book.rate_usd_hr(g) for g, n in group.counts)
 
 
+#: A group's sorted ``(gpu_name, count)`` pairs.
+Counts = Tuple[Tuple[str, int], ...]
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A proposed per-job GPU group: sorted ``(gpu_name, count)`` pairs."""
 
-    counts: Tuple[Tuple[str, int], ...]
+    counts: Counts
 
     def __post_init__(self) -> None:
         if not self.counts:
@@ -174,22 +183,40 @@ class Assignment:
             return 0.0
         return self.job.total_output_tokens / self.duration_s
 
-    @property
-    def tokens_s_per_gpu(self) -> float:
-        return self.tokens_s / self.group.total
-
-    def tokens_s_per_usd_hr(self, price_book: PriceBook) -> float:
-        """Cost-aware packing metric: output tokens/s per rental $/hr."""
-        rate = group_rate_usd_hr(self.group, price_book)
-        if rate <= 0:
-            return 0.0
-        return self.tokens_s / rate
-
     def describe(self) -> str:
         return (
             f"{self.job.job_id} -> {self.group.describe()} "
             f"({self.tokens_s:.0f} tok/s, {self.duration_s:.0f}s)"
         )
+
+
+def _packing_metric(
+    group: GroupSpec, tokens_s: float, price_book: Optional[PriceBook]
+) -> float:
+    """Tokens/s per GPU of ``group``, or per rental $/hr with a
+    ``price_book`` (0 for a free group)."""
+    if price_book is None:
+        return tokens_s / group.total
+    rate = group_rate_usd_hr(group, price_book)
+    if rate <= 0:
+        return 0.0
+    return tokens_s / rate
+
+
+def _ceiling(
+    job: FleetJob,
+    group: GroupSpec,
+    floor_s: float,
+    price_book: Optional[PriceBook],
+) -> float:
+    """The packing metric ``job`` would reach on ``group`` at the batch
+    latency ``floor_s``.  It is computed as :attr:`Assignment.tokens_s`
+    is, so a floor at or below a plan's predicted latency gives a ceiling
+    at or above its metric, float for float."""
+    if floor_s <= 0:
+        return float("inf")
+    tokens_s = job.total_output_tokens / (job.num_batches * floor_s)
+    return _packing_metric(group, tokens_s, price_book)
 
 
 def best_assignment(
@@ -202,10 +229,13 @@ def best_assignment(
     equal speed.  Ties go to the smaller group, then to the first in
     ``feasible`` order.
     """
-    if price_book is None:
-        return max(feasible, key=lambda a: (a.tokens_s_per_gpu, -a.group.total))
-    book = price_book  # narrowed for the lambda
-    return max(feasible, key=lambda a: (a.tokens_s_per_usd_hr(book), -a.group.total))
+    return max(
+        feasible,
+        key=lambda a: (
+            _packing_metric(a.group, a.tokens_s, price_book),
+            -a.group.total,
+        ),
+    )
 
 
 def list_schedule(
@@ -270,12 +300,11 @@ def list_schedule(
 _PMISS = object()
 
 
-def _memo_key(job: FleetJob, group: GroupSpec) -> tuple:
-    """What one evaluation depends on within a pool."""
+def _job_key(job: FleetJob) -> tuple:
+    """What planning ``job`` depends on within a pool, on any group."""
     wl = job.workload
     return (
         job.model,
-        group.counts,
         (
             wl.batch,
             wl.prompt_len,
@@ -285,6 +314,12 @@ def _memo_key(job: FleetJob, group: GroupSpec) -> tuple:
         ),
         job.min_uniform_bits,
     )
+
+
+def _memo_key(job: FleetJob, group: GroupSpec) -> tuple:
+    """What one evaluation depends on within a pool."""
+    model, wl, min_bits = _job_key(job)
+    return (model, group.counts, wl, min_bits)
 
 
 class PlannerPool:
@@ -305,6 +340,8 @@ class PlannerPool:
             raise ValueError("inventory must contain at least one GPU")
         self.inventory = {g: n for g, n in inventory.items() if n > 0}
         self.config = config
+        #: Every candidate group of the inventory, in enumeration order.
+        self.groups = enumerate_groups(self.inventory)
         # What the persistent plan cache keys on beyond the memo key: the
         # full config and the types the shared cost model is fitted over.
         self._key_base = {
@@ -315,6 +352,7 @@ class PlannerPool:
         self._cost_models: Dict[Tuple[str, int], LatencyCostModel] = {}
         self._omegas: Dict[str, np.ndarray] = {}
         self._plans: Dict[tuple, Optional[Assignment]] = {}
+        self._floors: Dict[tuple, Dict[Counts, float]] = {}
         self._sim_scores: Dict[tuple, float] = {}
         #: Pool-level observability counters.
         self.evaluations = 0
@@ -368,24 +406,62 @@ class PlannerPool:
             omega_layers=omega,
         )
 
+    def _planner_on(self, job: FleetJob, group: GroupSpec) -> SplitQuantPlanner:
+        cluster = group.to_cluster(f"fleet-{job.model}-{group.describe()}")
+        return self.planner(job, cluster)
+
     # -- persistent plan cache -----------------------------------------
 
-    def _persistent_key(self, key: tuple) -> str:
-        """Content hash of one memo key, the pool's fixed key part and
-        the code-version salt."""
+    def _cache_key(self, **fields: object) -> str:
+        """Content hash of ``fields``, the pool's fixed key part and the
+        code-version salt."""
         from ..cache import cache_key, code_version_salt
 
+        return cache_key({**self._key_base, "salt": code_version_salt(), **fields})
+
+    def _persistent_key(self, key: tuple) -> str:
+        """The persistent key of one memo key."""
         model, counts, wl, min_bits = key
-        return cache_key(
-            {
-                **self._key_base,
-                "salt": code_version_salt(),
-                "model": model,
-                "group": [list(c) for c in counts],
-                "workload": list(wl),
-                "min_uniform_bits": min_bits,
-            }
+        return self._cache_key(
+            model=model,
+            group=[list(c) for c in counts],
+            workload=list(wl),
+            min_uniform_bits=min_bits,
         )
+
+    def _floors_key(self, key: tuple) -> str:
+        """The persistent key of one job key's floor table."""
+        model, wl, min_bits = key
+        return self._cache_key(
+            kind="fleet_floors",
+            model=model,
+            workload=list(wl),
+            min_uniform_bits=min_bits,
+            groups=[[list(c) for c in g.counts] for g in self.groups],
+        )
+
+    def _persistent_floors(self, key: tuple) -> Optional[List[float]]:
+        """The stored floor table of a job key, one floor per pool group
+        (``inf`` stored as ``null``); ``None`` when absent.  A malformed
+        entry is evicted."""
+        from ..cache import MISS, default_cache
+
+        cache = default_cache()
+        if cache is None:
+            return None
+        pkey = self._floors_key(key)
+        hit = cache.get("fleet_plan", pkey)
+        if hit is MISS:
+            return None
+        try:
+            floors = [float("inf") if f is None else float(f) for f in hit["floors"]]
+            valid = len(floors) == len(self.groups) and all(f >= 0 for f in floors)
+        except (KeyError, TypeError, ValueError):
+            valid = False
+        if valid:
+            return floors
+        cache.evict("fleet_plan", pkey)
+        return None
 
     def _persistent_get(self, key: tuple):
         """Stored :class:`PlannerResult` (or None for infeasible), else
@@ -469,11 +545,86 @@ class PlannerPool:
     def _evaluate_uncached(
         self, job: FleetJob, group: GroupSpec
     ) -> Optional[Assignment]:
-        cluster = group.to_cluster(f"fleet-{job.model}-{group.describe()}")
-        result = self.planner(job, cluster).plan(job.workload)
+        result = self._planner_on(job, group).plan(job.workload)
         if result is None or result.predicted_latency_s <= 0:
             return None
         return Assignment(job=job, group=group, result=result)
+
+    def latency_floors(self, job: FleetJob) -> Dict[Counts, float]:
+        """Each pool group's :meth:`SplitQuantPlanner.latency_floor` for
+        ``job``, by group counts.
+
+        Memoized per (model, workload, SLO) and persisted as one
+        ``fleet_plan`` entry per job key and group list.
+        """
+        key = _job_key(job)
+        if key not in self._floors:
+            floors = self._persistent_floors(key)
+            if floors is None:
+                with trace.span(
+                    "fleet.latency_floors", job=job.job_id, groups=len(self.groups)
+                ):
+                    floors = [
+                        self._planner_on(job, g).latency_floor(job.workload)
+                        for g in self.groups
+                    ]
+                from ..cache import default_cache
+
+                cache = default_cache()
+                if cache is not None:
+                    stored = [None if f == float("inf") else f for f in floors]
+                    cache.put("fleet_plan", self._floors_key(key), {"floors": stored})
+            self._floors[key] = {g.counts: f for g, f in zip(self.groups, floors)}
+        return self._floors[key]
+
+    def best_on(
+        self,
+        job: FleetJob,
+        groups: Sequence[GroupSpec],
+        price_book: Optional[PriceBook] = None,
+    ) -> Optional[Assignment]:
+        """The :func:`best_assignment` pick among ``job``'s feasible
+        assignments on ``groups`` (pool groups in enumeration order);
+        ``None`` when none is feasible.
+
+        Best-first, as the candidate search is: each group's ceiling is
+        the packing metric at its :meth:`latency_floors` entry, which no
+        plan on that group can beat.  Groups are planned in descending
+        ceiling order, groups with an ``inf`` floor (no plan fits) are
+        skipped, and the scan stops once the next ceiling falls below
+        the best metric found, so skipped groups cannot win, not even a
+        tie.  When every group is already planned in this pool the pick
+        is made directly and no floor is computed.
+        """
+        if all(_memo_key(job, g) in self._plans for g in groups):
+            evaluated = [self.evaluate(job, g) for g in groups]
+            feasible = [a for a in evaluated if a is not None]
+            return best_assignment(feasible, price_book) if feasible else None
+        floors = self.latency_floors(job)
+        ceilings = [_ceiling(job, g, floors[g.counts], price_book) for g in groups]
+        order = sorted(
+            (i for i, g in enumerate(groups) if floors[g.counts] != float("inf")),
+            key=lambda i: -ceilings[i],
+        )
+        found: Dict[int, Assignment] = {}
+        top = 0.0  # the best packing metric found so far
+        planned = 0
+        for i in order:
+            if ceilings[i] < top:
+                break
+            planned += 1
+            assignment = self.evaluate(job, groups[i])
+            if assignment is not None:
+                found[i] = assignment
+                metric = _packing_metric(
+                    assignment.group, assignment.tokens_s, price_book
+                )
+                top = max(top, metric)
+        if trace.enabled:
+            metrics.counter("fleet.groups_skipped").inc(len(groups) - planned)
+        if not found:
+            return None
+        return best_assignment([found[i] for i in sorted(found)], price_book)
 
     def score_assignments(
         self, assignments: Sequence[Assignment]
@@ -587,27 +738,29 @@ class _Allocator:
 
 
 class GreedyAllocator(_Allocator):
-    """Deadline-ordered bin packing, best :func:`best_assignment` first."""
+    """Deadline-ordered bin packing, best :func:`best_assignment` first.
+
+    Each pick plans only the groups whose latency-floor ceiling can still
+    win (:meth:`PlannerPool.best_on`); the allocation equals the one
+    planning every group would make.
+    """
 
     name = "greedy"
 
     def allocate(self, jobs: Sequence[FleetJob], pool: PlannerPool) -> List[Assignment]:
         inventory = dict(pool.inventory)
-        groups = enumerate_groups(pool.inventory)
         out: List[Assignment] = []
         free = dict(inventory)
         for job in sorted(jobs, key=FleetJob.sort_key):
             # Prefer groups that fit the *uncommitted* inventory (this
             # wave); fall back to anything that fits the total pool.
             for budget in (free, inventory):
-                candidates = [g for g in groups if g.fits(budget)]
-                evaluated = [pool.evaluate(job, g) for g in candidates]
-                feasible = [a for a in evaluated if a is not None]
-                if feasible:
+                candidates = [g for g in pool.groups if g.fits(budget)]
+                best = pool.best_on(job, candidates, self._cost_book)
+                if best is not None:
                     break
-            if not feasible:
+            if best is None:
                 continue  # job is unschedulable on this pool
-            best = best_assignment(feasible, self._cost_book)
             if trace.enabled:
                 metrics.counter("fleet.alloc.greedy_commits").inc()
             out.append(best)
@@ -654,11 +807,10 @@ class BeamAllocator(_Allocator):
 
     def allocate(self, jobs: Sequence[FleetJob], pool: PlannerPool) -> List[Assignment]:
         inventory = dict(pool.inventory)
-        groups = enumerate_groups(pool.inventory)
         book = self._cost_book
         beam: List[List[Assignment]] = [[]]
         for job in sorted(jobs, key=FleetJob.sort_key):
-            picks = self._expansions(job, pool, groups)
+            picks = self._expansions(job, pool, pool.groups)
             if not picks:
                 continue  # unschedulable job: every state skips it
             nxt: List[Tuple[Tuple[float, ...], int, List[Assignment]]] = []

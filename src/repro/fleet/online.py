@@ -35,7 +35,6 @@ from .allocator import (
     GroupSpec,
     PlannerPool,
     best_assignment,
-    enumerate_groups,
 )
 from .jobs import FleetJob, make_job_queue
 
@@ -206,7 +205,6 @@ class OnlineFleetScheduler:
         self.inventory = {g: n for g, n in inventory.items() if n > 0}
         self.free = dict(self.inventory)
         self.pool = PlannerPool(self.inventory, config=config)
-        self._all_groups = enumerate_groups(self.inventory)
         #: Waiting jobs as (job, arrival time), FIFO by arrival.
         self.queue: List[Tuple[FleetJob, float]] = []
         #: Admissibility index: per waiting job, its planner-feasible
@@ -222,15 +220,15 @@ class OnlineFleetScheduler:
     ) -> List[Assignment]:
         """Planner-feasible assignments on budget-fitting groups, in
         group enumeration order (the tie-break order of ``_best_on``)."""
-        candidates = [g for g in self._all_groups if g.fits(budget)]
+        candidates = [g for g in self.pool.groups if g.fits(budget)]
         evaluated = [self.pool.evaluate(job, g) for g in candidates]
         return [a for a in evaluated if a is not None]
 
     def _best_on(
         self, job: FleetJob, budget: Dict[str, int]
     ) -> Optional[Assignment]:
-        feasible = self._feasible_on(job, budget)
-        return best_assignment(feasible) if feasible else None
+        candidates = [g for g in self.pool.groups if g.fits(budget)]
+        return self.pool.best_on(job, candidates)
 
     def _reserve(self, group: GroupSpec) -> None:
         for g, n in group.counts:

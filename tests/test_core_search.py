@@ -178,6 +178,45 @@ def test_heuristic_tier_falls_back_to_milp(monkeypatch, opt13b, cluster5):
     _assert_same_plan(res, plan_reference(planner, wl))
 
 
+def test_failed_start_is_not_rebuilt(monkeypatch):
+    """A candidate whose start fails (the greedy, then the adabits MILP)
+    is recorded infeasible without a backend solve, which would only
+    rebuild the same failed start: one adabits MILP per such candidate,
+    as in the serial reference, and the same plan."""
+    from repro.fleet.scheduler import default_fleet_config
+    from repro.hardware import make_cluster
+    from repro.models import get_model
+
+    spec = get_model("opt-1.3b")
+    cluster = make_cluster(
+        "mixed", [("A100-40G", 1), ("T4-16G", 3)], cross_node_link="eth-800g"
+    )
+    probe = SplitQuantPlanner(spec, cluster, default_fleet_config())
+    cfg = dataclasses.replace(
+        probe.config, quality_budget=probe.uniform_quality(4)
+    )
+    planner = SplitQuantPlanner(
+        spec, cluster, cfg, cost_model=probe.cost_model,
+        omega_layers=probe.omega_layers,
+    )
+    real = ilp.solve_adabits
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    _patch_everywhere(monkeypatch, "solve_adabits", counted)
+    wl = BatchWorkload(batch=16, prompt_len=256, output_len=64)
+    res = planner.plan(wl)
+    searched = len(calls)
+    assert searched and all(sol is None for sol in calls)
+    assert [s.status for s in res.stats].count("infeasible") == searched
+    ref = plan_reference(planner, wl)
+    assert len(calls) - searched == searched
+    _assert_same_plan(res, ref)
+
+
 # -- admissibility: bounds never exceed a solved candidate's score -------
 
 
