@@ -42,8 +42,9 @@ OUT = Path(__file__).resolve().parent / "BENCH_obs.json"
 #: Disabled hooks must cost less than this fraction of planning wall.
 OVERHEAD_BUDGET = 0.02
 
-#: Guarded metric updates (``if trace.enabled: ...``) ride along with
-#: span sites; budget three hook-checks per span, conservatively.
+#: Guarded attribute sets and marker spans (``if trace.enabled: ...``)
+#: ride along with span sites; budget three hook-checks per span,
+#: conservatively.
 HOOKS_PER_SPAN = 3
 
 

@@ -5,18 +5,16 @@ Usage::
 
     PYTHONPATH=src python scripts/trace_report.py trace.jsonl
     PYTHONPATH=src python scripts/trace_report.py trace.jsonl --max-depth 4
-    PYTHONPATH=src python scripts/trace_report.py trace.jsonl --metrics
 
 Traces come from ``SPLITQUANT_TRACE=trace.jsonl`` (any entry point),
-``repro.api.Session(trace_path=...)`` or ``Tracer.write``.  ``--metrics``
-additionally prints the ``<trace>.metrics.json`` snapshot written next
-to the trace, when present.
+``repro.api.Session(trace_path=...)`` or ``Tracer.write``.  The summary
+prints each span path's count, wall, self and CPU time; the counts of
+one run are the span attributes in the JSONL itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,11 +30,6 @@ def main(argv=None) -> int:
         default=8,
         help="deepest span-path level to print (default: 8)",
     )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="also print the <trace>.metrics.json snapshot if present",
-    )
     args = parser.parse_args(argv)
 
     from repro.obs import flame_summary
@@ -46,23 +39,6 @@ def main(argv=None) -> int:
         print(f"error: no such trace: {path}", file=sys.stderr)
         return 2
     sys.stdout.write(flame_summary(str(path), max_depth=args.max_depth))
-
-    if args.metrics:
-        mpath = Path(str(path) + ".metrics.json")
-        if mpath.exists():
-            snapshot = json.loads(mpath.read_text())
-            print(f"\nmetrics ({len(snapshot)} instruments):")
-            for name, inst in sorted(snapshot.items()):
-                kind = inst.get("type", "?")
-                if kind == "histogram":
-                    print(
-                        f"  {name:<40} histogram  count={inst['count']} "
-                        f"sum={inst['sum']:.6g}"
-                    )
-                else:
-                    print(f"  {name:<40} {kind:<9}  {inst['value']:.6g}")
-        else:
-            print(f"\n(no metrics snapshot at {mpath})")
     return 0
 
 

@@ -35,7 +35,7 @@ from .fleet import (
     make_job_queue,
     simulate_schedule,
 )
-from .obs import Tracer, metrics, trace, use_tracer
+from .obs import Tracer, trace, use_tracer
 from .hardware import (
     ClusterSpec,
     GPUSpec,
@@ -69,7 +69,6 @@ __all__ = [
     "Session",
     "Summary",
     "Tracer",
-    "metrics",
     "trace",
     "use_tracer",
     "PlannerConfig",

@@ -9,7 +9,7 @@ One object — :class:`Session` — drives the paper's whole pipeline:
     result = sess.plan(wl)          # PlannerResult
     sim = sess.simulate()           # PipelineSimResult for that plan
     gen = sess.serve()              # GenerationResult (TinyLM proxy)
-    sess.close()                    # writes trace.jsonl + metrics
+    sess.close()                    # writes trace.jsonl
 
 All three phases thread the *same* :class:`~repro.obs.Tracer`, so one
 JSONL trace covers plan -> simulate -> serve end to end.  Without a
@@ -32,7 +32,7 @@ import numpy as np
 from .core import PlannerConfig, PlannerResult, SplitQuantPlanner
 from .hardware import ClusterSpec, table_iii_cluster
 from .models import ModelSpec, get_model
-from .obs import Tracer, flame_summary, metrics, use_tracer
+from .obs import Tracer, flame_summary, use_tracer
 from .pipeline import (
     DegradedSimResult,
     OnlineConfig,
@@ -95,8 +95,7 @@ class Session:
         tracer; ``None`` without a path leaves tracing to whatever is
         globally installed (e.g. ``SPLITQUANT_TRACE``).
     trace_path:
-        Where :meth:`close` writes the JSONL trace (plus a
-        ``<path>.metrics.json`` metrics snapshot).
+        Where :meth:`close` writes the JSONL trace.
     """
 
     def __init__(
@@ -526,11 +525,6 @@ class Session:
     # Observability output
     # ------------------------------------------------------------------
 
-    @property
-    def metrics(self):
-        """The process-wide metrics registry (always available)."""
-        return metrics
-
     def trace_jsonl(self) -> str:
         """The session trace as JSONL (empty without a tracer)."""
         return "" if self.tracer is None else self.tracer.to_jsonl()
@@ -542,13 +536,11 @@ class Session:
         return flame_summary(self.tracer.records, max_depth=max_depth)
 
     def save_trace(self, path: Optional[str] = None) -> Optional[str]:
-        """Write the JSONL trace (+ ``.metrics.json``); returns the path."""
+        """Write the JSONL trace; returns the path."""
         target = path or self.trace_path
         if target is None or self.tracer is None:
             return None
         self.tracer.write(target)
-        with open(str(target) + ".metrics.json", "w") as fh:
-            fh.write(metrics.to_json() + "\n")
         return str(target)
 
     def close(self) -> None:

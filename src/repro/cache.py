@@ -22,9 +22,8 @@ Properties:
 * **Opt-out** — ``SPLITQUANT_CACHE=0`` disables the default cache
   entirely; ``SPLITQUANT_CACHE_DIR`` relocates it (default
   ``~/.cache/splitquant``).
-* **Observability** — per-instance hit/miss/eviction counters, mirrored
-  into ``repro.obs`` metrics (``cache.hits`` / ``cache.misses`` /
-  ``cache.evictions``) when tracing is enabled.
+* **Observability** — per-instance ``hits`` / ``misses`` /
+  ``evictions`` counters.
 
 The stored JSON wraps the value as ``{"key": ..., "value": ...}`` so an
 entry is self-describing for debugging (``jq .key <file>``).
@@ -39,8 +38,6 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
-
-from .obs import metrics, trace
 
 __all__ = [
     "MISS",
@@ -122,7 +119,7 @@ class ResultCache:
     """A content-addressed JSON store under one root directory."""
 
     root: Path
-    #: Run counters — also mirrored into ``repro.obs`` metrics.
+    #: Run counters.
     hits: int = field(default=0, init=False)
     misses: int = field(default=0, init=False)
     evictions: int = field(default=0, init=False)
@@ -147,18 +144,16 @@ class ResultCache:
         try:
             raw = path.read_text()
         except OSError:
-            self._miss()
+            self.misses += 1
             return MISS
         try:
             entry = json.loads(raw)
             value = entry["value"]
         except (ValueError, KeyError, TypeError):
             self.evict(namespace, key)
-            self._miss()
+            self.misses += 1
             return MISS
         self.hits += 1
-        if trace.enabled:
-            metrics.counter("cache.hits").inc()
         return value
 
     def put(self, namespace: str, key: str, value: Any) -> None:
@@ -187,14 +182,7 @@ class ResultCache:
         except OSError:
             return False
         self.evictions += 1
-        if trace.enabled:
-            metrics.counter("cache.evictions").inc()
         return True
-
-    def _miss(self) -> None:
-        self.misses += 1
-        if trace.enabled:
-            metrics.counter("cache.misses").inc()
 
     # -- maintenance ----------------------------------------------------
 

@@ -185,8 +185,7 @@ class ProblemInvariants:
     inter-stage links are identical across that whole grid.  The search
     engine materializes these once per (ordering, bit_kv) and specializes
     only the eta/xi-dependent arrays per candidate — the arrays here are
-    shared read-only between candidates (and solver threads), never
-    mutated.
+    shared read-only between candidates, never mutated.
     """
 
     ordering: Tuple[StageGroup, ...]

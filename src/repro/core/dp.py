@@ -45,7 +45,6 @@ from ..costmodel.latency import LatencyCostModel
 from ..hardware.cluster import ClusterSpec
 from ..models import layers as _L
 from ..models.architectures import ModelSpec
-from ..obs import metrics, trace
 from ..pipeline.stage import TimingSource
 from ..workloads.spec import BatchWorkload
 from .config import PlannerConfig
@@ -393,9 +392,6 @@ def dp_search(
         cum_solve_time_s=cum_solve,
         bound_time_s=bound_time,
     )
-    if trace.enabled:
-        metrics.counter("planner.dp_searches").inc()
-        metrics.counter("planner.dp_candidates").inc(len(candidates))
     return DPOutcome(
         ranked=ranked,
         stats=tuple(c.stat() for c in candidates),

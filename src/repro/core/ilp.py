@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csc_array, vstack
 
-from ..obs import metrics, trace
+from ..obs import trace
 from .costs import PlanningProblem
 
 
@@ -261,11 +261,6 @@ def solve_partition_ilp(
             )
         sp.set(status=int(res.status), feasible=res.x is not None)
     solve_time = time.perf_counter() - t0
-    if trace.enabled:
-        metrics.counter("ilp.solves").inc()
-        metrics.histogram("ilp.solve_time_s").observe(solve_time)
-        if res.x is None:
-            metrics.counter("ilp.infeasible").inc()
     if res.x is None:
         return None
 
@@ -365,8 +360,6 @@ def solve_partition_lp_relaxation(
                 options={"presolve": False, "time_limit": time_limit_s},
             )
         sp.set(status=int(res.status))
-    if trace.enabled:
-        metrics.counter("ilp.lp_relaxations").inc()
     if res.status == 2:  # LP infeasible => the ILP is infeasible as well
         return float("inf"), None
     if res.status != 0:  # a time/iteration-limited point over-estimates

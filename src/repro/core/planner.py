@@ -20,7 +20,7 @@ from ..costmodel.latency import LatencyCostModel
 from ..costmodel.memory import layer_memory_bytes, stage_overhead_bytes
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..obs import metrics, trace
+from ..obs import trace
 from ..plan import ExecutionPlan, InfeasibleError, StagePlan, degrade_plan
 from ..quant.sensitivity import normalized_indicator_table
 from ..workloads.spec import BatchWorkload
@@ -188,7 +188,8 @@ class PlannerResult:
     solve_time_s: float
     candidates_tried: int
     stats: Tuple[CandidateStat, ...]
-    #: Search-engine observability (``None`` for the naive reference path).
+    #: Search-engine counters (``None`` on results the incremental
+    #: re-plan builds without a search).
     search: Optional[SearchStats] = None
     #: Provenance: which planning tier produced this result ("exact",
     #: "dp", "incremental-repair", "incremental-resolve", ...) and why,
@@ -458,8 +459,8 @@ class SplitQuantPlanner:
 
         ``tier="exact"`` routes through the
         :class:`~repro.core.search.CandidateSearchEngine` (memoized
-        costs, admissible bound pruning; bit-identical to the naive
-        reference), ``"dp"`` through the scalable segment-DP planner
+        costs, admissible bound pruning; bit-identical to the exhaustive
+        oracle in ``tests/planner_oracle.py``), ``"dp"`` through the scalable segment-DP planner
         (:mod:`repro.core.dp`), ``"auto"`` picks by instance size.
         :attr:`PlannerResult.tier` records the resolved tier.
 
@@ -521,16 +522,6 @@ class SplitQuantPlanner:
                     gap_bound=gap_bound,
                 )
             sp.set(feasible=result is not None)
-            if trace.enabled:
-                metrics.counter("planner.plans").inc()
-                if dp:
-                    metrics.counter("planner.dp_plans").inc()
-                else:
-                    metrics.histogram("planner.plan_wall_s").observe(
-                        time.perf_counter() - t0
-                    )
-                if result is None:
-                    metrics.counter("planner.plans_infeasible").inc()
             return result
 
     def replan(
@@ -591,8 +582,6 @@ class SplitQuantPlanner:
                     "no feasible plan on surviving devices "
                     f"{sorted(surviving_device_ids)}"
                 )
-            if trace.enabled:
-                metrics.counter("planner.replans").inc()
             return result
 
     def _finish(

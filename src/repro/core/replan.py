@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..obs import metrics, trace
+from ..obs import trace
 from ..plan import ExecutionPlan, InfeasibleError
 from ..workloads.spec import BatchWorkload
 from .costs import StageGroup
@@ -241,8 +241,6 @@ def _replan_cluster(
             makespan = _score_plan(planner, repaired, reduced, workload)
             if makespan is not None:
                 sp.set(path="repair")
-                if trace.enabled:
-                    metrics.counter("planner.replan_repairs").inc()
                 return _result_from_repair(
                     planner,
                     repaired,
@@ -256,8 +254,6 @@ def _replan_cluster(
         # Repair infeasible: re-solve on the survivors (tier routed by the
         # reduced instance size), cold-equivalent feasibility.
         sp.set(path="resolve")
-        if trace.enabled:
-            metrics.counter("planner.replan_resolves").inc()
         return replace(
             planner.replan_cold(workload, survivors),
             tier="incremental-resolve",
@@ -337,8 +333,6 @@ def _replan_job(
         )
         if result is not None:
             sp.set(path="warm")
-            if trace.enabled:
-                metrics.counter("planner.replan_warm_jobs").inc()
             return replace(
                 result,
                 tier="incremental-resolve",

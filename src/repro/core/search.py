@@ -60,7 +60,7 @@ from ..costmodel.latency import LatencyCostModel
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..models.layers import weight_storage_bytes
-from ..obs import DEFAULT_FRACTION_BUCKETS, metrics, trace
+from ..obs import trace
 from ..pipeline.stage import CostModelTiming, MemoizedTiming, TimingSource
 from ..workloads.spec import BatchWorkload
 from .config import PlannerConfig
@@ -128,23 +128,6 @@ class SearchStats:
     batches: int = 0
     #: Plans scored by batched sweeps (frontier members + verified top-k).
     batched_plans_scored: int = 0
-
-    def publish_metrics(self) -> None:
-        """Feed the process-wide metrics registry from this search."""
-        metrics.counter("planner.candidates_enumerated").inc(self.enumerated)
-        metrics.counter("planner.candidates_solved").inc(self.solved)
-        metrics.counter("planner.candidates_pruned_total").inc(self.pruned)
-        metrics.counter("planner.candidates_infeasible").inc(self.infeasible)
-        metrics.counter("planner.timing_cache_hits").inc(self.cache_hits)
-        metrics.counter("planner.timing_cache_misses").inc(self.cache_misses)
-        metrics.counter("planner.warm_starts").inc(self.warm_starts)
-        metrics.counter("planner.batched_plans_scored").inc(
-            self.batched_plans_scored
-        )
-        metrics.histogram("planner.search_wall_s").observe(self.wall_time_s)
-        metrics.histogram(
-            "planner.bound_tightness", DEFAULT_FRACTION_BUCKETS
-        ).observe(self.mean_bound_tightness)
 
 
 #: Relative slack applied before pruning on a bound, so solver-side float
@@ -681,11 +664,6 @@ class CandidateSearchEngine:
                 )
                 return sol
 
-        def mark_pruned(cand: _Candidate) -> None:
-            cand.status = "pruned"
-            if trace.enabled:
-                metrics.counter("planner.candidates_pruned").inc()
-
         # Best-first over (best known bound, enumeration index): with the
         # exact ILP backend a pop that still lacks its LP bound is
         # tightened and pushed back, so a pop that is solved holds the
@@ -703,7 +681,7 @@ class CandidateSearchEngine:
             thr = threshold()
             slack = _PRUNE_ABS_SLACK + _PRUNE_REL_SLACK * abs(thr)
             if key == float("inf") or key > thr + slack:
-                mark_pruned(cand)
+                cand.status = "pruned"
                 continue
             if not cfg.use_heuristic and not cand.lp_done:
                 tb = time.perf_counter()
@@ -774,6 +752,4 @@ class CandidateSearchEngine:
             batches=batches_run,
             batched_plans_scored=len(live),
         )
-        if trace.enabled:
-            search_stats.publish_metrics()
         return SearchOutcome(ranked=ranked, stats=stats, search=search_stats)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core import PlannerConfig
-from ..obs import metrics, trace
+from ..obs import trace
 from ..pipeline.events import EventLoop
 from .allocator import (
     Assignment,
@@ -329,10 +329,6 @@ def simulate_online_fleet(
             dropped=len(result.dropped),
             makespan_s=round(result.makespan_s, 3),
         )
-        if trace.enabled:
-            metrics.counter("fleet.online_runs").inc()
-            metrics.counter("fleet.online_served").inc(len(result.jobs))
-            metrics.counter("fleet.online_dropped").inc(len(result.dropped))
         return result
 
 

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from ..core import PlannerConfig
 from ..costmodel.energy import PriceBook, default_price_book
 from ..hardware.fleet import FleetStats, schedulable_inventory
-from ..obs import metrics, trace
+from ..obs import trace
 from ..plan import InfeasibleError
 from .allocator import (
     Assignment,
@@ -202,15 +202,6 @@ class FleetScheduler:
                 scheduled=len(schedule.jobs),
                 makespan_s=round(schedule.makespan_s, 3),
             )
-            if trace.enabled:
-                metrics.counter("fleet.schedules").inc()
-                metrics.counter("fleet.jobs_scheduled").inc(
-                    len(schedule.jobs)
-                )
-                metrics.counter("fleet.jobs_unscheduled").inc(
-                    len(schedule.unscheduled)
-                )
-                metrics.gauge("fleet.makespan_s").set(schedule.makespan_s)
             return schedule
 
     def _timeline(
@@ -281,6 +272,7 @@ class FleetScheduler:
             # itself (e.g. a 4xV100 group with 3 V100s left) — those are
             # reallocated from the reduced pool.
             others = []
+            cascaded = 0
             for sj in schedule.jobs:
                 if sj.job.job_id == job_id:
                     continue
@@ -290,17 +282,13 @@ class FleetScheduler:
                     realloc = self._reallocate(sj.job, pool)
                     if realloc is not None:
                         others.append(realloc)
-                    if trace.enabled:
-                        metrics.counter("fleet.reschedule_cascade").inc()
+                    cascaded += 1
             repaired = self._replan_reduced(victim.assignment, dead_gpu)
             action = "degrade"
             if repaired is None:
                 repaired = self._reallocate(victim.job, pool)
                 action = "reallocate" if repaired is not None else "drop"
-            sp.set(action=action)
-            if trace.enabled:
-                metrics.counter("fleet.reschedules").inc()
-                metrics.counter(f"fleet.reschedule_{action}").inc()
+            sp.set(action=action, cascaded=cascaded)
             assignments = others + ([repaired] if repaired else [])
             jobs = [sj.job for sj in schedule.jobs] + list(
                 schedule.unscheduled
@@ -346,8 +334,6 @@ class FleetScheduler:
                 f"{gpu!r} is not a spot-priced type "
                 f"(spot types {sorted(self.price_book.spot_types)})"
             )
-        if trace.enabled:
-            metrics.counter("fleet.spot_preemptions").inc()
         return self.reschedule_after_failure(schedule, job_id, dead_gpu=gpu)
 
     def _replan_reduced(

@@ -25,7 +25,7 @@ from ..costmodel.energy import PriceBook, default_price_book
 from ..hardware.fleet import HOURS_PER_MONTH, FleetStats
 from ..hardware.gpus import get_gpu
 from ..models import get_model
-from ..obs import metrics, trace
+from ..obs import trace
 from ..pipeline.simulator import PipelineSimResult, simulate_plan
 from .allocator import list_schedule
 from .scheduler import FleetSchedule, ScheduledJob
@@ -210,9 +210,6 @@ def simulate_schedule(
     ) as sp:
         result = _simulate_schedule(schedule, price_book)
         sp.set(makespan_s=round(result.makespan_s, 3))
-        if trace.enabled:
-            metrics.counter("fleet.simulations").inc()
-            metrics.counter("fleet.sim.jobs").inc(len(result.jobs))
         return result
 
 

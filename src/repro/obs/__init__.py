@@ -1,22 +1,26 @@
 """``repro.obs``: the zero-dependency observability subsystem.
 
-Three pieces, all stdlib-only:
+Two pieces, both stdlib-only:
 
 * :mod:`~repro.obs.tracer` — span-based tracing with nesting, wall/CPU
   time, JSONL export and deterministic normalization for golden tests;
-* :mod:`~repro.obs.metrics` — a process-wide registry of counters,
-  gauges and fixed-bucket histograms;
 * :mod:`~repro.obs.report` — the text flame summary behind
   ``scripts/trace_report.py``.
 
+Counts live on spans and on the returned result objects.  A span's
+count and wall time say how often a phase ran and for how long; its
+attributes carry the counts of one run (events, requests completed or
+rejected, the re-schedule action), and the results carry the rest
+(``PlannerResult.search``, ``ResultCache.hits``,
+``FleetSchedule.pool_stats``).
+
 Library code traces through the module-level :data:`trace` dispatcher::
 
-    from repro.obs import trace, metrics
+    from repro.obs import trace
 
-    with trace.span("ilp.solve", groups=G, stages=N):
-        ...
-    if trace.enabled:
-        metrics.counter("planner.candidates_pruned").inc()
+    with trace.span("sim.online", requests=n) as sp:
+        result = ...
+        sp.set(completed=result.completed, rejected=result.rejected)
 
 By default no tracer is installed and ``trace.enabled`` is ``False``:
 ``trace.span`` returns a shared no-op and hot loops skip entirely on the
@@ -32,26 +36,12 @@ from __future__ import annotations
 import atexit
 import contextlib
 import os
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Optional
 
-from .metrics import (
-    Counter,
-    DEFAULT_FRACTION_BUCKETS,
-    DEFAULT_SECONDS_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from .report import flame_summary
 from .tracer import NOOP_SPAN, Span, Tracer, normalize_trace, parse_trace
 
 __all__ = [
-    "Counter",
-    "DEFAULT_FRACTION_BUCKETS",
-    "DEFAULT_SECONDS_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NOOP_SPAN",
     "Span",
     "TRACE_ENV",
@@ -60,7 +50,6 @@ __all__ = [
     "flame_summary",
     "install_from_env",
     "install_tracer",
-    "metrics",
     "normalize_trace",
     "parse_trace",
     "trace",
@@ -95,10 +84,6 @@ class _TraceDispatch:
 
 #: The singleton dispatcher (import this, never a Tracer, in library code).
 trace = _TraceDispatch()
-
-#: The process-wide metrics registry (always usable; call sites guard
-#: updates behind ``trace.enabled`` to keep the disabled path free).
-metrics = MetricsRegistry()
 
 
 def current_tracer() -> Optional[Tracer]:
@@ -144,9 +129,8 @@ def install_from_env(
     """Activate tracing when ``SPLITQUANT_TRACE`` names an output path.
 
     Installs a fresh global tracer and (by default) registers an atexit
-    hook that writes the JSONL trace — plus a ``<path>.metrics.json``
-    metrics snapshot — when the interpreter exits.  Returns the tracer,
-    or ``None`` when the variable is unset/empty.
+    hook that writes the JSONL trace when the interpreter exits.  Returns
+    the tracer, or ``None`` when the variable is unset/empty.
     """
     env = os.environ if environ is None else environ
     path = env.get(TRACE_ENV, "").strip()
@@ -164,9 +148,6 @@ def install_from_env(
             if os.getpid() != owner_pid:
                 return
             tracer.write(path)
-            snapshot = metrics.to_json()
-            with open(path + ".metrics.json", "w") as fh:
-                fh.write(snapshot + "\n")
 
         atexit.register(_dump)
     return tracer

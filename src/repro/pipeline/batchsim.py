@@ -58,7 +58,7 @@ import numpy as np
 
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..obs import metrics, trace
+from ..obs import trace
 from ..plan import ExecutionPlan
 from ..workloads.spec import BatchWorkload, VariableBatchWorkload
 from .fastsim import PlanTables, build_plan_tables, shared_default_timing
@@ -178,9 +178,6 @@ def evaluate_plans(
                     ),
                 )
         sp.set(batched=len(lanes))
-        if trace.enabled:
-            metrics.counter("batchsim.batches").inc()
-            metrics.counter("batchsim.plans").inc(n)
     return results  # type: ignore[return-value]
 
 

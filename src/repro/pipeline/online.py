@@ -54,7 +54,7 @@ from ..costmodel.memory import stage_overhead_bytes
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
 from ..models import layers as L
-from ..obs import metrics, trace
+from ..obs import trace
 from ..plan import ExecutionPlan
 from ..simgpu.memory import OutOfMemoryError
 from ..workloads.arrivals import ArrivalTrace, Request
@@ -671,16 +671,6 @@ def simulate_online(
             rejected=result.rejected,
             groups=result.groups_formed,
         )
-        if trace.enabled:
-            metrics.counter("sim.online_runs").inc()
-            metrics.counter(
-                f"sim.online_backend_{result.sim_backend}"
-            ).inc()
-            metrics.counter("sim.online_arrived").inc(result.arrived)
-            metrics.counter("sim.online_completed").inc(result.completed)
-            metrics.counter("sim.online_rejected").inc(result.rejected)
-            metrics.counter("sim.online_groups").inc(result.groups_formed)
-            metrics.counter("sim.events").inc(result.events_processed)
         return result
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from ..costmodel.memory import layer_memory_bytes, stage_overhead_bytes
 from ..hardware.cluster import ClusterSpec
 from ..models.architectures import ModelSpec
-from ..obs import DEFAULT_FRACTION_BUCKETS, metrics, trace
+from ..obs import trace
 from ..plan import ExecutionPlan
 from ..simgpu.memory import OutOfMemoryError
 from ..workloads.arrivals import ArrivalTrace, Request
@@ -221,7 +221,7 @@ def simulate_plan(
         plan, cluster, spec, workload,
         (workload.output_len,) * workload.batch,
         timing, check_memory, sim_backend,
-        "sim.run", "sim.runs", output_len=workload.output_len,
+        "sim.run", output_len=workload.output_len,
     )
 
 
@@ -235,7 +235,6 @@ def _simulate(
     check_memory: bool,
     sim_backend: str,
     span_name: str,
-    runs_counter: str,
     **span_attrs: object,
 ) -> PipelineSimResult:
     """The body both entry points share.
@@ -263,13 +262,6 @@ def _simulate(
             )
         result = attach_energy(result, plan, cluster, spec, workload)
         sp.set(events=result.events_processed)
-        if trace.enabled:
-            metrics.counter(runs_counter).inc()
-            metrics.counter(f"sim.backend_{result.sim_backend}").inc()
-            metrics.counter("sim.events").inc(result.events_processed)
-            metrics.histogram(
-                "sim.bubble_fraction", DEFAULT_FRACTION_BUCKETS
-            ).observe(result.bubble_fraction)
         return result
 
 
@@ -451,9 +443,6 @@ def simulate_degraded(
             check_memory, detection_overhead_s, replan,
         )
         sp.set(replans=result.replans)
-        if trace.enabled:
-            metrics.counter("sim.degraded_runs").inc()
-            metrics.counter("sim.replans").inc(result.replans)
         return result
 
 
@@ -582,6 +571,6 @@ def simulate_plan_variable(
     return _simulate(
         plan, cluster, spec, workload.planning_view("max"),
         workload.output_lens, timing, check_memory, sim_backend,
-        "sim.run_variable", "sim.runs_variable",
+        "sim.run_variable",
         max_output=workload.max_output,
     )

@@ -105,11 +105,8 @@ class MemoizedTiming:
     bitwidth.  Wrapping the timing source in a dict makes repeat lookups
     free *and* bit-identical to the uncached call — the cached value is the
     very float the source returned — so a memoized search stays exactly
-    reproducible against the naive one.
-
-    Not thread-safe by design: the search engine builds problems on the
-    coordinating thread only and hands workers fully-materialized cost
-    tensors.
+    reproducible against the naive one.  Planning is single-threaded, so
+    the memo takes no lock.
     """
 
     source: TimingSource

@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs import metrics, trace
+from ..obs import trace
 from ..plan import ExecutionPlan, degrade_plan
 from ..quality.tinylm import TinyLM, TinyLMConfig
 from .comm import Channel, ChannelClosed, StageFailure
@@ -270,10 +270,6 @@ class PipelineEngine:
             if w.is_alive()
             and now - w.last_heartbeat > self.stall_timeout_s
         ]
-        if trace.enabled and self._workers:
-            metrics.gauge("runtime.heartbeat_age_s").set(
-                max(now - w.last_heartbeat for w in self._workers)
-            )
         if hung:
             return hung, "hang"
         # All workers healthy and responsive yet the pipeline made no
@@ -303,9 +299,6 @@ class PipelineEngine:
                 action=record.action,
                 dead_stages=len(record.dead_stages),
             )
-            if trace.enabled:
-                metrics.counter("runtime.recoveries").inc()
-                metrics.counter(f"runtime.recoveries_{record.action}").inc()
             return record
 
     def _recover_inner(self, ckpt: _Checkpoint) -> FaultRecord:
@@ -414,11 +407,10 @@ class PipelineEngine:
 
     @staticmethod
     def _note_commit(step: int) -> None:
-        """Zero-length marker span + counter for a committed token step."""
+        """Zero-length marker span for a committed token step."""
         if trace.enabled:
             with trace.span("runtime.commit", step=step):
                 pass
-            metrics.counter("runtime.committed_tokens").inc()
 
     def _attempt_inner(
         self,
@@ -551,9 +543,6 @@ class PipelineEngine:
                 [prompts] + [c[:, None] for c in ckpt.committed], axis=1
             )
             sp.set(replans=attempts)
-            if trace.enabled:
-                metrics.counter("runtime.generations").inc()
-                metrics.counter("runtime.replans").inc(attempts)
             return GenerationResult(
                 tokens=tokens,
                 prefill_time_s=prefill_total,

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs import metrics, trace
+from ..obs import trace
 from ..quality.tinylm import LayerWeights, TinyLMConfig, layer_forward
 from .comm import Channel, ChannelClosed, StageFailure
 from .faults import FaultInjector
@@ -191,7 +191,6 @@ class StageWorker(threading.Thread):
                         mb=msg.mb_id,
                     ):
                         self._process(msg)
-                    metrics.counter("runtime.jobs").inc()
                 else:
                     self._process(msg)
         except BaseException as exc:  # surfaced by the engine

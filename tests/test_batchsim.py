@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import make_cluster, table_iii_cluster
 from repro.models import get_model
-from repro.obs import Tracer, metrics, use_tracer
+from repro.obs import Tracer, use_tracer
 from repro.pipeline import (
     PlanCase,
     clear_table_caches,
@@ -227,9 +227,10 @@ def test_retiring_member_runs_online_fast(small_cluster, opt13b):
     ]
     tracer = Tracer(enabled=True)
     with use_tracer(tracer):
-        before = metrics.counter("sim.backend_event").value
         uniform_res, retiring_res = evaluate_plans(cases, check_memory=True)
-        assert metrics.counter("sim.backend_event").value == before
+    names = [r["name"] for r in tracer.records]
+    # One batched sweep; the retiring lane is the one per-plan run.
+    assert names.count("sim.run_variable") == 1
     (span,) = [r for r in tracer.records if r["name"] == "batchsim.evaluate"]
     assert span["attrs"] == {"plans": 2, "batched": 1}
     for res in (uniform_res, retiring_res):
@@ -251,14 +252,9 @@ def test_counters_and_span(small_cluster, opt13b, small_workload):
     ] * 3
     tracer = Tracer(enabled=True)
     with use_tracer(tracer):
-        plans_before = metrics.counter("batchsim.plans").value
-        batches_before = metrics.counter("batchsim.batches").value
         evaluate_plans(cases)
-        assert metrics.counter("batchsim.plans").value == plans_before + 3
-        assert metrics.counter("batchsim.batches").value == batches_before + 1
-    spans = [r for r in tracer.records if r["name"] == "batchsim.evaluate"]
-    assert spans and spans[0]["attrs"]["plans"] == 3
-    assert spans[0]["attrs"] == {"plans": 3, "batched": 3}
+    (span,) = [r for r in tracer.records if r["name"] == "batchsim.evaluate"]
+    assert span["attrs"] == {"plans": 3, "batched": 3}
 
 
 def test_layer_mismatch_rejected(small_cluster, opt13b, opt30b,

@@ -1,8 +1,7 @@
 """Tests for the observability layer (``repro.obs``).
 
 Covers the tracer (span nesting, exception safety, disabled no-op fast
-path, normalization determinism), the metrics registry (counter/gauge/
-histogram semantics, bucket edges, conflict detection) and the scoped
+path, normalization determinism), the flame report and the scoped
 tracer installation helpers.
 """
 
@@ -14,8 +13,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    DEFAULT_FRACTION_BUCKETS,
-    MetricsRegistry,
     Tracer,
     current_tracer,
     flame_summary,
@@ -289,106 +286,6 @@ class TestNormalizeTrace:
         (line,) = normalize_trace(t.records).splitlines()
         rec = json.loads(line)
         assert rec["attrs"]["x"] == float(f"{0.1 + 0.2:.12g}")
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-
-class TestCounter:
-    def test_inc(self):
-        reg = MetricsRegistry()
-        c = reg.counter("n")
-        c.inc()
-        c.inc(3)
-        assert c.value == 4
-
-    def test_negative_inc_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("n").inc(-1)
-
-    def test_same_name_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("n") is reg.counter("n")
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("g")
-        g.set(5.0)
-        g.add(-2.0)
-        assert g.value == 3.0
-
-
-class TestHistogram:
-    def test_bucket_edges_le_semantics(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", boundaries=(1.0, 2.0, 5.0))
-        # value == boundary lands in that boundary's bucket (le semantics)
-        assert h.bucket_of(1.0) == 0
-        assert h.bucket_of(1.5) == 1
-        assert h.bucket_of(2.0) == 1
-        assert h.bucket_of(5.0) == 2
-        # overflow bucket
-        assert h.bucket_of(5.0001) == 3
-
-    def test_observe_accumulates(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", boundaries=(1.0, 2.0))
-        for v in (0.5, 1.0, 1.5, 3.0):
-            h.observe(v)
-        assert h.count == 4
-        assert h.total == pytest.approx(6.0)
-        assert h.counts == [2, 1, 1]
-        assert h.mean == pytest.approx(1.5)
-
-    def test_boundaries_must_increase(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("bad", boundaries=(2.0, 1.0))
-
-    def test_default_fraction_buckets_cover_unit_interval(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("f", boundaries=DEFAULT_FRACTION_BUCKETS)
-        assert h.bucket_of(0.0) == 0
-        # 1.0 is the last boundary, not overflow
-        assert h.bucket_of(1.0) == len(DEFAULT_FRACTION_BUCKETS) - 1
-
-
-class TestRegistryConflicts:
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-        with pytest.raises(TypeError):
-            reg.histogram("x")
-
-    def test_bucket_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", boundaries=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            reg.histogram("h", boundaries=(1.0, 3.0))
-
-    def test_snapshot_and_json(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(1.5)
-        reg.histogram("h", boundaries=(1.0,)).observe(0.5)
-        snap = reg.snapshot()
-        assert snap["c"]["value"] == 2
-        assert snap["g"]["value"] == 1.5
-        assert snap["h"]["count"] == 1
-        json.loads(reg.to_json())
-
-    def test_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.reset()
-        assert reg.counter("c").value == 0
 
 
 # ---------------------------------------------------------------------------
