@@ -27,6 +27,7 @@ from repro.fleet.allocator import (
     GroupSpec,
     PlannerPool,
     _job_key,
+    _memo_key,
     best_assignment,
 )
 from repro.fleet.jobs import FleetJob
@@ -291,7 +292,15 @@ def test_floor_key_covers_what_floors_depend_on(monkeypatch, tmp_path):
     assert pool._floors_key(_job_key(renamed)) == key
 
 
-@pytest.mark.parametrize("damage", ["unparseable", "short", "negative"])
+FLOOR_DAMAGE = {
+    "short": lambda stored: {"floors": stored[:-1]},
+    "negative": lambda stored: {"floors": [-1.0] * len(stored)},
+    "not_object": lambda stored: stored,
+    "floors_not_list": lambda stored: {"floors": 3.0},
+}
+
+
+@pytest.mark.parametrize("damage", ["unparseable", *FLOOR_DAMAGE])
 def test_corrupt_floor_entry_evicted_and_recomputed(monkeypatch, tmp_path, damage):
     pool = _cold_pool(monkeypatch, tmp_path)
     floors = pool.latency_floors(JOB)
@@ -303,13 +312,53 @@ def test_corrupt_floor_entry_evicted_and_recomputed(monkeypatch, tmp_path, damag
     if damage == "unparseable":
         path.write_text("{not json")
     else:
-        bad = stored[:-1] if damage == "short" else [-1.0] * len(stored)
-        cache.put("fleet_plan", pkey, {"floors": bad})
+        cache.put("fleet_plan", pkey, FLOOR_DAMAGE[damage](stored))
     evictions = cache.evictions
     fresh = PlannerPool(dict(pool.inventory), pool.config)
     assert fresh.latency_floors(JOB) == floors
     assert cache.evictions == evictions + 1
     assert cache.get("fleet_plan", pkey) == {"floors": stored}
+
+
+#: Stored plan values that are valid JSON but no plan entry.  A bare
+#: ``null`` is among them: an infeasible group is stored as
+#: ``{"result": null}``, so reading ``null`` as "infeasible" would let a
+#: damaged entry strike a group from every later schedule.
+PLAN_DAMAGE = {
+    "list": lambda entry: [1, 2],
+    "string": lambda entry: "result",
+    "null": lambda entry: None,
+    "no_result": lambda entry: {},
+    "result_not_object": lambda entry: {"result": [entry["result"]]},
+    "result_missing_fields": lambda entry: {"result": {"schema_version": 1}},
+}
+
+
+@pytest.mark.parametrize("damage", ["unparseable", *PLAN_DAMAGE])
+def test_corrupt_plan_entry_evicted_and_recomputed(monkeypatch, tmp_path, damage):
+    pool = _cold_pool(monkeypatch, tmp_path)
+    group = pool.groups[-1]
+    planned = pool.evaluate(JOB, group)
+    assert planned is not None
+    cache = default_cache()
+    pkey = pool._persistent_key(_memo_key(JOB, group))
+    path = cache._path("fleet_plan", pkey)
+    entry = json.loads(path.read_text())["value"]
+    assert entry["result"] is not None
+    if damage == "unparseable":
+        path.write_text("{not json")
+    else:
+        cache.put("fleet_plan", pkey, PLAN_DAMAGE[damage](entry))
+    evictions = cache.evictions
+    fresh = PlannerPool(dict(pool.inventory), pool.config)
+    replanned = fresh.evaluate(JOB, group)
+    assert fresh.evaluations == 1
+    assert cache.evictions == evictions + 1
+    # Recomputed, not read: the same plan (wall times differ).
+    assert replanned.result.plan == planned.result.plan
+    assert replanned.result.predicted_latency_s == planned.result.predicted_latency_s
+    restored = cache.get("fleet_plan", pkey)
+    assert restored["result"]["plan"] == entry["result"]["plan"]
 
 
 def test_floors_round_trip_inf(monkeypatch, tmp_path):
@@ -322,6 +371,20 @@ def test_floors_round_trip_inf(monkeypatch, tmp_path):
     assert float("inf") in floors.values()
     fresh = PlannerPool(dict(pool.inventory), pool.config)
     assert fresh.latency_floors(job) == floors
+
+
+def test_infeasible_plan_entry_round_trips(monkeypatch, tmp_path):
+    """A group nothing fits on is stored as ``{"result": null}`` and read
+    back as infeasible, without planning again."""
+    pool = _cold_pool(monkeypatch, tmp_path, inventory={"P100-12G": 1, "T4-16G": 1})
+    job = dataclasses.replace(JOB, model="opt-13b", min_uniform_bits=16)
+    group = pool.groups[-1]
+    assert pool.evaluate(job, group) is None
+    pkey = pool._persistent_key(_memo_key(job, group))
+    assert default_cache().get("fleet_plan", pkey) == {"result": None}
+    fresh = PlannerPool(dict(pool.inventory), pool.config)
+    assert fresh.evaluate(job, group) is None
+    assert (fresh.evaluations, fresh.cache_hits) == (0, 1)
 
 
 def test_cache_disabled_writes_nothing(monkeypatch, tmp_path):
