@@ -13,7 +13,8 @@ fixtures byte-for-byte; ``tests/test_golden_heuristic_plans.py`` the
 heuristic-tier plan grid; ``tests/test_golden_planner_paths.py`` the
 DP tier, verify re-score, objective re-rank and incremental re-plan
 results; ``tests/test_golden_fleet_schedules.py`` small greedy and
-beam fleet schedules and an online fleet replay; ``tests/test_golden_fault_demo_trace.py`` and
+beam fleet schedules, an online fleet replay and the online fleet
+contention grid; ``tests/test_golden_fault_demo_trace.py`` and
 ``tests/test_golden_online_demo_trace.py`` compare the normalized span
 traces of the fault-tolerance and online serving demos.
 """

@@ -365,12 +365,10 @@ class PlannerPool:
         self._omegas: Dict[str, np.ndarray] = {}
         self._plans: Dict[tuple, Optional[Assignment]] = {}
         self._floors: Dict[tuple, Dict[Counts, float]] = {}
-        self._sim_scores: Dict[tuple, float] = {}
         #: Pool-level observability counters.
         self.evaluations = 0
         self.cache_hits = 0
         self.infeasible = 0
-        self.sim_scored = 0
 
     # -- shared memos --------------------------------------------------
 
@@ -596,55 +594,11 @@ class PlannerPool:
             return None
         return best_assignment([found[i] for i in sorted(found)], price_book)
 
-    def score_assignments(
-        self, assignments: Sequence[Assignment]
-    ) -> List[Optional[float]]:
-        """Simulated per-batch makespans, one batched fastsim sweep.
-
-        Every uncached assignment's plan is stacked into a single
-        :func:`repro.pipeline.batchsim.evaluate_plans` call; results are
-        memoized alongside the plan memo, so a (job, group) pair scored
-        twice is simulated once.  ``None`` marks an assignment the
-        batched evaluator could not score (the caller keeps the analytic
-        duration).
-        """
-        out: List[Optional[float]] = [None] * len(assignments)
-        pending: List[Tuple[int, tuple, Assignment]] = []
-        for i, a in enumerate(assignments):
-            key = (*_memo_key(a.job, a.group), a.cluster)
-            if key in self._sim_scores:
-                out[i] = self._sim_scores[key]
-            else:
-                pending.append((i, key, a))
-        if not pending:
-            return out
-        from ..pipeline.batchsim import PlanCase, evaluate_plans
-
-        cases = [
-            PlanCase(
-                plan=a.result.plan,
-                cluster=a.materialize_cluster(),
-                spec=get_model(a.job.model),
-                workload=a.job.workload,
-            )
-            for _, _, a in pending
-        ]
-        try:
-            results = evaluate_plans(cases)
-        except (ValueError, RuntimeError):  # pragma: no cover - defensive
-            return out
-        for (i, key, _), res in zip(pending, results):
-            self._sim_scores[key] = res.makespan_s
-            out[i] = res.makespan_s
-        self.sim_scored += len(pending)
-        return out
-
     def stats(self) -> Dict[str, int]:
         return {
             "evaluations": self.evaluations,
             "cache_hits": self.cache_hits,
             "infeasible": self.infeasible,
-            "sim_scored": self.sim_scored,
         }
 
 

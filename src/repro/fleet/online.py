@@ -10,18 +10,23 @@ waits in a FIFO queue (with backfill past a blocked head); a job no
 group of the pool can ever serve is dropped immediately.
 
 One :class:`~repro.fleet.allocator.PlannerPool` persists across all
-arrivals, so the shared cost models, indicator tables, and memoized
-per-(model, group, workload) plans warm up as the stream progresses —
-the fleet-level analogue of the online simulator's duration caches.
+arrivals, so the shared cost models, indicator tables, latency floors
+and memoized per-(model, group, workload) plans warm up as the stream
+progresses.  Every pick — start, queue-or-drop, drain — is the pool's
+bound-pruned :meth:`~repro.fleet.allocator.PlannerPool.best_on`, the
+same pick the offline greedy allocator makes, and job durations come
+from the per-job simulation the offline fleet simulator runs.
 
-Everything is deterministic: arrivals are seeded, placement is the
-greedy allocator's pick (:func:`~repro.fleet.allocator.best_assignment`,
-ties included), and the timeline replays on the same
-:class:`~repro.pipeline.events.EventLoop` the pipeline simulators use.
+Everything is deterministic: arrivals are seeded, picks break ties as
+:func:`~repro.fleet.allocator.best_assignment` does, and the timeline
+is a heap of releases: at equal times arrivals come before releases,
+and releases come in start order.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -29,14 +34,9 @@ import numpy as np
 
 from ..core import PlannerConfig
 from ..obs import trace
-from ..pipeline.events import EventLoop
-from .allocator import (
-    Assignment,
-    GroupSpec,
-    PlannerPool,
-    best_assignment,
-)
+from .allocator import Assignment, GroupSpec, PlannerPool
 from .jobs import FleetJob, make_job_queue
+from .simulator import job_batch_sim
 
 __all__ = [
     "JobArrival",
@@ -56,8 +56,10 @@ class JobArrival:
     arrival_s: float
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be non-negative")
+        if not math.isfinite(self.arrival_s) or self.arrival_s < 0:
+            raise ValueError(
+                f"arrival_s must be finite and non-negative, got {self.arrival_s}"
+            )
 
 
 def make_job_arrivals(
@@ -72,8 +74,11 @@ def make_job_arrivals(
     (same seed), arrival gaps from an exponential of the given mean; the
     first job arrives at t=0 so the fleet is never trivially idle.
     """
-    if mean_interarrival_s <= 0:
-        raise ValueError("mean_interarrival_s must be positive")
+    if not math.isfinite(mean_interarrival_s) or mean_interarrival_s <= 0:
+        raise ValueError(
+            "mean_interarrival_s must be finite and positive, "
+            f"got {mean_interarrival_s}"
+        )
     jobs = make_job_queue(n_jobs=n_jobs, seed=seed, **job_kwargs)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(mean_interarrival_s, size=len(jobs))
@@ -132,9 +137,9 @@ class OnlineFleetResult:
     #: (like the simulator's provenance fields) it is excluded from
     #: equality.
     pool_stats: Dict[str, int] = field(default_factory=dict, compare=False)
-    #: Events the replay loop processed (arrivals + job finishes).
-    #: Provenance for the drain-queue regression tests; excluded from
-    #: equality like the pipeline result's provenance fields.
+    #: Timeline events replayed: one per arrival, one per job release.
+    #: Provenance, excluded from equality like the pipeline result's
+    #: provenance fields.
     events_processed: int = field(default=0, compare=False)
 
     @property
@@ -207,22 +212,6 @@ class OnlineFleetScheduler:
         self.pool = PlannerPool(self.inventory, config=config)
         #: Waiting jobs as (job, arrival time), FIFO by arrival.
         self.queue: List[Tuple[FleetJob, float]] = []
-        #: Admissibility index: per waiting job, its planner-feasible
-        #: assignments over every inventory-fitting group (in group
-        #: enumeration order).  Planner feasibility depends only on the
-        #: (job, group) pair — never on the free budget — so a release
-        #: event just filters this list by ``fits(free)`` instead of
-        #: re-running the planner scan per waiting job.
-        self._feasible_cache: Dict[str, List[Assignment]] = {}
-
-    def _feasible_on(
-        self, job: FleetJob, budget: Dict[str, int]
-    ) -> List[Assignment]:
-        """Planner-feasible assignments on budget-fitting groups, in
-        group enumeration order (the tie-break order of ``_best_on``)."""
-        candidates = [g for g in self.pool.groups if g.fits(budget)]
-        evaluated = [self.pool.evaluate(job, g) for g in candidates]
-        return [a for a in evaluated if a is not None]
 
     def _best_on(
         self, job: FleetJob, budget: Dict[str, int]
@@ -251,9 +240,7 @@ class OnlineFleetScheduler:
         if assignment is not None:
             self._reserve(assignment.group)
             return "started", assignment
-        feasible = self._feasible_on(job, self.inventory)
-        if feasible:
-            self._feasible_cache[job.job_id] = feasible
+        if self._best_on(job, self.inventory) is not None:
             self.queue.append((job, now))
             return "queued", None
         return "dropped", None
@@ -264,28 +251,18 @@ class OnlineFleetScheduler:
         """Start every waiting job that now fits (FIFO, with backfill).
 
         Called after a release; returns the started
-        ``(job, arrival, assignment)`` triples in start order.  The pick
-        filters each job's cached admissibility index by the free budget
-        — zero planner calls — and is decision-identical to a per-job
-        planner rescan (``_best_on(job, self.free)``): free-fitting
-        groups are a subset of inventory-fitting ones, the cached list
-        preserves group enumeration order, and the pick is the same, so
-        the same assignment wins every tie.
+        ``(job, arrival, assignment)`` triples in start order.  Each
+        waiting job is picked on the groups that fit the free budget left
+        by the jobs started before it.
         """
         started: List[Tuple[FleetJob, float, Assignment]] = []
         remaining: List[Tuple[FleetJob, float]] = []
         for job, arrival in self.queue:
-            fits = [
-                a
-                for a in self._feasible_cache[job.job_id]
-                if a.group.fits(self.free)
-            ]
-            assignment = best_assignment(fits) if fits else None
+            assignment = self._best_on(job, self.free)
             if assignment is None:
                 remaining.append((job, arrival))
                 continue
             self._reserve(assignment.group)
-            self._feasible_cache.pop(job.job_id, None)
             started.append((job, arrival, assignment))
         self.queue = remaining
         return started
@@ -298,14 +275,9 @@ def simulate_online_fleet(
 ) -> OnlineFleetResult:
     """Replay an arrival stream of fleet jobs through the online scheduler.
 
-    Job durations come from the batched pipeline simulator
-    (:meth:`PlannerPool.score_assignments`) — the same measured
-    per-batch makespans the offline
-    :func:`~repro.fleet.simulator.simulate_schedule` composes — falling
-    back to the planner's analytic prediction where scoring declines.
-
-    Queue drains filter each waiting job's cached feasible assignments
-    instead of re-running the planner scan.
+    A job runs for its batch count times the simulated makespan of one
+    batch — the per-job simulation
+    :func:`~repro.fleet.simulator.simulate_schedule` composes.
     """
     if not arrivals:
         raise ValueError("arrival stream is empty")
@@ -338,19 +310,16 @@ def _simulate_online_fleet(
     config: Optional[PlannerConfig],
 ) -> OnlineFleetResult:
     sched = OnlineFleetScheduler(inventory, config=config)
-    loop = EventLoop()
     records: List[OnlineJobRecord] = []
     dropped: List[str] = []
+    # Pending releases as (end time, start index, group).
+    releases: List[Tuple[float, int, GroupSpec]] = []
 
-    def duration_of(assignment: Assignment) -> float:
-        score = sched.pool.score_assignments([assignment])[0]
-        if score is None:
-            return assignment.duration_s
-        return assignment.job.num_batches * score
-
-    def start(job: FleetJob, arrival: float, assignment: Assignment,
-              now: float) -> None:
-        end = now + duration_of(assignment)
+    def start(
+        job: FleetJob, arrival: float, assignment: Assignment, now: float
+    ) -> None:
+        end = now + job.num_batches * job_batch_sim(assignment).makespan_s
+        heapq.heappush(releases, (end, len(records), assignment.group))
         records.append(
             OnlineJobRecord(
                 job_id=job.job_id,
@@ -363,25 +332,25 @@ def _simulate_online_fleet(
             )
         )
 
-        def finish() -> None:
-            sched._release(assignment.group)
-            for qjob, qarr, qassign in sched.drain_queue(loop.now):
-                start(qjob, qarr, qassign, loop.now)
-
-        loop.at(end, finish)
+    def release_before(t: float) -> None:
+        """Release every job ending before ``t``, each followed by a
+        queue drain."""
+        while releases and releases[0][0] < t:
+            now, _, group = heapq.heappop(releases)
+            sched._release(group)
+            for job, arrival, assignment in sched.drain_queue(now):
+                start(job, arrival, assignment, now)
 
     for ja in stream:
-        def arrive(ja: JobArrival = ja) -> None:
-            status, assignment = sched.submit(ja.job, loop.now)
-            if status == "started":
-                assert assignment is not None
-                start(ja.job, ja.arrival_s, assignment, loop.now)
-            elif status == "dropped":
-                dropped.append(ja.job.job_id)
-
-        loop.at(ja.arrival_s, arrive)
-
-    loop.run()
+        # Releases at the arrival's own time come after it.
+        release_before(ja.arrival_s)
+        status, assignment = sched.submit(ja.job, ja.arrival_s)
+        if status == "started":
+            assert assignment is not None
+            start(ja.job, ja.arrival_s, assignment, ja.arrival_s)
+        elif status == "dropped":
+            dropped.append(ja.job.job_id)
+    release_before(math.inf)
 
     makespan = max((r.end_s for r in records), default=0.0)
     return OnlineFleetResult(
@@ -391,5 +360,5 @@ def _simulate_online_fleet(
         makespan_s=makespan,
         total_tokens=sum(r.total_tokens for r in records),
         pool_stats=sched.pool.stats(),
-        events_processed=loop.processed,
+        events_processed=len(stream) + len(records),
     )

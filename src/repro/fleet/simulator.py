@@ -27,8 +27,8 @@ from ..hardware.gpus import get_gpu
 from ..models import get_model
 from ..obs import trace
 from ..pipeline.simulator import PipelineSimResult, simulate_plan
-from .allocator import list_schedule
-from .scheduler import FleetSchedule, ScheduledJob
+from .allocator import Assignment, list_schedule
+from .scheduler import FleetSchedule
 
 __all__ = ["FleetSimResult", "JobSimRecord", "simulate_schedule"]
 
@@ -213,8 +213,9 @@ def simulate_schedule(
         return result
 
 
-def _one_job_sim(sj: ScheduledJob) -> PipelineSimResult:
-    assignment = sj.assignment
+def job_batch_sim(assignment: Assignment) -> PipelineSimResult:
+    """One batch of ``assignment``'s job, memory-checked and simulated
+    under its plan on the cluster the plan was made for."""
     return simulate_plan(
         assignment.result.plan,
         assignment.materialize_cluster(),
@@ -263,8 +264,8 @@ def _simulate_schedule(
 ) -> FleetSimResult:
     if price_book is None:
         price_book = default_price_book()
-    batch_sims = [_one_job_sim(sj) for sj in schedule.jobs]
     assignments = [sj.assignment for sj in schedule.jobs]
+    batch_sims = [job_batch_sim(a) for a in assignments]
     durations = [
         sj.job.num_batches * sim.makespan_s
         for sj, sim in zip(schedule.jobs, batch_sims)

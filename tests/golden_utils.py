@@ -19,7 +19,9 @@ re-score, the energy/cost re-rank and both incremental re-plan deltas
 pins small greedy and beam schedules under the throughput and the cost
 objective: each job's group, timeline slot and plan, and the simulated
 fleet makespan, energy and cost; and one seeded online fleet replay
-(``tests/test_golden_fleet_schedules.py``).
+(``tests/test_golden_fleet_schedules.py``).  The online-fleet-grid
+fixture pins the online fleet on a seeded contention grid, event
+counts included (same test module).
 """
 
 from __future__ import annotations
@@ -319,6 +321,11 @@ def planner_paths() -> str:
             f"replan/job-delta/batch={batch}",
             _paths_entry(lambda: planner.replan(prev, delta)),
         ))
+    return _render(entries)
+
+
+def _render(entries) -> str:
+    """One ``"key": entry`` JSON line per entry, floats rounded."""
     lines = [
         json.dumps(key) + ": " + json.dumps(_round_floats(entry), sort_keys=True)
         for key, entry in entries
@@ -381,21 +388,67 @@ def fleet_schedules() -> str:
         n_jobs=6, seed=1, mean_interarrival_s=5.0, models=FLEET_ONLINE_MODELS
     )
     online = simulate_online_fleet(FLEET_ONLINE_INVENTORY, arrivals)
-    for rec in online.jobs:
-        entries.append((f"online/{rec.job_id}", {
-            "group": [list(c) for c in rec.group_counts],
-            "start_s": rec.start_s,
-            "end_s": rec.end_s,
-        }))
+    entries.extend(_online_job_entries("online", online))
     entries.append(("online/summary", {
         "dropped": list(online.dropped),
         "makespan_s": online.makespan_s,
     }))
-    lines = [
-        json.dumps(key) + ": " + json.dumps(_round_floats(entry), sort_keys=True)
-        for key, entry in entries
+    return _render(entries)
+
+
+def _online_job_entries(prefix: str, result):
+    """Per served job, in start order: its group, start and end."""
+    return [
+        (f"{prefix}/{rec.job_id}", {
+            "group": [list(c) for c in rec.group_counts],
+            "start_s": rec.start_s,
+            "end_s": rec.end_s,
+        })
+        for rec in result.jobs
     ]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+ONLINE_FLEET_GRID = "online_fleet_grid"
+#: The online contention grid: both fleet inventories above, three
+#: seeds, and a dense (1 s) and a sparse (30 s) mean gap between ten
+#: arrivals.  Jobs queue on both inventories; the 3-GPU one drops
+#: OPT-66B jobs.
+ONLINE_GRID_INVENTORIES = {"3gpu": FLEET_ONLINE_INVENTORY, "9gpu": FLEET_INVENTORY}
+ONLINE_GRID_SEEDS = (0, 1, 2)
+ONLINE_GRID_GAPS_S = (1.0, 30.0)
+
+
+def online_grid_runs():
+    """``(key, inventory, arrivals)`` per point of the contention grid."""
+    for name, inventory in ONLINE_GRID_INVENTORIES.items():
+        for seed in ONLINE_GRID_SEEDS:
+            for gap in ONLINE_GRID_GAPS_S:
+                arrivals = make_job_arrivals(
+                    n_jobs=10,
+                    seed=seed,
+                    mean_interarrival_s=gap,
+                    models=FLEET_ONLINE_MODELS,
+                )
+                yield f"{name}/seed={seed}/gap={gap:g}", inventory, arrivals
+
+
+def online_fleet_grid() -> str:
+    """The online fleet replay of every contention-grid point.
+
+    Per served job, in start order, its group, start and end; per point
+    the drops, the makespan and the events replayed, so a change in the
+    order the timeline starts jobs shows.
+    """
+    entries = []
+    for key, inventory, arrivals in online_grid_runs():
+        result = simulate_online_fleet(inventory, arrivals)
+        entries.extend(_online_job_entries(key, result))
+        entries.append((f"{key}/summary", {
+            "dropped": list(result.dropped),
+            "makespan_s": result.makespan_s,
+            "events_processed": result.events_processed,
+        }))
+    return _render(entries)
 
 
 def fixture_path(name: str) -> Path:
@@ -411,6 +464,7 @@ def regenerate_all() -> Dict[str, Path]:
         HEURISTIC_PLANS: heuristic_plans,
         PLANNER_PATHS: planner_paths,
         FLEET_SCHEDULES: fleet_schedules,
+        ONLINE_FLEET_GRID: online_fleet_grid,
     }
     for name, build in builders.items():
         path = fixture_path(name)

@@ -9,6 +9,10 @@ jobs wait FIFO (with backfill) until a release frees their GPUs.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
 from repro.fleet import (
@@ -18,8 +22,10 @@ from repro.fleet import (
     make_job_arrivals,
     simulate_online_fleet,
 )
+from repro.fleet import online
 from repro.fleet.jobs import FleetJob, make_job_queue
 from repro.workloads import BatchWorkload
+from tests.golden_utils import online_grid_runs
 
 INVENTORY = {"T4-16G": 2, "V100-32G": 1}
 
@@ -47,11 +53,21 @@ def test_make_job_arrivals_seeded():
     assert make_job_arrivals(n_jobs=5, seed=4) != a
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_arrival_time_must_be_finite_and_non_negative(bad):
+    with pytest.raises(ValueError):
+        JobArrival(job=small_job("j0"), arrival_s=bad)
+    with pytest.raises(ValueError):
+        simulate_online_fleet(INVENTORY, [(bad, small_job("j0"))])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_mean_interarrival_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError):
+        make_job_arrivals(n_jobs=2, mean_interarrival_s=bad)
+
+
 def test_job_arrival_validation():
-    with pytest.raises(ValueError):
-        JobArrival(job=small_job("j0"), arrival_s=-1.0)
-    with pytest.raises(ValueError):
-        make_job_arrivals(n_jobs=2, mean_interarrival_s=0.0)
     with pytest.raises(ValueError):
         simulate_online_fleet(INVENTORY, [])
     dup = [(0.0, small_job("same")), (1.0, small_job("same"))]
@@ -130,61 +146,57 @@ def test_scheduler_free_ledger_roundtrip():
     assert sched.free == sched.inventory
 
 
-def _rescan_drain(self, now):
-    """Oracle for ``OnlineFleetScheduler.drain_queue``: re-run the
-    planner scan for every waiting job instead of filtering its cached
-    admissibility index."""
-    started = []
-    remaining = []
-    for job, arrival in self.queue:
-        assignment = self._best_on(job, self.free)
-        if assignment is None:
-            remaining.append((job, arrival))
-            continue
-        self._reserve(assignment.group)
-        self._feasible_cache.pop(job.job_id, None)
-        started.append((job, arrival, assignment))
-    self.queue = remaining
-    return started
+def test_equal_times_arrivals_first_then_releases_in_start_order(monkeypatch):
+    """Tie order of the timeline, with every batch lasting 5 s.
 
+    ``c`` arrives the instant ``a`` ends: arriving first, it sees only
+    the T4 free.  ``a`` and ``b`` end together; releasing in start order
+    frees the V100 first, which the first waiting job, ``d``, takes.
+    """
+    monkeypatch.setattr(
+        online, "job_batch_sim", lambda assignment: SimpleNamespace(makespan_s=5.0)
+    )
+    inv = {"V100-32G": 1, "T4-16G": 1}
+    alone = simulate_online_fleet(inv, [(0.0, small_job("a"))])
+    assert alone.jobs[0].group_counts == (("V100-32G", 1),)
+    assert alone.jobs[0].end_s == 10.0
 
-def _simulate_with_rescan(monkeypatch, inventory, arrivals):
-    with monkeypatch.context() as m:
-        m.setattr(OnlineFleetScheduler, "drain_queue", _rescan_drain)
-        return simulate_online_fleet(inventory, arrivals)
+    res = simulate_online_fleet(inv, [(0.0, small_job("a")), (10.0, small_job("c"))])
+    groups = {r.job_id: r.group_counts for r in res.jobs}
+    assert groups["c"] == (("T4-16G", 1),)
+    assert res.events_processed == 4
 
-
-def test_indexed_drain_matches_legacy_rescan(monkeypatch):
-    """The admissibility index is a speed knob, not a policy change:
-    every placement, wait, and drop — and the replay's event count —
-    must match the legacy per-job planner rescan exactly."""
-    arrivals = make_job_arrivals(n_jobs=6, seed=1,
-                                 mean_interarrival_s=30.0)
-    indexed = simulate_online_fleet(INVENTORY, arrivals)
-    legacy = _simulate_with_rescan(monkeypatch, INVENTORY, arrivals)
-    assert indexed == legacy
-    assert indexed.jobs == legacy.jobs
-    assert indexed.dropped == legacy.dropped
-    assert indexed.events_processed == legacy.events_processed
-    assert indexed.events_processed > 0
-
-
-def test_queue_contention_indexed_vs_legacy(monkeypatch):
-    """Single-GPU contention forces real queue drains through the
-    indexed path; outcomes stay identical to the rescan."""
-    inv = {"V100-32G": 1}
     arrivals = [
-        (0.0, small_job("a", num_batches=20)),
-        (1.0, small_job("b")),
-        (2.0, small_job("c")),
-        (3.0, small_job("huge", model="opt-66b")),
+        (0.0, small_job("a")),
+        (0.0, small_job("b")),
+        (1.0, small_job("d")),
+        (2.0, small_job("e")),
     ]
-    indexed = simulate_online_fleet(inv, arrivals)
-    legacy = _simulate_with_rescan(monkeypatch, inv, arrivals)
-    assert indexed == legacy
-    assert indexed.events_processed == legacy.events_processed
-    assert indexed.dropped == ("huge",)
-    # b and c both waited in the queue, so drains actually exercised
-    # the index (not just the submit fast path).
-    waits = {r.job_id: r.wait_s for r in indexed.jobs}
-    assert waits["b"] > 0.0 and waits["c"] > 0.0
+    res = simulate_online_fleet(inv, arrivals)
+    groups = {r.job_id: r.group_counts for r in res.jobs}
+    assert groups["a"] == groups["d"] == (("V100-32G", 1),)
+    assert groups["b"] == groups["e"] == (("T4-16G", 1),)
+    assert [r.job_id for r in res.jobs] == ["a", "b", "d", "e"]
+    assert all(r.start_s == 10.0 for r in res.jobs if r.job_id in ("d", "e"))
+    assert res.events_processed == 8
+
+
+@pytest.mark.parametrize(
+    "inventory, arrivals",
+    [pytest.param(inv, arr, id=key) for key, inv, arr in online_grid_runs()],
+)
+def test_running_jobs_fit_the_inventory(inventory, arrivals):
+    """At every job's start, the groups of the jobs running then fit
+    the inventory; every arrival is served or dropped, once."""
+    res = simulate_online_fleet(inventory, arrivals)
+    for rec in res.jobs:
+        in_use = Counter()
+        for r in res.jobs:
+            if r.start_s <= rec.start_s < r.end_s:
+                in_use.update(dict(r.group_counts))
+        assert all(n <= inventory[g] for g, n in in_use.items()), rec.job_id
+    served = [r.job_id for r in res.jobs]
+    assert sorted(served + list(res.dropped)) == sorted(
+        ja.job.job_id for ja in arrivals
+    )
+    assert res.events_processed == len(arrivals) + len(res.jobs)

@@ -190,6 +190,80 @@ def test_online_submit_equals_exhaustive(seed):
         assert_same(got, want)
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_online_queue_and_drain_equal_exhaustive(seed):
+    """Queue-or-drop is the exhaustive pick on the inventory groups, and
+    after each release every drained job gets the exhaustive pick on the
+    groups free at its turn."""
+    inventory = seeded_inventory(seed)
+    sched = OnlineFleetScheduler(inventory)
+    oracle = PlannerPool(sched.inventory, default_fleet_config())
+
+    def oracle_pick(job, budget):
+        return exhaustive_pick(
+            oracle, job, [g for g in oracle.groups if g.fits(budget)]
+        )
+
+    running = []
+    for job in make_job_queue(n_jobs=10, seed=seed, models=MODELS):
+        status, got = sched.submit(job, now=0.0)
+        if status == "started":
+            running.append(got)
+            continue
+        want = oracle_pick(job, sched.inventory)
+        assert status == ("dropped" if want is None else "queued")
+    assert sched.queue
+    drained = 0
+    while running and sched.queue:
+        sched._release(running.pop(0).group)
+        free = dict(sched.free)
+        want = []
+        for job, _ in sched.queue:
+            pick = oracle_pick(job, free)
+            if pick is not None:
+                want.append(pick)
+                for g, n in pick.group.counts:
+                    free[g] -= n
+        got = [a for _, _, a in sched.drain_queue(now=1.0)]
+        assert_same_allocation(got, want)
+        assert sched.free == free
+        running.extend(got)
+        drained += len(got)
+    assert drained > 0
+
+
+#: Nine GPUs of three types, filled by nine one-GPU OPT-1.3B jobs.
+CONTENTION_INVENTORY = {"V100-32G": 3, "T4-16G": 4, "P100-12G": 2}
+
+
+def contention_job(job_id, model="opt-1.3b", bits=4):
+    return FleetJob(
+        job_id=job_id,
+        model=model,
+        workload=BatchWorkload(batch=8, prompt_len=128, output_len=32),
+        num_batches=20,
+        min_uniform_bits=bits,
+    )
+
+
+def test_queue_and_drop_plan_only_groups_that_can_win():
+    """On a full fleet, a job that queues plans fewer groups than the
+    pool has, and a job that nothing can serve plans none."""
+    sched = OnlineFleetScheduler(CONTENTION_INVENTORY)
+    for i in range(9):
+        status, _ = sched.submit(contention_job(f"j{i}"), now=float(i))
+        assert status == "started"
+    assert not any(sched.free.values())
+    pool = sched.pool
+    before = pool.evaluations
+    assert sched.submit(contention_job("big", "opt-66b"), now=9.0)[0] == "queued"
+    assert 0 < pool.evaluations - before < len(pool.groups)
+    before = pool.evaluations
+    status, _ = sched.submit(contention_job("huge", "opt-66b", bits=16), now=10.0)
+    assert status == "dropped"
+    assert pool.evaluations == before
+
+
 def test_all_memoized_groups_pick_without_floors(monkeypatch):
     """Once every group is planned in the pool, the pick reads the memo
     and computes no floor."""
